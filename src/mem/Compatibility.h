@@ -16,51 +16,78 @@
 #pragma once
 
 #include "mem/Liveness.h"
+#include "support/Error.h"
 
-#include <set>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace cfd::mem {
 
+/// Both relations over tensor ids [0, numTensors), stored as one dense
+/// symmetric matrix so a pair lookup is a single load.
 class CompatibilityGraph {
 public:
+  using Edge = std::pair<ir::TensorId, ir::TensorId>;
+
+  CompatibilityGraph() = default;
+  /// A graph with no nodes and no edges over tensor ids [0, numTensors).
+  explicit CompatibilityGraph(std::size_t numTensors);
+
   const std::vector<ir::TensorId>& nodes() const { return nodes_; }
 
-  bool addressSpaceCompatible(ir::TensorId a, ir::TensorId b) const;
-  bool interfaceCompatible(ir::TensorId a, ir::TensorId b) const;
-
-  std::size_t numAddressSpaceEdges() const { return addressSpace_.size(); }
-  std::size_t numInterfaceEdges() const { return interface_.size(); }
-
-  /// Edge enumeration (each pair normalized smaller-id-first), for
-  /// serialization by store/ArtifactCodec.
-  const std::set<std::pair<ir::TensorId, ir::TensorId>>&
-  addressSpaceEdges() const {
-    return addressSpace_;
+  bool addressSpaceCompatible(ir::TensorId a, ir::TensorId b) const {
+    return (relations(a, b) & kAddressSpace) != 0;
   }
-  const std::set<std::pair<ir::TensorId, ir::TensorId>>&
-  interfaceEdges() const {
-    return interface_;
+  bool interfaceCompatible(ir::TensorId a, ir::TensorId b) const {
+    return (relations(a, b) & kInterface) != 0;
   }
+
+  std::size_t numAddressSpaceEdges() const { return numAddressSpaceEdges_; }
+  std::size_t numInterfaceEdges() const { return numInterfaceEdges_; }
+
+  /// Edge enumeration, each pair smaller-id-first, in ascending order.
+  /// store/ArtifactCodec serializes edges in this order (store format
+  /// v1), so it must not change.
+  std::vector<Edge> addressSpaceEdges() const { return edges(kAddressSpace); }
+  std::vector<Edge> interfaceEdges() const { return edges(kInterface); }
 
   /// Graphviz rendering (solid = address-space, dashed = interface).
   std::string dot(const ir::Program& program) const;
 
   void addNode(ir::TensorId id) { nodes_.push_back(id); }
-  void addAddressSpaceEdge(ir::TensorId a, ir::TensorId b);
-  void addInterfaceEdge(ir::TensorId a, ir::TensorId b);
-
-private:
-  static std::pair<ir::TensorId, ir::TensorId> key(ir::TensorId a,
-                                                   ir::TensorId b) {
-    return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
+  /// `a` and `b` must be distinct ids of the graph; adding an
+  /// existing edge is a no-op.
+  void addAddressSpaceEdge(ir::TensorId a, ir::TensorId b) {
+    addEdge(a, b, kAddressSpace, numAddressSpaceEdges_);
+  }
+  void addInterfaceEdge(ir::TensorId a, ir::TensorId b) {
+    addEdge(a, b, kInterface, numInterfaceEdges_);
   }
 
+private:
+  static constexpr std::uint8_t kAddressSpace = 1;
+  static constexpr std::uint8_t kInterface = 2;
+
+  std::uint8_t relations(ir::TensorId a, ir::TensorId b) const {
+    CFD_ASSERT(contains(a) && contains(b), "tensor id outside the graph");
+    return matrix_[static_cast<std::size_t>(a) * numTensors_ +
+                   static_cast<std::size_t>(b)];
+  }
+  bool contains(ir::TensorId id) const {
+    return id >= 0 && static_cast<std::size_t>(id) < numTensors_;
+  }
+  void addEdge(ir::TensorId a, ir::TensorId b, std::uint8_t relation,
+               std::size_t& count);
+  std::vector<Edge> edges(std::uint8_t relation) const;
+
+  std::size_t numTensors_ = 0;
   std::vector<ir::TensorId> nodes_;
-  std::set<std::pair<ir::TensorId, ir::TensorId>> addressSpace_;
-  std::set<std::pair<ir::TensorId, ir::TensorId>> interface_;
+  /// numTensors_ x numTensors_ relation bits, row-major, symmetric.
+  std::vector<std::uint8_t> matrix_;
+  std::size_t numAddressSpaceEdges_ = 0;
+  std::size_t numInterfaceEdges_ = 0;
 };
 
 /// Builds the compatibility graph of `schedule` from liveness and the

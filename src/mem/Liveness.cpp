@@ -12,10 +12,6 @@ const LiveInterval& LivenessInfo::of(ir::TensorId id) const {
   return it->second;
 }
 
-bool LivenessInfo::disjoint(ir::TensorId a, ir::TensorId b) const {
-  return !of(a).overlaps(of(b));
-}
-
 std::string LivenessInfo::str(const ir::Program& program) const {
   std::ostringstream os;
   for (const auto& [id, interval] : intervals)

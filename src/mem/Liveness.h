@@ -42,7 +42,6 @@ struct LivenessInfo {
   int numStatements = 0;
 
   const LiveInterval& of(ir::TensorId id) const;
-  bool disjoint(ir::TensorId a, ir::TensorId b) const;
   std::string str(const ir::Program& program) const;
 };
 

@@ -21,29 +21,39 @@ std::uint64_t RescheduleOptions::fingerprint() const {
 
 namespace {
 
-/// Sum of |stride| of every access along loop position `pos`.
-std::int64_t strideCostAt(const Schedule& schedule,
-                          const ScheduledStatement& stmt, int pos) {
-  std::int64_t cost = 0;
-  const auto addCost = [&](const ir::Access& access) {
-    const std::int64_t stride = schedule.layouts.strideOf(access, pos);
-    cost += stride < 0 ? -stride : stride;
+/// Sum of |stride| of every access along each dimension of the
+/// statement's inner domain. Permuting the loops only permutes the
+/// loop-to-domain map that refreshAccesses composes into each access, so
+/// under any loop order the stride cost at loop position p is entry
+/// `loops[p].domainDim` of this vector.
+std::vector<std::int64_t> domainStrideCosts(const Schedule& schedule,
+                                            const ScheduledStatement& stmt) {
+  std::vector<std::int64_t> costs(stmt.loops.size(), 0);
+  const auto addCosts = [&](const ir::Access& access) {
+    const poly::AffineMap flat =
+        schedule.layouts.layoutOf(access.tensor).map.compose(access.map);
+    for (std::size_t pos = 0; pos < stmt.loops.size(); ++pos) {
+      const std::int64_t stride =
+          flat.result(0).coefficient(static_cast<int>(pos));
+      costs[static_cast<std::size_t>(stmt.loops[pos].domainDim)] +=
+          stride < 0 ? -stride : stride;
+    }
   };
-  addCost(stmt.write);
+  addCosts(stmt.write);
   for (const auto& read : stmt.reads)
-    addCost(read);
-  return cost;
+    addCosts(read);
+  return costs;
 }
 
-/// Cost of a candidate loop order under the given objective. Lower is
-/// better.
-std::int64_t permutationCost(const Schedule& schedule,
-                             const ir::Program& program,
-                             ScheduledStatement stmt,
+/// Cost of a candidate loop order under the given objective, from the
+/// statement's per-domain-dimension stride costs. Lower is better.
+std::int64_t permutationCost(const std::vector<std::int64_t>& strideCosts,
                              const std::vector<LoopDim>& order,
                              ScheduleObjective objective) {
-  stmt.loops = order;
-  refreshAccesses(program, stmt);
+  const auto strideCostAt = [&](int pos) {
+    return strideCosts[static_cast<std::size_t>(
+        order[static_cast<std::size_t>(pos)].domainDim)];
+  };
   const int innermost = static_cast<int>(order.size()) - 1;
   if (innermost < 0)
     return 0;
@@ -54,13 +64,13 @@ std::int64_t permutationCost(const Schedule& schedule,
       cost += 1'000'000'000;
     // Secondary: prefer small innermost strides for burst-friendly
     // address sequences.
-    cost += strideCostAt(schedule, stmt, innermost);
+    cost += strideCostAt(innermost);
   } else {
     // Software: weight the innermost stride highest, then outer loops
     // progressively less (classic locality cost).
     std::int64_t weight = 1'000'000;
     for (int pos = innermost; pos >= 0; --pos) {
-      cost += weight * strideCostAt(schedule, stmt, pos) /
+      cost += weight * strideCostAt(pos) /
               std::max<std::int64_t>(1, innermost - pos + 1);
       weight /= 64;
       if (weight == 0)
@@ -76,8 +86,8 @@ std::int64_t innermostStrideCost(const Schedule& schedule,
                                  const ScheduledStatement& stmt) {
   if (stmt.loops.empty())
     return 0;
-  return strideCostAt(schedule, stmt,
-                      static_cast<int>(stmt.loops.size()) - 1);
+  return domainStrideCosts(schedule, stmt)[static_cast<std::size_t>(
+      stmt.loops.back().domainDim)];
 }
 
 RescheduleStats reschedule(Schedule& schedule,
@@ -156,18 +166,19 @@ RescheduleStats reschedule(Schedule& schedule,
     for (auto& stmt : schedule.statements) {
       if (stmt.loops.size() < 2)
         continue;
+      const std::vector<std::int64_t> strideCosts =
+          domainStrideCosts(schedule, stmt);
       std::vector<LoopDim> best = stmt.loops;
-      std::int64_t bestCost = permutationCost(schedule, program, stmt,
-                                              stmt.loops, options.objective);
+      std::int64_t bestCost =
+          permutationCost(strideCosts, stmt.loops, options.objective);
       std::vector<LoopDim> candidate = stmt.loops;
       std::sort(candidate.begin(), candidate.end(),
                 [](const LoopDim& a, const LoopDim& b) {
                   return a.domainDim < b.domainDim;
                 });
       do {
-        const std::int64_t cost = permutationCost(schedule, program, stmt,
-                                                  candidate,
-                                                  options.objective);
+        const std::int64_t cost =
+            permutationCost(strideCosts, candidate, options.objective);
         if (cost < bestCost) {
           bestCost = cost;
           best = candidate;

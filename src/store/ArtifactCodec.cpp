@@ -408,7 +408,7 @@ mem::LivenessInfo readLiveness(ByteReader& r) {
 void writeMemory(ByteWriter& w, const MemoryPlanArtifact& memory) {
   writeIntVec(w, memory.graph.nodes());
   const auto writeEdges =
-      [&w](const std::set<std::pair<ir::TensorId, ir::TensorId>>& edges) {
+      [&w](const std::vector<mem::CompatibilityGraph::Edge>& edges) {
         w.u64(edges.size());
         for (const auto& [a, b] : edges) {
           w.i32(a);
@@ -435,20 +435,36 @@ void writeMemory(ByteWriter& w, const MemoryPlanArtifact& memory) {
   writeI64Vec(w, memory.plan.baseOffsets);
 }
 
-MemoryPlanArtifact readMemory(ByteReader& r) {
+/// `numTensors` is the tensor count of the prefix's decoded program: the
+/// graph is a matrix over those ids, so every node and edge id read here
+/// must fall inside it.
+MemoryPlanArtifact readMemory(ByteReader& r, std::size_t numTensors) {
   MemoryPlanArtifact memory;
-  for (ir::TensorId node : readIntVec(r))
-    memory.graph.addNode(node);
+  memory.graph = mem::CompatibilityGraph(numTensors);
+  const auto readId = [&r, numTensors]() {
+    const ir::TensorId id = r.i32();
+    if (id < 0 || static_cast<std::size_t>(id) >= numTensors)
+      throw CodecError("artifact codec: tensor id out of range");
+    return id;
+  };
+  const std::size_t numNodes = r.count();
+  for (std::size_t i = 0; i < numNodes; ++i)
+    memory.graph.addNode(readId());
+  const auto readEdge = [&readId]() {
+    const ir::TensorId a = readId();
+    const ir::TensorId b = readId();
+    if (a == b)
+      throw CodecError("artifact codec: self edge");
+    return std::make_pair(a, b);
+  };
   const std::size_t numAddressSpace = r.count();
   for (std::size_t i = 0; i < numAddressSpace; ++i) {
-    const ir::TensorId a = r.i32();
-    const ir::TensorId b = r.i32();
+    const auto [a, b] = readEdge();
     memory.graph.addAddressSpaceEdge(a, b);
   }
   const std::size_t numInterface = r.count();
   for (std::size_t i = 0; i < numInterface; ++i) {
-    const ir::TensorId a = r.i32();
-    const ir::TensorId b = r.i32();
+    const auto [a, b] = readEdge();
     memory.graph.addInterfaceEdge(a, b);
   }
 
@@ -656,8 +672,8 @@ StageArtifacts decodePrefix(Stage stage, std::string_view payload,
           std::make_shared<const mem::LivenessInfo>(readLiveness(r));
       break;
     case Stage::MemoryPlan:
-      artifacts.memory =
-          std::make_shared<const MemoryPlanArtifact>(readMemory(r));
+      artifacts.memory = std::make_shared<const MemoryPlanArtifact>(
+          readMemory(r, artifacts.optimized->program.tensors().size()));
       break;
     case Stage::Hls:
       artifacts.kernel =

@@ -1,6 +1,8 @@
 // Shared CFDlang test programs.
 #pragma once
 
+#include <string>
+
 namespace cfd::test {
 
 /// The paper's Fig. 1: the Inverse Helmholtz operator at p = 11.
@@ -58,5 +60,40 @@ var w : [7 9]
 w = a * b + a - b
 c = w / b * 2 + 1
 )";
+
+/// The SEM kernel that applies the same stiffness chain twice, so the
+/// optimizer has common subexpressions to remove.
+inline constexpr const char* kRedundantSem = R"(
+var input  S : [8 8]
+var input  D : [8 8 8]
+var input  u : [8 8 8]
+var output v : [8 8 8]
+var output w : [8 8 8]
+var t  : [8 8 8]
+var t2 : [8 8 8]
+t = S # S # S # u . [[1 6] [3 7] [5 8]]
+t2 = S # S # S # u . [[1 6] [3 7] [5 8]]
+v = D * t
+w = D + t2
+)";
+
+/// `depth` back-to-back Helmholtz-style contractions at p = 10: the
+/// scheduling and memory-planning work grows with the depth.
+inline std::string contractionChainSource(int depth) {
+  const std::string cube = "[11 11 11]";
+  std::string src = "var input  S : [11 11]\n";
+  src += "var input  u : " + cube + "\n";
+  src += "var output v : " + cube + "\n";
+  for (int i = 0; i + 1 < depth; ++i)
+    src += "var t" + std::to_string(i) + " : " + cube + "\n";
+  std::string prev = "u";
+  for (int i = 0; i < depth; ++i) {
+    const std::string name =
+        i + 1 < depth ? "t" + std::to_string(i) : std::string("v");
+    src += name + " = S # S # S # " + prev + " . [[1 6] [3 7] [5 8]]\n";
+    prev = name;
+  }
+  return src;
+}
 
 } // namespace cfd::test

@@ -15,8 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <filesystem>
+#include <future>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -106,17 +108,37 @@ TEST_F(DistTest, SigkilledWorkerMidChunkStillCompletesIdentically) {
   const std::string source = test::kInverseHelmholtz;
   WorkerPoolSpawner pool({.workers = 3, .socketDir = root_});
   ASSERT_TRUE(pool.start().ok());
+  // Workers 1 and 2 start stopped, so only worker 0 can report progress
+  // and nobody else can drain the queue before the kill: however fast a
+  // compile is, worker 0 dies holding a chunk (its first, or the next
+  // one it pulls). The others resume once it is dead.
+  pool.kill(1, SIGSTOP);
+  pool.kill(2, SIGSTOP);
 
   DistSweepOptions options = optionsFor(pool, source);
   options.chunkSize = 1; // every point its own chunk: kill lands mid-sweep
   std::once_flag killed;
-  options.onProgress = [&](std::size_t, std::size_t) {
-    // First sign of life -> SIGKILL a worker. Its in-flight chunk (or
-    // its next one) dies with it and must be re-run elsewhere.
-    std::call_once(killed, [&] { pool.kill(0, SIGKILL); });
+  std::promise<void> killDone;
+  const auto killWorker0 = [&] {
+    std::call_once(killed, [&] {
+      pool.kill(0, SIGKILL);
+      killDone.set_value();
+    });
   };
+  // First sign of life -> SIGKILL worker 0. Its chunk dies with it and
+  // must be re-run elsewhere.
+  options.onProgress = [&](std::size_t, std::size_t) { killWorker0(); };
+  std::thread resume([&, dead = killDone.get_future()] {
+    dead.wait();
+    // Give the coordinator time to hit the dead connection first.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    pool.kill(1, SIGCONT);
+    pool.kill(2, SIGCONT);
+  });
   const Expected<DistSweepResult> result =
       SweepCoordinator(options).run();
+  killWorker0(); // no-op after a normal run; never leaves `resume` waiting
+  resume.join();
   ASSERT_TRUE(result.ok()) << result.errorText();
 
   // Full point count, identical frontier and bytes, and the loss is
@@ -135,11 +157,21 @@ TEST_F(DistTest, StoppedStragglerIsDemotedAndSweepCompletes) {
   // straggler. The inactivity deadline must cut it off and move its
   // chunk to the live worker.
   pool.kill(0, SIGSTOP);
+  // The live worker starts stopped too and resumes after a head start,
+  // so the straggler is handed a chunk before the live worker could
+  // finish the sweep alone, however fast it compiles. 100 ms leaves the
+  // live worker most of the 400 ms deadline for its first chunk.
+  pool.kill(1, SIGSTOP);
+  std::thread resume([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    pool.kill(1, SIGCONT);
+  });
 
   DistSweepOptions options = optionsFor(pool, source);
   options.chunkDeadlineMillis = 400;
   const Expected<DistSweepResult> result =
       SweepCoordinator(options).run();
+  resume.join();
   // SIGKILL the stopped worker before stopAll so teardown never waits
   // out the graceful-drain window on a process that cannot drain.
   pool.kill(0, SIGKILL);

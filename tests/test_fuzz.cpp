@@ -286,8 +286,11 @@ TEST_P(FuzzJobQueue, RandomSubmitCancelWaitInterleavingStaysConsistent) {
         break;
       const auto& job = jobs[static_cast<std::size_t>(
           pick(0, static_cast<int>(jobs.size()) - 1))];
+      // poll() first: a job may resolve between the two reads, and only
+      // a state read after a true poll() must be terminal.
+      const bool resolved = job.poll();
       const JobState state = job.state();
-      if (job.poll())
+      if (resolved)
         EXPECT_TRUE(state == JobState::Done ||
                     state == JobState::Cancelled);
       break;

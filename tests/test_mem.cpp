@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 namespace cfd::mem {
 namespace {
 
@@ -86,6 +90,87 @@ TEST(CompatibilityTest, DotOutputContainsAllNodes) {
        {"S", "D", "u", "v", "t", "r", "t0", "t1", "t2", "t3"})
     EXPECT_NE(dot.find(name), std::string::npos) << name;
   EXPECT_NE(dot.find("style=dashed"), std::string::npos);
+}
+
+/// Both relations built pair by pair from the header's definition:
+/// address-space compatible = disjoint live intervals; interface
+/// compatible = no statement reads both arrays, where a read-modify-write
+/// accumulation also reads its target.
+struct BruteForceGraph {
+  std::vector<CompatibilityGraph::Edge> addressSpace;
+  std::vector<CompatibilityGraph::Edge> interface;
+};
+
+BruteForceGraph bruteForceGraph(const Flow& flow) {
+  const auto& tensors = flow.program().tensors();
+  const auto& statements = flow.schedule().statements;
+  const LivenessInfo& liveness = flow.liveness();
+  const auto readsBoth = [&](const sched::ScheduledStatement& stmt,
+                             ir::TensorId a, ir::TensorId b) {
+    std::vector<ir::TensorId> reads;
+    for (const auto& read : stmt.reads)
+      reads.push_back(read.tensor);
+    if (stmt.needsInit && !stmt.innermostIsReduction())
+      reads.push_back(stmt.write.tensor);
+    const auto has = [&](ir::TensorId id) {
+      return std::find(reads.begin(), reads.end(), id) != reads.end();
+    };
+    return has(a) && has(b);
+  };
+  BruteForceGraph graph;
+  for (std::size_t i = 0; i < tensors.size(); ++i)
+    for (std::size_t j = i + 1; j < tensors.size(); ++j) {
+      const ir::TensorId a = tensors[i].id;
+      const ir::TensorId b = tensors[j].id;
+      if (!liveness.of(a).overlaps(liveness.of(b)))
+        graph.addressSpace.emplace_back(a, b);
+      if (std::none_of(statements.begin(), statements.end(),
+                       [&](const sched::ScheduledStatement& stmt) {
+                         return readsBoth(stmt, a, b);
+                       }))
+        graph.interface.emplace_back(a, b);
+    }
+  return graph;
+}
+
+TEST(CompatibilityTest, GraphMatchesItsDefinitionOnEveryPair) {
+  for (const std::string& source :
+       {std::string(test::kInverseHelmholtz), std::string(test::kRedundantSem),
+        test::contractionChainSource(12)}) {
+    const Flow flow = Flow::compile(source);
+    const CompatibilityGraph& graph = flow.compatibilityGraph();
+    const BruteForceGraph expected = bruteForceGraph(flow);
+    const auto& tensors = flow.program().tensors();
+    const auto contains = [](const std::vector<CompatibilityGraph::Edge>& edges,
+                             ir::TensorId a, ir::TensorId b) {
+      return std::find(edges.begin(), edges.end(),
+                       CompatibilityGraph::Edge(std::min(a, b),
+                                                std::max(a, b))) !=
+             edges.end();
+    };
+    ASSERT_EQ(graph.nodes().size(), tensors.size());
+    for (std::size_t i = 0; i < tensors.size(); ++i) {
+      EXPECT_EQ(graph.nodes()[i], tensors[i].id);
+      for (std::size_t j = 0; j < tensors.size(); ++j) {
+        if (i == j)
+          continue;
+        const ir::TensorId a = tensors[i].id;
+        const ir::TensorId b = tensors[j].id;
+        EXPECT_EQ(graph.addressSpaceCompatible(a, b),
+                  contains(expected.addressSpace, a, b))
+            << tensors[i].name << " " << tensors[j].name;
+        EXPECT_EQ(graph.interfaceCompatible(a, b),
+                  contains(expected.interface, a, b))
+            << tensors[i].name << " " << tensors[j].name;
+      }
+    }
+    // Counts feed StageCache's byte estimate; the ascending enumeration
+    // is what the store serializes.
+    EXPECT_EQ(graph.numAddressSpaceEdges(), expected.addressSpace.size());
+    EXPECT_EQ(graph.numInterfaceEdges(), expected.interface.size());
+    EXPECT_EQ(graph.addressSpaceEdges(), expected.addressSpace);
+    EXPECT_EQ(graph.interfaceEdges(), expected.interface);
+  }
 }
 
 TEST(BramTest, GeometryChoices) {

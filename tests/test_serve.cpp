@@ -279,11 +279,13 @@ class PoolBlocker {
 public:
   PoolBlocker(Session& session, int workers = 1)
       : gate_(release_.get_future().share()) {
+    // Each task holds its own reference to the gate: a worker woken by
+    // release() may still be inside wait() when the blocker is gone.
     for (int i = 0; i < workers; ++i)
       session.workerPool().post(
-          [this] {
+          [this, gate = gate_] {
             ++running_;
-            gate_.wait();
+            gate.wait();
           },
           WorkerPool::kPriorityHigh);
     while (running_.load() < workers)

@@ -6,6 +6,7 @@
 #include "core/Session.h"
 #include "store/ArtifactCodec.h"
 #include "store/ArtifactStore.h"
+#include "support/Hash.h"
 #include "TestPrograms.h"
 
 #include <gtest/gtest.h>
@@ -112,6 +113,80 @@ TEST(ArtifactCodecTest, TruncatedPayloadThrowsCodecError) {
   EXPECT_THROW(
       store::decodePrefix(Stage::SysGen, payload + "x", pipeline->options()),
       store::CodecError);
+}
+
+// Store format v1 fixes the bytes of every prefix, down to the ascending
+// order of the compatibility edges. This digest of the memory-plan
+// prefix was recorded with the set-based graph storage the format was
+// defined with, so entries that builds of that storage wrote to a
+// --cache-dir still load. Pass timings are wall-clock, so they are
+// zeroed first.
+TEST(ArtifactCodecTest, MemoryPlanPrefixBytesArePinned) {
+  const auto pipeline = compileAll(test::kInverseHelmholtz);
+  StageArtifacts artifacts = pipeline->artifacts();
+  auto optimized = std::make_shared<OptimizeArtifact>(*artifacts.optimized);
+  for (ir::PassResult& pass : optimized->report.passes)
+    pass.millis = 0.0;
+  artifacts.optimized = std::move(optimized);
+  const std::string payload =
+      store::encodePrefix(Stage::MemoryPlan, artifacts);
+  Fnv1aHasher digest;
+  digest.mix(std::string_view(payload));
+  EXPECT_EQ(payload.size(), 13701u);
+  EXPECT_EQ(digest.value(), 0x44360172b64e8d80ull);
+}
+
+TEST(ArtifactCodecTest, MemoryPlanIdOutsideTheProgramThrowsCodecError) {
+  const auto pipeline = compileAll(test::kInverseHelmholtz);
+  const int numTensors = static_cast<int>(
+      pipeline->artifacts().optimized->program.tensors().size());
+  const std::string prefix =
+      store::encodePrefix(Stage::Liveness, pipeline->artifacts());
+  // A format v1 memory-plan section: one node, one edge of the chosen
+  // relation, none of the other, and an empty plan (buffers, bufferOf,
+  // baseOffsets).
+  const auto payload = [&](int node, int a, int b, bool interface) {
+    store::ByteWriter w;
+    w.u8(static_cast<std::uint8_t>(Stage::MemoryPlan));
+    w.u64(1);
+    w.i32(node);
+    for (const bool edgesOfInterface : {false, true}) {
+      if (edgesOfInterface != interface) {
+        w.u64(0);
+        continue;
+      }
+      w.u64(1);
+      w.i32(a);
+      w.i32(b);
+    }
+    w.u64(0);
+    w.u64(0);
+    w.u64(0);
+    return prefix + w.take();
+  };
+  const auto decode = [&](const std::string& bytes) {
+    return store::decodePrefix(Stage::MemoryPlan, bytes,
+                               pipeline->options());
+  };
+
+  const int last = numTensors - 1;
+  const StageArtifacts valid = decode(payload(last, 0, last, false));
+  EXPECT_TRUE(valid.memory->graph.addressSpaceCompatible(last, 0));
+  EXPECT_TRUE(decode(payload(0, last, 0, true))
+                  .memory->graph.interfaceCompatible(0, last));
+
+  EXPECT_THROW(decode(payload(numTensors, 0, 1, false)), store::CodecError);
+  EXPECT_THROW(decode(payload(-1, 0, 1, false)), store::CodecError);
+  for (const bool interface : {false, true}) {
+    EXPECT_THROW(decode(payload(0, 0, numTensors, interface)),
+                 store::CodecError);
+    EXPECT_THROW(decode(payload(0, numTensors, 0, interface)),
+                 store::CodecError);
+    EXPECT_THROW(decode(payload(0, -1, 1, interface)), store::CodecError);
+    EXPECT_THROW(decode(payload(0, 0, 1 << 30, interface)),
+                 store::CodecError);
+    EXPECT_THROW(decode(payload(0, 1, 1, interface)), store::CodecError);
+  }
 }
 
 // ---- Store: publish, load, verification ----
