@@ -32,6 +32,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -90,24 +91,8 @@ public:
     need(1);
     return static_cast<std::uint8_t>(data_[pos_++]);
   }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t value = 0;
-    for (int byte = 0; byte < 4; ++byte)
-      value |= static_cast<std::uint32_t>(
-                   static_cast<unsigned char>(data_[pos_++]))
-               << (byte * 8);
-    return value;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t value = 0;
-    for (int byte = 0; byte < 8; ++byte)
-      value |= static_cast<std::uint64_t>(
-                   static_cast<unsigned char>(data_[pos_++]))
-               << (byte * 8);
-    return value;
-  }
+  std::uint32_t u32() { return fixed<std::uint32_t>(); }
+  std::uint64_t u64() { return fixed<std::uint64_t>(); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   int i32() {
     const std::int64_t value = i64();
@@ -117,13 +102,17 @@ public:
   }
   double f64() { return std::bit_cast<double>(u64()); }
   bool boolean() { return u8() != 0; }
-  std::string str() {
+  /// A length-prefixed string as a view into the decoded buffer, valid
+  /// as long as that buffer is.
+  std::string_view view() {
     const std::uint64_t size = u64();
     need(size);
-    std::string value(data_.substr(pos_, static_cast<std::size_t>(size)));
+    const std::string_view value =
+        data_.substr(pos_, static_cast<std::size_t>(size));
     pos_ += static_cast<std::size_t>(size);
     return value;
   }
+  std::string str() { return std::string(view()); }
   /// Container count, bounded by the bytes that could possibly remain
   /// (every element is at least one byte) so corrupted counts fail fast
   /// instead of driving huge allocations.
@@ -148,6 +137,17 @@ private:
   void need(std::uint64_t bytes) {
     if (bytes > data_.size() - pos_)
       throw CodecError("artifact codec: payload truncated");
+  }
+  /// One little-endian field, copied straight out of the buffer: the
+  /// host byte order is the format's (checked at compile time).
+  template <typename T> T fixed() {
+    static_assert(std::endian::native == std::endian::little,
+                  "ByteReader copies little-endian fields as they are");
+    need(sizeof(T));
+    T value = 0;
+    std::memcpy(&value, data_.data() + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return value;
   }
 
   std::string_view data_;

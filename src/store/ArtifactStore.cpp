@@ -3,13 +3,15 @@
 #include "store/ArtifactCodec.h"
 #include "support/Hash.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <vector>
 
 namespace cfd::store {
@@ -38,14 +40,45 @@ std::string keyFileName(std::uint64_t key) {
   return std::string(hex) + kEntrySuffix;
 }
 
-bool readWholeFile(const fs::path& path, std::string& bytes) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
-    return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  bytes = std::move(buffer).str();
-  return in.good() || in.eof();
+/// Closes the descriptor on every way out of the reader, including a
+/// std::bad_alloc from sizing the buffer.
+struct OpenFile {
+  explicit OpenFile(int descriptor) : fd(descriptor) {}
+  OpenFile(const OpenFile&) = delete;
+  OpenFile& operator=(const OpenFile&) = delete;
+  ~OpenFile() {
+    if (fd >= 0)
+      ::close(fd);
+  }
+  const int fd;
+};
+
+enum class EntryRead { Ok, Absent, Failed };
+
+/// Reads the entry file at `path` whole: one open, one fstat and a read
+/// of the size it reports. O_NONBLOCK keeps open() from waiting for a
+/// writer when a FIFO sits at the path; anything but a regular file, or
+/// a file that shrinks under the read, fails.
+EntryRead readEntryFile(const std::string& path, std::string& bytes) {
+  const OpenFile file(
+      ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC));
+  if (file.fd < 0)
+    return errno == ENOENT || errno == ENOTDIR ? EntryRead::Absent
+                                               : EntryRead::Failed;
+  struct stat info {};
+  if (::fstat(file.fd, &info) != 0 || !S_ISREG(info.st_mode))
+    return EntryRead::Failed;
+  bytes.resize(static_cast<std::size_t>(info.st_size));
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t got =
+        ::read(file.fd, bytes.data() + done, bytes.size() - done);
+    if (got > 0)
+      done += static_cast<std::size_t>(got);
+    else if (got == 0 || errno != EINTR)
+      return EntryRead::Failed;
+  }
+  return EntryRead::Ok;
 }
 
 } // namespace
@@ -57,8 +90,6 @@ ArtifactStore::ArtifactStore(ArtifactStoreOptions options)
   std::error_code ec;
   fs::create_directories(options_.root, ec);
   enabled_ = !ec && fs::is_directory(options_.root, ec);
-  if (enabled_)
-    approxDiskBytes_ = diskBytes();
 }
 
 std::string ArtifactStore::entryPath(std::uint64_t key) const {
@@ -97,29 +128,28 @@ ArtifactStore::load(std::uint64_t key, Stage stage,
                     const FlowOptions& options) {
   if (!enabled_)
     return nullptr;
-  const fs::path path = entryPath(key);
-  std::error_code ec;
-  if (!fs::exists(path, ec)) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.misses;
-    return nullptr;
-  }
-
-  std::string bytes;
   const auto reject = [this]() -> std::shared_ptr<const StageCacheEntry> {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.verifyFailures;
     return nullptr;
   };
-  if (!readWholeFile(path, bytes))
-    return reject();
 
   try {
+    std::string bytes;
+    const EntryRead read = readEntryFile(entryPath(key), bytes);
+    if (read == EntryRead::Absent) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++stats_.misses;
+      return nullptr;
+    }
+    if (read == EntryRead::Failed)
+      return reject();
+
     ByteReader r(bytes);
     if (r.u32() != kMagic || r.u32() != kFormatVersion ||
         r.u32() != static_cast<std::uint32_t>(stage) || r.u64() != key)
       return reject();
-    if (r.str() != source)
+    if (r.view() != source)
       return reject();
     const std::uint32_t numFingerprints = r.u32();
     if (numFingerprints != static_cast<std::uint32_t>(stage) + 1)
@@ -129,7 +159,7 @@ ArtifactStore::load(std::uint64_t key, Stage stage,
           stageOptionsFingerprint(static_cast<Stage>(i), options))
         return reject();
     const std::uint64_t expectedChecksum = r.u64();
-    const std::string payload = r.str();
+    const std::string_view payload = r.view();
     if (!r.atEnd() || checksum(payload) != expectedChecksum)
       return reject();
 
@@ -144,9 +174,10 @@ ArtifactStore::load(std::uint64_t key, Stage stage,
     ++stats_.hits;
     return entry;
   } catch (const std::exception&) {
-    // CodecError on malformed bytes, or an internal invariant tripping
-    // on checksum-valid-but-inconsistent data: either way the contract
-    // is "corruption is a miss, never a crash".
+    // CodecError on malformed bytes, an internal invariant tripping on
+    // checksum-valid-but-inconsistent data, or a file too large to
+    // buffer: either way the contract is "corruption is a miss, never a
+    // crash".
     return reject();
   }
 }
@@ -196,15 +227,25 @@ void ArtifactStore::publish(std::uint64_t key, Stage stage,
     return;
   }
 
-  bool overCapacity = false;
+  std::size_t capacity = 0;
+  std::optional<std::size_t> estimate;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.publishes;
-    approxDiskBytes_ += bytes.size();
-    overCapacity = options_.capacityBytes != 0 &&
-                   approxDiskBytes_ > options_.capacityBytes;
+    capacity = options_.capacityBytes;
+    if (approxDiskBytes_)
+      estimate = *approxDiskBytes_ += bytes.size();
   }
-  if (overCapacity)
+  if (capacity == 0)
+    return;
+  if (!estimate) {
+    // The first bounded publish seeds the estimate with one scan, which
+    // already counts this entry.
+    estimate = diskBytes();
+    std::lock_guard<std::mutex> lock(mutex_);
+    approxDiskBytes_ = estimate;
+  }
+  if (*estimate > capacity)
     collectGarbage();
 }
 
@@ -306,10 +347,15 @@ std::size_t ArtifactStore::diskBytes() const {
   std::uintmax_t bytes = 0;
   std::error_code ec;
   for (const fs::directory_entry& item :
-       fs::directory_iterator(options_.root, ec))
-    if (item.is_regular_file(ec) &&
-        item.path().filename().string().ends_with(kEntrySuffix))
-      bytes += item.file_size(ec);
+       fs::directory_iterator(options_.root, ec)) {
+    if (!item.is_regular_file(ec) ||
+        !item.path().filename().string().ends_with(kEntrySuffix))
+      continue;
+    // An entry another process's GC deletes mid-scan has no size.
+    const std::uintmax_t size = item.file_size(ec);
+    if (!ec)
+      bytes += size;
+  }
   return static_cast<std::size_t>(bytes);
 }
 

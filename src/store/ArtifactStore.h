@@ -10,9 +10,9 @@
 // self-describing header (magic, format version, stage, key echo, the
 // full source text, one options fingerprint per covered stage, payload
 // checksum). Reads verify all of it and treat ANY mismatch — truncated
-// file, flipped byte, unknown version, wrong stage — as a clean miss
-// counted in Stats::verifyFailures, never as an exception escaping to
-// the compile.
+// file, flipped byte, unknown version, wrong stage, a FIFO or directory
+// at the entry path — as a clean miss counted in Stats::verifyFailures,
+// never as an exception escaping to the compile.
 //
 // Concurrency: writers serialize an entry into `<name>.<pid>.<seq>.tmp`
 // and publish it with one atomic rename(2), so readers never observe a
@@ -21,9 +21,13 @@
 // content-derived). Reads take no lock. A crashed publisher leaves only
 // a stale `.tmp`, which collectGarbage() sweeps.
 //
-// Capacity: LRU-by-mtime byte bound. Publishes bump the running byte
-// estimate; crossing the bound triggers collectGarbage(), which rescans
-// the directory and deletes oldest-mtime entries until under the bound.
+// Capacity: LRU-by-mtime byte bound. Opening a store does not touch
+// the directory beyond creating it; the first publish under a bound
+// seeds a running byte estimate with one directory scan, so a process
+// that only adopts entries never lists the directory. Later publishes
+// bump the estimate; crossing the bound triggers collectGarbage(),
+// which rescans the directory and deletes oldest-mtime entries until
+// under the bound.
 #pragma once
 
 #include "core/StageCache.h"
@@ -31,6 +35,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 namespace cfd::store {
@@ -110,7 +115,7 @@ private:
 
   mutable std::mutex mutex_; // guards stats + byte estimate, not file I/O
   Stats stats_;
-  std::size_t approxDiskBytes_ = 0;
+  std::optional<std::size_t> approxDiskBytes_; // unset until first scanned
   std::uint64_t tmpSequence_ = 0;
 };
 

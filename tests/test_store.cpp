@@ -11,8 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,6 +64,24 @@ std::string readFile(const std::string& path) {
 void writeFile(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// The pipeline's artifacts with the optimize pass timings zeroed: they
+/// are wall-clock, and the only bytes of a prefix that differ from run
+/// to run.
+StageArtifacts artifactsWithoutTimings(const Pipeline& pipeline) {
+  StageArtifacts artifacts = pipeline.artifacts();
+  auto optimized = std::make_shared<OptimizeArtifact>(*artifacts.optimized);
+  for (ir::PassResult& pass : optimized->report.passes)
+    pass.millis = 0.0;
+  artifacts.optimized = std::move(optimized);
+  return artifacts;
+}
+
+std::uint64_t digestOf(std::string_view bytes) {
+  Fnv1aHasher digest;
+  digest.mix(bytes);
+  return digest.value();
 }
 
 // ---- Codec round-trips ----
@@ -123,17 +146,10 @@ TEST(ArtifactCodecTest, TruncatedPayloadThrowsCodecError) {
 // zeroed first.
 TEST(ArtifactCodecTest, MemoryPlanPrefixBytesArePinned) {
   const auto pipeline = compileAll(test::kInverseHelmholtz);
-  StageArtifacts artifacts = pipeline->artifacts();
-  auto optimized = std::make_shared<OptimizeArtifact>(*artifacts.optimized);
-  for (ir::PassResult& pass : optimized->report.passes)
-    pass.millis = 0.0;
-  artifacts.optimized = std::move(optimized);
-  const std::string payload =
-      store::encodePrefix(Stage::MemoryPlan, artifacts);
-  Fnv1aHasher digest;
-  digest.mix(std::string_view(payload));
+  const std::string payload = store::encodePrefix(
+      Stage::MemoryPlan, artifactsWithoutTimings(*pipeline));
   EXPECT_EQ(payload.size(), 13701u);
-  EXPECT_EQ(digest.value(), 0x44360172b64e8d80ull);
+  EXPECT_EQ(digestOf(payload), 0x44360172b64e8d80ull);
 }
 
 TEST(ArtifactCodecTest, MemoryPlanIdOutsideTheProgramThrowsCodecError) {
@@ -214,6 +230,24 @@ TEST_F(StoreTest, PublishedEntryLoadsAndVerifies) {
   EXPECT_EQ(store.stats().hits, 1);
 }
 
+// The whole entry file of store format v1 — header, source, option
+// fingerprints, checksum and payload — recorded with the stream-based
+// entry reader the format was defined with. Entries that builds of that
+// reader wrote must keep loading.
+TEST_F(StoreTest, SysGenEntryFileBytesArePinned) {
+  const auto pipeline = compileAll(test::kInverseHelmholtz);
+  store::ArtifactStore store({root_});
+  const std::uint64_t key = pipeline->stageKey(Stage::SysGen);
+  store.publish(key, Stage::SysGen, artifactsWithoutTimings(*pipeline),
+                pipeline->source(), pipeline->options());
+  const std::string bytes = readFile(store.entryPath(key));
+  EXPECT_EQ(bytes.size(), 14720u);
+  EXPECT_EQ(digestOf(bytes), 0xe96b08f66ae5ecc4ull);
+  EXPECT_NE(store.load(key, Stage::SysGen, pipeline->source(),
+                       pipeline->options()),
+            nullptr);
+}
+
 TEST_F(StoreTest, AbsentKeyIsAMiss) {
   store::ArtifactStore store({root_});
   const auto pipeline = compileAll(test::kInterpolation);
@@ -292,6 +326,10 @@ TEST_F(StoreTest, ColdSessionAdoptsFullPrefixFromDisk) {
   EXPECT_EQ(stats.artifactStore.verifyFailures, 0);
   EXPECT_EQ(stats.stageCache.hits, kStageCount);
   EXPECT_EQ(stats.stageCache.misses, 0);
+  // Under the default byte bound, a restart that only adopts writes and
+  // evicts nothing.
+  EXPECT_EQ(stats.artifactStore.publishes, 0);
+  EXPECT_EQ(stats.artifactStore.evictions, 0);
 }
 
 TEST_F(StoreTest, ColdSessionAdoptsSharedPrefixUnderChangedHlsOptions) {
@@ -351,6 +389,110 @@ TEST_F(StoreTest, GcEvictsOldestMtimeFirstUntilUnderTheBound) {
   EXPECT_TRUE(fs::exists(store.entryPath(keys[2])));
   EXPECT_TRUE(fs::exists(store.entryPath(keys[3])));
   EXPECT_LE(store.diskBytes(), sizes[2] + sizes[3]);
+}
+
+// Opening a store does not scan it, so a bound below what is already on
+// disk takes effect at the first publish: loads hit and evict nothing,
+// then that publish evicts oldest-mtime entries until under the bound.
+TEST_F(StoreTest, FirstPublishEnforcesTheBoundOverAnExistingStore) {
+  std::vector<std::unique_ptr<Pipeline>> pipelines;
+  for (int extent : {5, 6, 7, 8, 9})
+    pipelines.push_back(compileAll(test::inverseHelmholtzSource(extent)));
+  const auto publishTo = [](store::ArtifactStore& store,
+                            const Pipeline& pipeline) {
+    const std::uint64_t key = pipeline.stageKey(Stage::SysGen);
+    store.publish(key, Stage::SysGen, pipeline.artifacts(),
+                  pipeline.source(), pipeline.options());
+    return key;
+  };
+
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uintmax_t> sizes;
+  {
+    store::ArtifactStore unbounded({root_, /*capacityBytes=*/0});
+    const auto base = fs::file_time_type::clock::now();
+    for (std::size_t i = 0; i < 4; ++i) {
+      keys.push_back(publishTo(unbounded, *pipelines[i]));
+      const std::string path = unbounded.entryPath(keys[i]);
+      sizes.push_back(fs::file_size(path));
+      fs::last_write_time(path, base - std::chrono::seconds(60 - 10 * i));
+    }
+  }
+  const std::uintmax_t total = sizes[0] + sizes[1] + sizes[2] + sizes[3];
+  const std::size_t bound = static_cast<std::size_t>(total - 1);
+
+  store::ArtifactStore store({root_, bound});
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    EXPECT_NE(store.load(keys[i], Stage::SysGen, pipelines[i]->source(),
+                         pipelines[i]->options()),
+              nullptr);
+  EXPECT_EQ(store.stats().hits, 4);
+  EXPECT_EQ(store.stats().evictions, 0);
+  EXPECT_EQ(store.entryCount(), 4u);
+
+  const std::uint64_t newKey = publishTo(store, *pipelines[4]);
+  std::uintmax_t onDisk = total + fs::file_size(store.entryPath(newKey));
+  std::size_t evicted = 0;
+  while (onDisk > bound && evicted < sizes.size())
+    onDisk -= sizes[evicted++];
+  ASSERT_LT(evicted, keys.size());
+  EXPECT_EQ(store.stats().evictions, static_cast<std::int64_t>(evicted));
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    EXPECT_EQ(fs::exists(store.entryPath(keys[i])), i >= evicted) << i;
+  EXPECT_TRUE(fs::exists(store.entryPath(newKey)));
+  EXPECT_LE(store.diskBytes(), bound);
+}
+
+// Threads racing the first publishes into one bounded store may each
+// seed the byte estimate; whatever order they land in, every publish
+// counts, every surviving entry verifies, and one collection meets the
+// bound.
+TEST_F(StoreTest, RacingFirstPublishesIntoABoundedStore) {
+  std::vector<std::unique_ptr<Pipeline>> pipelines;
+  std::size_t payloadBytes = 0;
+  for (int extent : {5, 6, 7, 8}) {
+    pipelines.push_back(compileAll(test::inverseHelmholtzSource(extent)));
+    for (int s = 0; s < kStageCount; ++s)
+      payloadBytes += store::encodePrefix(static_cast<Stage>(s),
+                                          pipelines.back()->artifacts())
+                          .size();
+  }
+  const std::size_t bound = payloadBytes / 2;
+  store::ArtifactStore store({root_, bound});
+
+  std::latch start(static_cast<std::ptrdiff_t>(pipelines.size()));
+  std::vector<std::thread> threads;
+  for (const auto& pipeline : pipelines)
+    threads.emplace_back([&store, &start, &pipeline] {
+      start.arrive_and_wait();
+      for (int s = 0; s < kStageCount; ++s) {
+        const Stage stage = static_cast<Stage>(s);
+        store.publish(pipeline->stageKey(stage), stage,
+                      pipeline->artifacts(), pipeline->source(),
+                      pipeline->options());
+      }
+    });
+  for (std::thread& thread : threads)
+    thread.join();
+  const auto published = static_cast<std::int64_t>(pipelines.size()) *
+                         kStageCount;
+  EXPECT_EQ(store.stats().publishes, published);
+
+  for (const auto& pipeline : pipelines)
+    for (int s = 0; s < kStageCount; ++s) {
+      const Stage stage = static_cast<Stage>(s);
+      const std::uint64_t key = pipeline->stageKey(stage);
+      if (fs::exists(store.entryPath(key))) {
+        EXPECT_NE(store.load(key, stage, pipeline->source(),
+                             pipeline->options()),
+                  nullptr);
+      }
+    }
+  EXPECT_EQ(store.stats().verifyFailures, 0);
+
+  store.collectGarbage();
+  EXPECT_LE(store.diskBytes(), bound);
+  EXPECT_EQ(store.stats().publishes, published);
 }
 
 TEST_F(StoreTest, GcSweepsStaleTmpFilesAndKeepsFreshOnes) {
@@ -441,6 +583,79 @@ TEST_F(StoreFaultTest, EmptyEntryFileIsACleanMiss) {
   const std::uint64_t key = publishEntry(store);
   writeFile(store.entryPath(key), "");
   expectCleanMiss(store, key);
+}
+
+TEST_F(StoreFaultTest, FifoAtTheEntryPathIsACleanMiss) {
+  store::ArtifactStore store({root_});
+  const std::uint64_t key = publishEntry(store);
+  fs::remove(store.entryPath(key));
+  // Opening a FIFO for reading waits for a writer unless the reader
+  // refuses to block.
+  ASSERT_EQ(::mkfifo(store.entryPath(key).c_str(), 0600), 0);
+  expectCleanMiss(store, key);
+}
+
+TEST_F(StoreFaultTest, DirectoryAtTheEntryPathIsACleanMiss) {
+  store::ArtifactStore store({root_});
+  const std::uint64_t key = publishEntry(store);
+  fs::remove(store.entryPath(key));
+  ASSERT_TRUE(fs::create_directory(store.entryPath(key)));
+  expectCleanMiss(store, key);
+}
+
+// Store format v1 has no redundancy a reader may skip: every other value
+// of every header byte, a changed byte at a stride through the payload,
+// and a cut at every header offset each count exactly one verify
+// failure.
+TEST_F(StoreFaultTest, EverySingleByteCorruptionIsAVerifyFailure) {
+  store::ArtifactStore store({root_});
+  const std::uint64_t key = publishEntry(store);
+  const std::string path = store.entryPath(key);
+  const std::string valid = readFile(path);
+  const std::size_t header =
+      valid.size() -
+      store::encodePrefix(Stage::SysGen, pipeline_->artifacts()).size();
+  const int fd = ::open(path.c_str(), O_RDWR);
+  ASSERT_GE(fd, 0);
+
+  std::int64_t failures = 0;
+  const auto rejectedOnce = [&] {
+    const bool rejected =
+        store.load(key, Stage::SysGen, pipeline_->source(),
+                   pipeline_->options()) == nullptr;
+    const auto stats = store.stats();
+    return rejected && stats.verifyFailures == ++failures &&
+           stats.misses == 0 && stats.hits == 0;
+  };
+  const auto writeAt = [&](std::size_t offset, char byte) {
+    return ::pwrite(fd, &byte, 1, static_cast<off_t>(offset)) == 1;
+  };
+
+  for (std::size_t offset = 0; offset < header; ++offset)
+    for (int delta = 1; delta < 256; ++delta) {
+      ASSERT_TRUE(writeAt(offset, static_cast<char>(valid[offset] ^ delta)));
+      ASSERT_TRUE(rejectedOnce()) << "header byte " << offset << " ^ "
+                                  << delta;
+      ASSERT_TRUE(writeAt(offset, valid[offset]));
+    }
+  for (std::size_t offset = header; offset < valid.size(); offset += 61) {
+    ASSERT_TRUE(writeAt(offset, static_cast<char>(valid[offset] ^
+                                                  (1 << (offset % 8)))));
+    ASSERT_TRUE(rejectedOnce()) << "payload byte " << offset;
+    ASSERT_TRUE(writeAt(offset, valid[offset]));
+  }
+  for (std::size_t length = 0; length <= header; ++length) {
+    ASSERT_EQ(::ftruncate(fd, static_cast<off_t>(length)), 0);
+    ASSERT_TRUE(rejectedOnce()) << "cut at " << length;
+    ASSERT_EQ(::pwrite(fd, valid.data(), valid.size(), 0),
+              static_cast<ssize_t>(valid.size()));
+  }
+  ::close(fd);
+
+  // The restored entry still loads: the corruptions were all undone.
+  EXPECT_NE(store.load(key, Stage::SysGen, pipeline_->source(),
+                       pipeline_->options()),
+            nullptr);
 }
 
 TEST_F(StoreFaultTest, StaleTmpFromCrashedPublisherDoesNotBlockTheKey) {
