@@ -18,8 +18,10 @@
 //
 // The algebraic identities assume finite values (x*0 -> 0 discards
 // Inf/NaN propagation), matching the usual fast-math contract of HLS
-// flows. optimize() reruns the enabled list until a bounded fixpoint
-// and verifies the pseudo-SSA invariants after every pass.
+// flows. optimize() reruns the enabled list until a bounded fixpoint.
+// It is the one place passes are verified: it runs Program::verify()
+// after every pass, and no pass (canonicalize included) verifies
+// itself.
 #pragma once
 
 #include "ir/TensorIR.h"

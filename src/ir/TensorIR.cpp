@@ -3,7 +3,6 @@
 #include "support/Format.h"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 namespace cfd::ir {
@@ -93,34 +92,20 @@ std::vector<TensorId> Program::interfaceOrder() const {
 }
 
 void Program::dropUnusedTensors() {
-  std::set<TensorId> used;
+  // Ids are stable, so only the unused tensors past the highest
+  // referenced id can go; interface tensors are always part of the
+  // kernel contract.
+  TensorId lastUsed = -1;
   for (const auto& op : operations_) {
-    used.insert(op.target);
-    if (op.kind == OpKind::Contract) {
-      used.insert(op.lhs);
-      used.insert(op.rhs);
-    } else if (op.kind == OpKind::EntryWise) {
-      used.insert(op.lhs);
-      used.insert(op.rhs);
-    } else if (op.kind == OpKind::Copy) {
-      used.insert(op.lhs);
-    }
+    lastUsed = std::max(lastUsed, op.target);
+    if (op.kind != OpKind::Fill)
+      lastUsed = std::max(lastUsed, op.lhs);
+    if (op.kind == OpKind::Contract || op.kind == OpKind::EntryWise)
+      lastUsed = std::max(lastUsed, op.rhs);
   }
-  // Interface tensors are always part of the kernel contract.
-  std::vector<Tensor> kept;
-  for (const auto& tensor : tensors_)
-    if (tensor.isInterface() || used.count(tensor.id))
-      kept.push_back(tensor);
-  // Ids must remain stable; keep the vector sparse-compatible by only
-  // dropping from the end when safe. Simplest correct approach: keep all
-  // tensors whose id is referenced, and physically remove only trailing
-  // unused ones.
-  while (!tensors_.empty()) {
-    const Tensor& last = tensors_.back();
-    if (last.isInterface() || used.count(last.id))
-      break;
+  while (!tensors_.empty() && !tensors_.back().isInterface() &&
+         tensors_.back().id > lastUsed)
     tensors_.pop_back();
-  }
 }
 
 namespace {
@@ -271,45 +256,105 @@ std::vector<Access> Program::readAccesses(const Operation& op) const {
 }
 
 const Program& Program::verify() const {
-  std::set<TensorId> written;
+  // written[id]: the tensor has been assigned. A target counts as
+  // written before its own operands are checked.
+  std::vector<bool> written(tensors_.size(), false);
+  // Contraction scratch, reused across ops: the operand dims a pair
+  // binds (lhs dims, then rhs dims) and the domain extents.
+  std::vector<bool> bound;
+  std::vector<std::int64_t> extents;
+  const auto checkRead = [&](TensorId id) {
+    const Tensor& source = tensors_[static_cast<std::size_t>(id)];
+    CFD_ASSERT(source.kind == TensorKind::Input || written[source.id],
+               "tensor " + source.name + " read before definition");
+  };
   for (const auto& op : operations_) {
     const Tensor& target = tensor(op.target);
     CFD_ASSERT(target.kind != TensorKind::Input,
                "input tensor " + target.name + " is written");
-    CFD_ASSERT(written.insert(op.target).second,
+    CFD_ASSERT(!written[target.id],
                "tensor " + target.name + " violates single assignment");
-    // Reads must reference inputs or previously written tensors.
-    for (const auto& read : readAccesses(op)) {
-      const Tensor& source = tensor(read.tensor);
-      CFD_ASSERT(source.kind == TensorKind::Input ||
-                     written.count(read.tensor),
-                 "tensor " + source.name + " read before definition");
-      CFD_ASSERT(read.map.numResults() == source.type.rank(),
-                 "access rank mismatch on " + source.name);
+    written[target.id] = true;
+    const int rank = target.type.rank();
+    switch (op.kind) {
+    case OpKind::Contract: {
+      const auto& lhsShape = tensor(op.lhs).type.shape;
+      const auto& rhsShape = tensor(op.rhs).type.shape;
+      const int lhsRank = static_cast<int>(lhsShape.size());
+      const int rhsRank = static_cast<int>(rhsShape.size());
+      bound.assign(lhsShape.size() + rhsShape.size(), false);
+      for (const auto& [l, r] : op.pairs) {
+        CFD_ASSERT(l >= 0 && l < lhsRank && r >= 0 && r < rhsRank,
+                   "contraction pair dimension out of range");
+        bound[static_cast<std::size_t>(l)] = true;
+        bound[static_cast<std::size_t>(lhsRank + r)] = true;
+      }
+      checkRead(op.lhs);
+      checkRead(op.rhs);
+      // Domain: free lhs dims, free rhs dims, then one dim per pair.
+      extents.clear();
+      for (int d = 0; d < lhsRank; ++d)
+        if (!bound[static_cast<std::size_t>(d)])
+          extents.push_back(lhsShape[static_cast<std::size_t>(d)]);
+      for (int d = 0; d < rhsRank; ++d)
+        if (!bound[static_cast<std::size_t>(lhsRank + d)])
+          extents.push_back(rhsShape[static_cast<std::size_t>(d)]);
+      const int numFree = static_cast<int>(extents.size());
+      for (const auto& [l, r] : op.pairs)
+        extents.push_back(lhsShape[static_cast<std::size_t>(l)]);
+      const int domainRank = static_cast<int>(extents.size());
+      if (!op.resultPerm.empty()) {
+        CFD_ASSERT(static_cast<int>(op.resultPerm.size()) == numFree,
+                   "resultPerm arity mismatch");
+        for (int k : op.resultPerm)
+          CFD_ASSERT(k >= 0 && k < domainRank,
+                     "dimension index out of range");
+      }
+      CFD_ASSERT(numFree == rank, "write rank mismatch on " + target.name);
+      // Target dim j is written by domain dim resultPerm[j] (j when
+      // empty), so over a non-empty domain that dim's extent must fit.
+      if (std::all_of(extents.begin(), extents.end(),
+                      [](std::int64_t extent) { return extent > 0; }))
+        for (int j = 0; j < rank; ++j) {
+          const int k = op.resultPerm.empty()
+                            ? j
+                            : op.resultPerm[static_cast<std::size_t>(j)];
+          CFD_ASSERT(extents[static_cast<std::size_t>(k)] <=
+                         target.type.shape[static_cast<std::size_t>(j)],
+                     "write out of bounds on " + target.name);
+        }
+      break;
     }
-    const Access write = writeAccess(op);
-    CFD_ASSERT(write.map.numResults() == target.type.rank(),
-               "write rank mismatch on " + target.name);
-    // The write must stay in bounds over the whole domain; checking the
-    // extreme corners is sufficient for these (monotone affine) maps.
-    const poly::Box dom = domain(op);
-    if (!dom.empty()) {
-      std::vector<std::int64_t> lo, hi;
-      for (int d = 0; d < dom.rank(); ++d) {
-        lo.push_back(dom.lower(d));
-        hi.push_back(dom.upper(d) - 1);
+    case OpKind::EntryWise:
+      // Rank-0 operands broadcast; the others are read at the identity.
+      for (TensorId operand : {op.lhs, op.rhs}) {
+        const int operandRank = tensor(operand).type.rank();
+        CFD_ASSERT(operandRank == 0 || operandRank == rank,
+                   "entry-wise operand rank mismatch");
       }
-      for (const auto& corner : {lo, hi}) {
-        const auto index = write.map.evaluate(corner);
-        CFD_ASSERT(target.type.indexSpace().contains(index),
-                   "write out of bounds on " + target.name);
+      checkRead(op.lhs);
+      checkRead(op.rhs);
+      break;
+    case OpKind::Copy:
+      CFD_ASSERT(tensor(op.lhs).type.rank() == rank, "copy rank mismatch");
+      if (!op.perm.empty()) {
+        CFD_ASSERT(static_cast<int>(op.perm.size()) >= rank,
+                   "copy perm shorter than target rank");
+        for (int j = 0; j < rank; ++j) {
+          const int d = op.perm[static_cast<std::size_t>(j)];
+          CFD_ASSERT(d >= 0 && d < rank, "copy perm entry out of range");
+        }
       }
+      checkRead(op.lhs);
+      break;
+    case OpKind::Fill:
+      break;
     }
   }
   // Every output must be written.
   for (const auto& tensor : tensors_)
     if (tensor.kind == TensorKind::Output)
-      CFD_ASSERT(written.count(tensor.id),
+      CFD_ASSERT(written[tensor.id],
                  "output " + tensor.name + " is never written");
   return *this;
 }

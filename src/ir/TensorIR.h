@@ -133,12 +133,25 @@ public:
   /// the argument order of the generated kernel_body (Fig. 6).
   std::vector<TensorId> interfaceOrder() const;
 
-  /// Removes transient/local tensors never read nor written and
-  /// renumbers nothing (ids are stable).
+  /// Removes the trailing transient/local tensors that no op reads or
+  /// writes; renumbers nothing (ids are stable).
   void dropUnusedTensors();
 
-  /// Validates SSA form and access sanity; throws InternalError on
-  /// violations. Returns *this for chaining.
+  /// Validates pseudo-SSA form and access sanity from each op's own
+  /// fields, in O(total operand rank) per op; throws InternalError on the
+  /// first violation. Returns *this for chaining. Checks, per op:
+  ///  * target, lhs and rhs ids are in range;
+  ///  * the target is not an input and is written once;
+  ///  * Contract: each pair names a dim inside both operands' ranks;
+  ///    resultPerm is empty or has one entry per free dim, each inside
+  ///    the domain; the free dims match the target rank, and over a
+  ///    non-empty domain each written dim's extent fits the target's;
+  ///  * EntryWise: each operand is rank 0 or has the target's rank;
+  ///  * Copy: the source has the target's rank; a non-empty perm has at
+  ///    least one entry per target dim, each inside the source rank;
+  ///  * every operand is an input or written by an earlier op (or by
+  ///    this op: the target counts as written before its operands).
+  /// Finally, every output is written.
   const Program& verify() const;
 
   std::string str() const;

@@ -76,7 +76,6 @@ CanonicalizeStats canonicalize(Program& program) {
   }
 
   program.dropUnusedTensors();
-  program.verify();
   return stats;
 }
 

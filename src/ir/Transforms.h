@@ -16,6 +16,8 @@ struct CanonicalizeStats {
 ///  * backward retargeting: `out = copy(t)` where `t` is a transient
 ///    defined immediately upstream collapses into the defining statement;
 ///  * unused transients are dropped.
+/// The result is not verified here; optimize() (ir/PassManager.h)
+/// verifies after every pass.
 CanonicalizeStats canonicalize(Program& program);
 
 } // namespace cfd::ir

@@ -281,6 +281,14 @@ ir::Program readProgram(ByteReader& r) {
     op.scalar = r.f64();
     program.addOperation(std::move(op));
   }
+  // The passes and readSchedule index by these ids and dims without
+  // checks, so a decoded program must pass the same verify() as a
+  // freshly lowered or optimized one.
+  try {
+    program.verify();
+  } catch (const InternalError& e) {
+    throw CodecError(std::string("artifact codec: ") + e.what());
+  }
   return program;
 }
 

@@ -1,11 +1,14 @@
 #include "dsl/Parser.h"
 #include "ir/Analysis.h"
 #include "ir/Lowering.h"
+#include "ir/TextIO.h"
 #include "ir/Transforms.h"
 #include "support/Error.h"
 #include "TestPrograms.h"
 
 #include <gtest/gtest.h>
+
+#include <functional>
 
 namespace cfd::ir {
 namespace {
@@ -95,35 +98,99 @@ TEST(LoweringTest, DirectCopyAssignment) {
   EXPECT_EQ(program.operations()[0].kind, OpKind::Copy);
 }
 
-TEST(ProgramTest, VerifyCatchesUseBeforeDef) {
-  Program program;
-  const TensorId a =
-      program.addTensor("a", TensorKind::Input, TensorType{{4}});
-  const TensorId b =
-      program.addTensor("b", TensorKind::Output, TensorType{{4}});
-  const TensorId t =
-      program.addTensor("t", TensorKind::Transient, TensorType{{4}});
-  Operation bad;
-  bad.kind = OpKind::Copy;
-  bad.target = b;
-  bad.lhs = t; // t is never written
-  program.addOperation(bad);
-  EXPECT_THROW(program.verify(), InternalError);
-  (void)a;
+/// A valid program broken in one field, and the message verify() must
+/// reject it with: the text between the "assertion failed: <cond>: "
+/// prefix and the " (file:line)" suffix.
+struct BrokenCase {
+  const char* message;
+  std::function<void(std::vector<Operation>&)> breakIt;
+};
+
+void expectEachRejected(const Program& valid,
+                        const std::vector<BrokenCase>& cases) {
+  for (const BrokenCase& c : cases) {
+    SCOPED_TRACE(c.message);
+    Program program = valid;
+    c.breakIt(program.operations());
+    try {
+      program.verify();
+      ADD_FAILURE() << "verify() accepted the broken program";
+    } catch (const InternalError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string(": ") + c.message +
+                                           " ("),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
-TEST(ProgramTest, VerifyCatchesWriteToInput) {
-  Program program;
-  const TensorId a =
-      program.addTensor("a", TensorKind::Input, TensorType{{4}});
-  const TensorId b =
-      program.addTensor("b", TensorKind::Input, TensorType{{4}});
-  Operation bad;
-  bad.kind = OpKind::Copy;
-  bad.target = a;
-  bad.lhs = b;
-  program.addOperation(bad);
-  EXPECT_THROW(program.verify(), InternalError);
+// One hand-broken program per verify() invariant.
+TEST(ProgramTest, VerifyRejectsEachBrokenInvariant) {
+  const Program valid = parseProgramText(R"(
+input a : [4]
+input A : [2 3]
+input B : [3 4]
+output b : [4]
+output c : [2 4]
+transient t : [4]
+t = a + a
+b = copy(t)
+c = contract(A, B, pairs={(1,0)})
+)");
+  const TensorId a = valid.findTensor("a")->id;
+  const TensorId A = valid.findTensor("A")->id;
+  const TensorId b = valid.findTensor("b")->id;
+  const std::size_t sum = 0, copy = 1, contract = 2;
+  expectEachRejected(
+      valid,
+      {{"tensor id out of range", [](auto& ops) { ops[copy].lhs = 99; }},
+       {"input tensor a is written",
+        [&](auto& ops) { ops[sum].target = a; }},
+       {"tensor b violates single assignment",
+        [&](auto& ops) { ops[sum].target = b; }},
+       {"tensor t read before definition",
+        [](auto& ops) { std::swap(ops[sum], ops[copy]); }},
+       {"entry-wise operand rank mismatch",
+        [&](auto& ops) { ops[sum].rhs = A; }},
+       {"copy rank mismatch", [&](auto& ops) { ops[copy].lhs = A; }},
+       {"resultPerm arity mismatch",
+        [](auto& ops) { ops[contract].resultPerm = {0}; }},
+       // The domain is [2 4 3]: a result position 3 is past it.
+       {"dimension index out of range",
+        [](auto& ops) { ops[contract].resultPerm = {0, 3}; }},
+       {"write rank mismatch on c",
+        [](auto& ops) { ops[contract].pairs.clear(); }},
+       {"write out of bounds on c",
+        [](auto& ops) { ops[contract].resultPerm = {1, 0}; }},
+       {"output b is never written",
+        [](auto& ops) { ops.erase(ops.begin() + copy); }}});
+}
+
+// Contraction pairs and copy perms name operand dims; one outside an
+// operand's rank is rejected before anything indexes with it.
+TEST(ProgramTest, VerifyRejectsDimsOutsideTheOperandRank) {
+  const Program valid = parseProgramText(R"(
+input a : [2 3]
+input b : [3 2]
+output c : [2 2]
+output d : [3 2]
+c = contract(a, b, pairs={(1,0)})
+d = copy(a, perm=[1 0])
+)");
+  const std::size_t contract = 0, copy = 1;
+  expectEachRejected(
+      valid, {{"contraction pair dimension out of range",
+               [](auto& ops) { ops[contract].pairs = {{2, 0}}; }},
+              {"contraction pair dimension out of range",
+               [](auto& ops) { ops[contract].pairs = {{1, 2}}; }},
+              {"contraction pair dimension out of range",
+               [](auto& ops) { ops[contract].pairs = {{-1, 0}}; }},
+              {"copy perm entry out of range",
+               [](auto& ops) { ops[copy].perm = {1, 2}; }},
+              {"copy perm entry out of range",
+               [](auto& ops) { ops[copy].perm = {-1, 0}; }},
+              {"copy perm shorter than target rank",
+               [](auto& ops) { ops[copy].perm = {1}; }}});
 }
 
 TEST(ProgramTest, InterfaceOrderGroupsKinds) {

@@ -15,7 +15,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <latch>
 #include <string>
@@ -203,6 +205,54 @@ TEST(ArtifactCodecTest, MemoryPlanIdOutsideTheProgramThrowsCodecError) {
                  store::CodecError);
     EXPECT_THROW(decode(payload(0, 1, 1, interface)), store::CodecError);
   }
+}
+
+// A Lower prefix is adopted by the optimizer passes, which index by its
+// tensor ids and contraction dims without checks, so a checksum-valid
+// program that breaks verify() must decode as a CodecError.
+TEST(ArtifactCodecTest, ProgramFailingVerifyThrowsCodecError) {
+  const auto pipeline = compileAll(test::kInverseHelmholtz);
+  const ir::Program& lowered = *pipeline->artifacts().program;
+  const int numTensors = static_cast<int>(lowered.tensors().size());
+  // Helmholtz lowers to a contraction first.
+  const ir::Operation& contraction = lowered.operations().front();
+  ASSERT_EQ(contraction.kind, ir::OpKind::Contract);
+  const int rhsRank = lowered.tensor(contraction.rhs).type.rank();
+
+  const auto decodeBroken =
+      [&](const std::function<void(std::vector<ir::Operation>&)>& breakIt,
+          const std::string& message) {
+        SCOPED_TRACE(message);
+        ir::Program broken = lowered;
+        breakIt(broken.operations());
+        StageArtifacts artifacts = pipeline->artifacts();
+        artifacts.program = std::make_shared<const ir::Program>(broken);
+        const std::string payload =
+            store::encodePrefix(Stage::Lower, artifacts);
+        try {
+          store::decodePrefix(Stage::Lower, payload, pipeline->options());
+          ADD_FAILURE() << "decoded a program that fails verify()";
+        } catch (const store::CodecError& e) {
+          EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+              << e.what();
+        }
+      };
+  decodeBroken([&](auto& ops) { ops.front().lhs = numTensors; },
+               "tensor id out of range");
+  decodeBroken(
+      [&](auto& ops) { ops.front().pairs.front().second = rhsRank; },
+      "contraction pair dimension out of range");
+  // The last statement first: it reads a transient nothing wrote yet.
+  decodeBroken(
+      [](auto& ops) { std::rotate(ops.begin(), ops.end() - 1, ops.end()); },
+      "read before definition");
+
+  // The unbroken program still decodes.
+  const std::string valid =
+      store::encodePrefix(Stage::Lower, pipeline->artifacts());
+  EXPECT_EQ(store::decodePrefix(Stage::Lower, valid, pipeline->options())
+                .program->str(),
+            lowered.str());
 }
 
 // ---- Store: publish, load, verification ----

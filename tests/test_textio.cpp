@@ -78,6 +78,13 @@ TEST(TextIOTest, RejectsMalformedInput) {
   // verify() failures surface too: output never written.
   EXPECT_THROW(parseProgramText("input a : [4]\noutput b : [4]"),
                InternalError);
+  // Dims past an operand's rank: a contraction pair and a copy perm.
+  const std::string rank2 =
+      "input a : [2 2]\ninput b : [2 2]\noutput c : [2 2]\n";
+  EXPECT_THROW(parseProgramText(rank2 + "c = contract(a, b, pairs={(5,0)})"),
+               InternalError);
+  EXPECT_THROW(parseProgramText(rank2 + "c = copy(a, perm=[0 7])"),
+               InternalError);
 }
 
 TEST(TextIOTest, ErrorsCarryLineNumbers) {
