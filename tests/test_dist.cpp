@@ -2,10 +2,12 @@
 // byte-identity contract against a single-process sweep, fault
 // injection (a worker SIGKILLed mid-chunk, a stopped straggler
 // demoted by the inactivity deadline), failure modes (no reachable
-// worker, every worker lost, bad params failing fast), and an
-// EINTR-storm over an 8-client flood that exercises the retrying
-// serve I/O loops under a ~1 ms interval timer. The TSan CI job runs
-// this suite alongside test_serve and test_async.
+// worker, every worker lost, bad params failing fast), the worker
+// lifecycle (a worker that cannot bind fails start(), stopAll() reaps
+// every child and unlinks every socket), and an EINTR-storm over an
+// 8-client flood that exercises the retrying serve I/O loops under a
+// ~1 ms interval timer. The TSan CI job runs this suite alongside
+// test_serve and test_async.
 #include "dist/Coordinator.h"
 #include "dist/WorkerPoolSpawner.h"
 #include "serve/Client.h"
@@ -15,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <filesystem>
@@ -25,6 +28,7 @@
 #include <vector>
 
 #include <sys/time.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 namespace cfd::dist {
@@ -197,6 +201,60 @@ TEST_F(DistTest, AllWorkersLostFailsWithDiagnostics) {
   EXPECT_NE(result.errorText().find("all workers were lost"),
             std::string::npos)
       << result.errorText();
+}
+
+/// True when this process has no child left, running or unreaped.
+bool noChildLeft() {
+  int status = 0;
+  return ::waitpid(-1, &status, WNOHANG) < 0 && errno == ECHILD;
+}
+
+/// Socket files (directories do not count) under `dir`.
+std::vector<std::string> socketFilesIn(const std::string& dir) {
+  std::vector<std::string> found;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir))
+    if (entry.is_socket())
+      found.push_back(entry.path().string());
+  return found;
+}
+
+TEST_F(DistTest, WorkerThatCannotBindFailsStartAndIsReaped) {
+  // A directory where worker 1's socket goes: its bind fails and it
+  // exits before serving, while workers 0 and 2 come up.
+  const std::string blocked = root_ + "/worker1.sock";
+  ASSERT_TRUE(fs::create_directory(blocked));
+  WorkerPoolSpawner pool({.workers = 3, .socketDir = root_});
+  const Expected<bool> started = pool.start();
+  ASSERT_FALSE(started.ok());
+  // The exit is seen at once: had a later worker inherited worker 1's
+  // pipe, this would be the ready timeout's message instead.
+  ASSERT_EQ(started.diagnostics().size(), 1u);
+  EXPECT_EQ(started.diagnostics()[0].message,
+            "worker 1 exited before serving on '" + blocked + "'");
+  EXPECT_TRUE(noChildLeft());
+  EXPECT_TRUE(socketFilesIn(root_).empty());
+  EXPECT_TRUE(pool.socketPaths().empty());
+}
+
+TEST_F(DistTest, StopAllReapsEveryWorkerAndUnlinksSockets) {
+  WorkerPoolSpawner pool({.workers = 3, .socketDir = root_});
+  ASSERT_TRUE(pool.start().ok());
+  const std::vector<std::string> sockets = pool.socketPaths();
+  ASSERT_EQ(sockets.size(), 3u);
+  for (const std::string& socket : sockets)
+    EXPECT_TRUE(fs::is_socket(socket)) << socket;
+  // A worker that died on its own is still reaped, and its socket
+  // file, which the dead daemon never unlinked, still goes.
+  pool.kill(1, SIGKILL);
+  pool.stopAll();
+  EXPECT_TRUE(noChildLeft());
+  for (const std::string& socket : sockets)
+    EXPECT_FALSE(fs::exists(socket)) << socket;
+  EXPECT_TRUE(pool.socketPaths().empty());
+
+  pool.stopAll(); // idempotent: nothing left to stop
+  EXPECT_TRUE(noChildLeft());
+  EXPECT_TRUE(socketFilesIn(root_).empty());
 }
 
 TEST_F(DistTest, UnreachableWorkersFailFast) {

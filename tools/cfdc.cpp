@@ -249,8 +249,9 @@ Compile daemon (DESIGN.md §15):
 
 Distributed sweeps (DESIGN.md §16):
   --distribute=N           shard the --sweep cross product across N
-                           freshly spawned local worker daemons (this
-                           binary with --serve) and merge the results —
+                           local worker daemons forked for the run (each
+                           serves the --serve protocol with its own
+                           session) and merge the results —
                            byte-identical to the single-process sweep.
                            --jobs=N sets each worker's session threads
                            (default 1); --deadline-ms becomes the
@@ -1325,16 +1326,6 @@ int runDistribute(const CliOptions& options, const std::string& source) {
     spawn.workers = options.distribute;
     spawn.sessionWorkers = options.jobsExplicit ? options.jobs : 1;
     spawn.socketDir = socketDir;
-    // Workers are this very binary with --serve; when /proc/self/exe
-    // is unreadable (chroot, unlinked binary) fall back to the
-    // spawner's in-process server — same daemon, no exec.
-    char exePath[4096];
-    const ssize_t n =
-        ::readlink("/proc/self/exe", exePath, sizeof(exePath) - 1);
-    if (n > 0) {
-      exePath[n] = '\0';
-      spawn.cfdcPath = exePath;
-    }
     spawner = std::make_unique<cfd::dist::WorkerPoolSpawner>(spawn);
     const cfd::Expected<bool> started = spawner->start();
     if (!started) {
