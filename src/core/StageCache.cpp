@@ -150,9 +150,9 @@ void StageCache::insert(std::uint64_t key, Stage stage,
       isNew = true;
     }
   }
-  // Persist newly computed prefixes outside the lock; the store's own
-  // exists-check keeps concurrent processes from re-serializing a key
-  // another process already published.
+  // Persist newly computed prefixes outside the lock. A prefix is only
+  // computed after the disk probe for its key missed, so a publish
+  // either adds the entry or replaces one that failed verification.
   if (isNew && store_)
     store_->publish(key, stage, entry->artifacts, source, options);
 }

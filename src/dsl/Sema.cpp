@@ -26,10 +26,17 @@ public:
 
 private:
   void checkDeclarations() {
+    for (const auto& type : program_.types)
+      if (!isBoundedShape(type.shape))
+        diagnostics_.error(type.location, "type '" + type.name + "': " +
+                                              shapeBoundMessage(type.shape));
     for (const auto& decl : program_.declarations) {
       if (!declared_.emplace(decl.name, &decl).second)
         diagnostics_.error(decl.location,
                            "duplicate declaration of '" + decl.name + "'");
+      if (!isBoundedShape(decl.shape))
+        diagnostics_.error(decl.location, "'" + decl.name + "': " +
+                                              shapeBoundMessage(decl.shape));
     }
   }
 
@@ -89,8 +96,11 @@ private:
   }
 
   /// Infers and records expr.shape. Returns false if an error makes the
-  /// shape unusable.
-  bool inferShape(Expr& expr) {
+  /// shape unusable. Each shape is bounded where it first appears: at
+  /// its declaration, or at the product or contraction that forms it.
+  /// The product under a contraction is never formed whole (lowering
+  /// contracts it factor by factor), so only its factors are bounded.
+  bool inferShape(Expr& expr, bool formed = true) {
     switch (expr.kind) {
     case ExprKind::Ident:
       return inferIdent(expr);
@@ -103,10 +113,17 @@ private:
     case ExprKind::Div:
       return inferEntryWise(expr);
     case ExprKind::Product:
-      return inferProduct(expr);
+      return inferProduct(expr) && (!formed || checkBound(expr));
     case ExprKind::Contraction:
-      return inferContraction(expr);
+      return inferContraction(expr) && checkBound(expr);
     }
+    return false;
+  }
+
+  bool checkBound(const Expr& expr) {
+    if (isBoundedShape(expr.shape))
+      return true;
+    diagnostics_.error(expr.location, shapeBoundMessage(expr.shape));
     return false;
   }
 
@@ -168,7 +185,7 @@ private:
   }
 
   bool inferContraction(Expr& expr) {
-    if (!inferShape(*expr.operands[0]))
+    if (!inferShape(*expr.operands[0], /*formed=*/false))
       return false;
     const auto& operandShape = expr.operands[0]->shape;
     const int rank = static_cast<int>(operandShape.size());

@@ -9,7 +9,10 @@
 //  * assignment target shape equals the value shape;
 //  * inputs are never assigned; outputs are assigned exactly once;
 //  * every local/output read is preceded by its definition (straight-line
-//    def-before-use) and every declared output is defined.
+//    def-before-use) and every declared output is defined;
+//  * every declared shape, and every shape a product or contraction
+//    forms, has positive extents and at most kMaxTensorElements elements
+//    (support/Format.h).
 //
 // On success, every Expr node carries its inferred shape.
 #pragma once

@@ -1,6 +1,7 @@
 #include "ir/Lowering.h"
 
 #include "support/Error.h"
+#include "support/Format.h"
 #include "support/Hash.h"
 
 #include <algorithm>
@@ -259,6 +260,11 @@ private:
       return result;
     }
 
+    // Sema bounds the factors and the contraction's result, not the
+    // intermediates that this factor order forms between them.
+    if (!isBoundedShape(resultShape))
+      throw FlowError("contraction intermediate: " +
+                      shapeBoundMessage(resultShape));
     op.target = program_.addTransient(TensorType{resultShape});
     Factor result;
     result.id = op.target;

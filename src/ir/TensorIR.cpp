@@ -256,6 +256,10 @@ std::vector<Access> Program::readAccesses(const Operation& op) const {
 }
 
 const Program& Program::verify() const {
+  for (const auto& tensor : tensors_)
+    CFD_ASSERT(isBoundedShape(tensor.type.shape),
+               "tensor " + tensor.name + ": " +
+                   shapeBoundMessage(tensor.type.shape));
   // written[id]: the tensor has been assigned. A target counts as
   // written before its own operands are checked.
   std::vector<bool> written(tensors_.size(), false);
@@ -312,17 +316,15 @@ const Program& Program::verify() const {
       }
       CFD_ASSERT(numFree == rank, "write rank mismatch on " + target.name);
       // Target dim j is written by domain dim resultPerm[j] (j when
-      // empty), so over a non-empty domain that dim's extent must fit.
-      if (std::all_of(extents.begin(), extents.end(),
-                      [](std::int64_t extent) { return extent > 0; }))
-        for (int j = 0; j < rank; ++j) {
-          const int k = op.resultPerm.empty()
-                            ? j
-                            : op.resultPerm[static_cast<std::size_t>(j)];
-          CFD_ASSERT(extents[static_cast<std::size_t>(k)] <=
-                         target.type.shape[static_cast<std::size_t>(j)],
-                     "write out of bounds on " + target.name);
-        }
+      // empty); extents are positive, so that dim's extent must fit.
+      for (int j = 0; j < rank; ++j) {
+        const int k = op.resultPerm.empty()
+                          ? j
+                          : op.resultPerm[static_cast<std::size_t>(j)];
+        CFD_ASSERT(extents[static_cast<std::size_t>(k)] <=
+                       target.type.shape[static_cast<std::size_t>(j)],
+                   "write out of bounds on " + target.name);
+      }
       break;
     }
     case OpKind::EntryWise:

@@ -139,13 +139,15 @@ public:
 
   /// Validates pseudo-SSA form and access sanity from each op's own
   /// fields, in O(total operand rank) per op; throws InternalError on the
-  /// first violation. Returns *this for chaining. Checks, per op:
+  /// first violation. Returns *this for chaining. First, every tensor's
+  /// shape has positive extents and at most kMaxTensorElements elements
+  /// (support/Format.h). Then, per op:
   ///  * target, lhs and rhs ids are in range;
   ///  * the target is not an input and is written once;
   ///  * Contract: each pair names a dim inside both operands' ranks;
   ///    resultPerm is empty or has one entry per free dim, each inside
-  ///    the domain; the free dims match the target rank, and over a
-  ///    non-empty domain each written dim's extent fits the target's;
+  ///    the domain; the free dims match the target rank, and each
+  ///    written dim's extent fits the target's;
   ///  * EntryWise: each operand is rank 0 or has the target's rank;
   ///  * Copy: the source has the target's rank; a non-empty perm has at
   ///    least one entry per target dim, each inside the source rank;

@@ -32,8 +32,6 @@ public:
   using Edge = std::pair<ir::TensorId, ir::TensorId>;
 
   CompatibilityGraph() = default;
-  /// A graph with no nodes and no edges over tensor ids [0, numTensors).
-  explicit CompatibilityGraph(std::size_t numTensors);
 
   const std::vector<ir::TensorId>& nodes() const { return nodes_; }
 
@@ -48,13 +46,19 @@ public:
   std::size_t numInterfaceEdges() const { return numInterfaceEdges_; }
 
   /// Edge enumeration, each pair smaller-id-first, in ascending order.
-  /// store/ArtifactCodec serializes edges in this order (store format
-  /// v1), so it must not change.
   std::vector<Edge> addressSpaceEdges() const { return edges(kAddressSpace); }
   std::vector<Edge> interfaceEdges() const { return edges(kInterface); }
 
   /// Graphviz rendering (solid = address-space, dashed = interface).
   std::string dot(const ir::Program& program) const;
+
+private:
+  /// The only way to fill a graph, compiled or decoded from the store.
+  friend CompatibilityGraph buildCompatibilityGraph(
+      const sched::Schedule& schedule, const LivenessInfo& liveness);
+
+  /// A graph with no nodes and no edges over tensor ids [0, numTensors).
+  explicit CompatibilityGraph(std::size_t numTensors);
 
   void addNode(ir::TensorId id) { nodes_.push_back(id); }
   /// `a` and `b` must be distinct ids of the graph; adding an
@@ -66,7 +70,6 @@ public:
     addEdge(a, b, kInterface, numInterfaceEdges_);
   }
 
-private:
   static constexpr std::uint8_t kAddressSpace = 1;
   static constexpr std::uint8_t kInterface = 2;
 
@@ -91,7 +94,10 @@ private:
 };
 
 /// Builds the compatibility graph of `schedule` from liveness and the
-/// per-statement access sets.
+/// per-statement access sets. Every tensor id the schedule's accesses
+/// name must index its program; the store codec checks that before it
+/// rebuilds a decoded prefix's graph with this call (the graph itself
+/// is not stored).
 CompatibilityGraph buildCompatibilityGraph(const sched::Schedule& schedule,
                                            const LivenessInfo& liveness);
 

@@ -1,5 +1,8 @@
 #include "store/ArtifactCodec.h"
 
+#include "mem/Compatibility.h"
+#include "support/Format.h"
+
 #include <bit>
 #include <cstdint>
 #include <type_traits>
@@ -10,6 +13,26 @@ namespace cfd::store {
 namespace {
 
 // ---- Shared small structures -------------------------------------------
+
+/// Runs `check` over decoded data, turning an invariant it asserts
+/// (InternalError) into the CodecError of the bytes that broke it.
+template <typename Check> decltype(auto) asCodecError(Check&& check) {
+  try {
+    return check();
+  } catch (const InternalError& e) {
+    throw CodecError(std::string("artifact codec: ") + e.what());
+  }
+}
+
+/// Reads an id that must index one of the `count` tensors or ops of the
+/// prefix's decoded program.
+int readIndex(ByteReader& r, std::size_t count, const char* what) {
+  const int id = r.i32();
+  if (id < 0 || static_cast<std::size_t>(id) >= count)
+    throw CodecError(std::string("artifact codec: ") + what +
+                     " out of range");
+  return id;
+}
 
 void writeI64Vec(ByteWriter& w, const std::vector<std::int64_t>& values) {
   w.u64(values.size());
@@ -39,6 +62,15 @@ std::vector<int> readIntVec(ByteReader& r) {
   for (std::size_t i = 0; i < size; ++i)
     values.push_back(r.i32());
   return values;
+}
+
+/// A shape under the element bound dsl::Sema enforces, checked before
+/// anything downstream multiplies its extents.
+std::vector<std::int64_t> readShape(ByteReader& r) {
+  std::vector<std::int64_t> shape = readI64Vec(r);
+  if (!isBoundedShape(shape))
+    throw CodecError("artifact codec: " + shapeBoundMessage(shape));
+  return shape;
 }
 
 void writeLocation(ByteWriter& w, const SourceLocation& location) {
@@ -113,9 +145,9 @@ void writeAccess(ByteWriter& w, const ir::Access& access) {
   writeAffineMap(w, access.map);
 }
 
-ir::Access readAccess(ByteReader& r) {
+ir::Access readAccess(ByteReader& r, std::size_t numTensors) {
   ir::Access access;
-  access.tensor = r.i32();
+  access.tensor = readIndex(r, numTensors, "access tensor id");
   access.map = readAffineMap(r);
   return access;
 }
@@ -140,7 +172,9 @@ void writeExpr(ByteWriter& w, const dsl::Expr& expr) {
   writeI64Vec(w, expr.shape);
 }
 
-dsl::ExprPtr readExpr(ByteReader& r, int depth) {
+/// `formed` is false for the operand of a contraction: a product there
+/// is never formed whole, so, as in dsl::Sema, its shape is not bounded.
+dsl::ExprPtr readExpr(ByteReader& r, int depth, bool formed) {
   if (depth > kMaxExprDepth)
     throw CodecError("artifact codec: expression nesting too deep");
   auto expr = std::make_unique<dsl::Expr>();
@@ -151,7 +185,8 @@ dsl::ExprPtr readExpr(ByteReader& r, int depth) {
   const std::size_t numOperands = r.count();
   expr->operands.reserve(numOperands);
   for (std::size_t i = 0; i < numOperands; ++i)
-    expr->operands.push_back(readExpr(r, depth + 1));
+    expr->operands.push_back(readExpr(
+        r, depth + 1, expr->kind != dsl::ExprKind::Contraction));
   const std::size_t numPairs = r.count();
   expr->pairs.reserve(numPairs);
   for (std::size_t i = 0; i < numPairs; ++i) {
@@ -160,7 +195,9 @@ dsl::ExprPtr readExpr(ByteReader& r, int depth) {
     pair.second = r.i32();
     expr->pairs.push_back(pair);
   }
-  expr->shape = readI64Vec(r);
+  expr->shape = formed || expr->kind != dsl::ExprKind::Product
+                    ? readShape(r)
+                    : readI64Vec(r);
   return expr;
 }
 
@@ -194,7 +231,7 @@ dsl::Program readAst(ByteReader& r) {
   for (std::size_t i = 0; i < numTypes; ++i) {
     dsl::TypeDecl type;
     type.name = r.str();
-    type.shape = readI64Vec(r);
+    type.shape = readShape(r);
     type.location = readLocation(r);
     program.types.push_back(std::move(type));
   }
@@ -204,7 +241,7 @@ dsl::Program readAst(ByteReader& r) {
     dsl::VarDecl decl;
     decl.kind = r.enumeration<dsl::VarKind>(3);
     decl.name = r.str();
-    decl.shape = readI64Vec(r);
+    decl.shape = readShape(r);
     decl.location = readLocation(r);
     program.declarations.push_back(std::move(decl));
   }
@@ -213,7 +250,7 @@ dsl::Program readAst(ByteReader& r) {
   for (std::size_t i = 0; i < numAssignments; ++i) {
     dsl::Assignment assignment;
     assignment.target = r.str();
-    assignment.value = readExpr(r, 0);
+    assignment.value = readExpr(r, 0, true);
     assignment.location = readLocation(r);
     program.assignments.push_back(std::move(assignment));
   }
@@ -284,11 +321,7 @@ ir::Program readProgram(ByteReader& r) {
   // The passes and readSchedule index by these ids and dims without
   // checks, so a decoded program must pass the same verify() as a
   // freshly lowered or optimized one.
-  try {
-    program.verify();
-  } catch (const InternalError& e) {
-    throw CodecError(std::string("artifact codec: ") + e.what());
-  }
+  asCodecError([&] { program.verify(); });
   return program;
 }
 
@@ -352,17 +385,21 @@ void writeSchedule(ByteWriter& w, const sched::Schedule& schedule) {
   }
 }
 
+/// Every op index and access tensor id is checked against `program`:
+/// the memory-plan stage indexes an n x n matrix by those tensor ids.
 sched::Schedule readSchedule(ByteReader& r, const ir::Program& program,
                              const FlowOptions& options) {
   sched::Schedule schedule;
   schedule.program = &program;
   schedule.layouts = sched::LayoutAssignment::materialize(program,
                                                           options.layouts);
+  const std::size_t numOps = program.operations().size();
+  const std::size_t numTensors = program.tensors().size();
   const std::size_t numStatements = r.count();
   schedule.statements.reserve(numStatements);
   for (std::size_t i = 0; i < numStatements; ++i) {
     sched::ScheduledStatement stmt;
-    stmt.opIndex = r.i32();
+    stmt.opIndex = readIndex(r, numOps, "op index");
     stmt.name = r.str();
     const std::size_t numLoops = r.count();
     stmt.loops.reserve(numLoops);
@@ -373,11 +410,11 @@ sched::Schedule readSchedule(ByteReader& r, const ir::Program& program,
       dim.isReduction = r.boolean();
       stmt.loops.push_back(dim);
     }
-    stmt.write = readAccess(r);
+    stmt.write = readAccess(r, numTensors);
     const std::size_t numReads = r.count();
     stmt.reads.reserve(numReads);
     for (std::size_t read = 0; read < numReads; ++read)
-      stmt.reads.push_back(readAccess(r));
+      stmt.reads.push_back(readAccess(r, numTensors));
     stmt.kind = r.enumeration<ir::OpKind>(4);
     stmt.entryWise = r.enumeration<ir::EntryWiseKind>(4);
     stmt.scalar = r.f64();
@@ -413,21 +450,11 @@ mem::LivenessInfo readLiveness(ByteReader& r) {
   return liveness;
 }
 
-void writeMemory(ByteWriter& w, const MemoryPlanArtifact& memory) {
-  writeIntVec(w, memory.graph.nodes());
-  const auto writeEdges =
-      [&w](const std::vector<mem::CompatibilityGraph::Edge>& edges) {
-        w.u64(edges.size());
-        for (const auto& [a, b] : edges) {
-          w.i32(a);
-          w.i32(b);
-        }
-      };
-  writeEdges(memory.graph.addressSpaceEdges());
-  writeEdges(memory.graph.interfaceEdges());
-
-  w.u64(memory.plan.buffers.size());
-  for (const mem::PlmBuffer& buffer : memory.plan.buffers) {
+// The compatibility graph is not stored: decodePrefix rebuilds it from
+// the decoded schedule and liveness, faster than it would decode.
+void writePlan(ByteWriter& w, const mem::MemoryPlan& plan) {
+  w.u64(plan.buffers.size());
+  for (const mem::PlmBuffer& buffer : plan.buffers) {
     w.str(buffer.name);
     writeIntVec(w, buffer.arrays);
     w.i64(buffer.depth);
@@ -439,45 +466,14 @@ void writeMemory(ByteWriter& w, const MemoryPlanArtifact& memory) {
     w.i32(buffer.readPorts);
     w.i32(buffer.writePorts);
   }
-  writeIntVec(w, memory.plan.bufferOf);
-  writeI64Vec(w, memory.plan.baseOffsets);
+  writeIntVec(w, plan.bufferOf);
+  writeI64Vec(w, plan.baseOffsets);
 }
 
-/// `numTensors` is the tensor count of the prefix's decoded program: the
-/// graph is a matrix over those ids, so every node and edge id read here
-/// must fall inside it.
-MemoryPlanArtifact readMemory(ByteReader& r, std::size_t numTensors) {
-  MemoryPlanArtifact memory;
-  memory.graph = mem::CompatibilityGraph(numTensors);
-  const auto readId = [&r, numTensors]() {
-    const ir::TensorId id = r.i32();
-    if (id < 0 || static_cast<std::size_t>(id) >= numTensors)
-      throw CodecError("artifact codec: tensor id out of range");
-    return id;
-  };
-  const std::size_t numNodes = r.count();
-  for (std::size_t i = 0; i < numNodes; ++i)
-    memory.graph.addNode(readId());
-  const auto readEdge = [&readId]() {
-    const ir::TensorId a = readId();
-    const ir::TensorId b = readId();
-    if (a == b)
-      throw CodecError("artifact codec: self edge");
-    return std::make_pair(a, b);
-  };
-  const std::size_t numAddressSpace = r.count();
-  for (std::size_t i = 0; i < numAddressSpace; ++i) {
-    const auto [a, b] = readEdge();
-    memory.graph.addAddressSpaceEdge(a, b);
-  }
-  const std::size_t numInterface = r.count();
-  for (std::size_t i = 0; i < numInterface; ++i) {
-    const auto [a, b] = readEdge();
-    memory.graph.addInterfaceEdge(a, b);
-  }
-
+mem::MemoryPlan readPlan(ByteReader& r) {
+  mem::MemoryPlan plan;
   const std::size_t numBuffers = r.count();
-  memory.plan.buffers.reserve(numBuffers);
+  plan.buffers.reserve(numBuffers);
   for (std::size_t i = 0; i < numBuffers; ++i) {
     mem::PlmBuffer buffer;
     buffer.name = r.str();
@@ -490,11 +486,11 @@ MemoryPlanArtifact readMemory(ByteReader& r, std::size_t numTensors) {
     buffer.bram36 = r.i32();
     buffer.readPorts = r.i32();
     buffer.writePorts = r.i32();
-    memory.plan.buffers.push_back(std::move(buffer));
+    plan.buffers.push_back(std::move(buffer));
   }
-  memory.plan.bufferOf = readIntVec(r);
-  memory.plan.baseOffsets = readI64Vec(r);
-  return memory;
+  plan.bufferOf = readIntVec(r);
+  plan.baseOffsets = readI64Vec(r);
+  return plan;
 }
 
 void writeKernel(ByteWriter& w, const hls::KernelReport& kernel) {
@@ -628,7 +624,7 @@ std::string encodePrefix(Stage stage, const StageArtifacts& artifacts) {
       writeLiveness(w, *artifacts.liveness);
       break;
     case Stage::MemoryPlan:
-      writeMemory(w, *artifacts.memory);
+      writePlan(w, artifacts.memory->plan);
       break;
     case Stage::Hls:
       writeKernel(w, *artifacts.kernel);
@@ -679,10 +675,18 @@ StageArtifacts decodePrefix(Stage stage, std::string_view payload,
       artifacts.liveness =
           std::make_shared<const mem::LivenessInfo>(readLiveness(r));
       break;
-    case Stage::MemoryPlan:
-      artifacts.memory = std::make_shared<const MemoryPlanArtifact>(
-          readMemory(r, artifacts.optimized->program.tensors().size()));
+    case Stage::MemoryPlan: {
+      // The call Pipeline::executeStage makes; readSchedule has checked
+      // every tensor id the builder indexes by.
+      auto memory = std::make_shared<MemoryPlanArtifact>();
+      memory->graph = asCodecError([&] {
+        return mem::buildCompatibilityGraph(*artifacts.schedule,
+                                            *artifacts.liveness);
+      });
+      memory->plan = readPlan(r);
+      artifacts.memory = std::move(memory);
       break;
+    }
     case Stage::Hls:
       artifacts.kernel =
           std::make_shared<const hls::KernelReport>(readKernel(r));

@@ -7,15 +7,19 @@
 // persistent ArtifactStore can hold one serialized prefix per stage
 // key. The encoding is deliberately dumb: little-endian fixed-width
 // scalars, length-prefixed strings, count-prefixed containers, fields
-// written in declaration order. No pointers are serialized; the two
-// non-value members of sched::Schedule are re-derived on decode:
+// written in declaration order. No pointers are serialized, and three
+// things are re-derived on decode instead of stored (store format v2):
 //
 //  * Schedule::program points at the decoded OptimizeArtifact's
 //    program of the same prefix (exactly what core/Pipeline wires when
 //    it builds schedules),
 //  * Schedule::layouts is re-materialized from that program and the
 //    probing pipeline's LayoutOptions (LayoutAssignment::materialize is
-//    deterministic, and rescheduling never mutates layouts).
+//    deterministic, and rescheduling never mutates layouts),
+//  * MemoryPlanArtifact::graph is rebuilt with
+//    mem::buildCompatibilityGraph from the decoded rescheduled schedule
+//    and liveness, the call core/Pipeline makes; it recomputes faster
+//    than its node and edge lists decode.
 //
 // Round-trip invariant (tests/test_store.cpp): for any encodable prefix
 // P, encodePrefix(decodePrefix(encodePrefix(P))) is byte-identical to
@@ -24,7 +28,11 @@
 // Decoding malformed bytes throws CodecError; ArtifactStore catches it
 // and treats the entry as a miss (the payload checksum in the store
 // header makes reaching a throw unlikely, but decode must never crash
-// the process on bytes it does not understand).
+// the process on bytes it does not understand). Beyond framing, decode
+// checks what later code indexes or multiplies by: every shape is under
+// kMaxTensorElements (support/Format.h) before layouts are built, each
+// decoded program passes ir::Program::verify(), and every schedule op
+// index and access tensor id falls inside the decoded program.
 #pragma once
 
 #include "core/StageCache.h"

@@ -1,15 +1,16 @@
 #include "store/ArtifactStore.h"
 
 #include "store/ArtifactCodec.h"
-#include "support/Hash.h"
 
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <vector>
@@ -27,10 +28,22 @@ constexpr const char* kEntrySuffix = ".cfda";
 /// a crashed publisher's leftover.
 constexpr auto kStaleTmpAge = std::chrono::minutes(15);
 
-std::uint64_t checksum(std::string_view bytes) {
-  Fnv1aHasher hasher;
-  hasher.mix(bytes);
-  return hasher.value();
+// Odd multipliers: multiplying by one is a bijection modulo 2^64.
+constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ull;
+constexpr std::uint64_t kPrime2 = 0xc2b2ae3d27d4eb4full;
+constexpr std::uint64_t kPrime3 = 0x165667b19e3779f9ull;
+constexpr std::uint64_t kPrime4 = 0x85ebca77c2b2ae63ull;
+
+/// One checksum step: a bijection of `state` for a fixed `word`, and of
+/// `word` for a fixed `state`.
+std::uint64_t step(std::uint64_t state, std::uint64_t word) {
+  return std::rotl(state + word * kPrime2, 31) * kPrime1;
+}
+
+std::uint64_t loadWord(const char* bytes) {
+  std::uint64_t word = 0;
+  std::memcpy(&word, bytes, sizeof(word));
+  return word;
 }
 
 std::string keyFileName(std::uint64_t key) {
@@ -83,6 +96,36 @@ EntryRead readEntryFile(const std::string& path, std::string& bytes) {
 
 } // namespace
 
+std::uint64_t payloadChecksum(std::string_view bytes) {
+  static_assert(std::endian::native == std::endian::little,
+                "the checksum reads little-endian words as they are");
+  const char* data = bytes.data();
+  const std::size_t words = bytes.size() / 8;
+  std::uint64_t lanes[4] = {kPrime1, kPrime2, kPrime3, kPrime4};
+  std::size_t i = 0;
+  for (; i + 4 <= words; i += 4)
+    for (std::size_t lane = 0; lane < 4; ++lane)
+      lanes[lane] = step(lanes[lane], loadWord(data + 8 * (i + lane)));
+  for (; i < words; ++i)
+    lanes[i % 4] = step(lanes[i % 4], loadWord(data + 8 * i));
+  // Each term is a bijection of its lane, and adding fixed terms is too.
+  std::uint64_t value = std::rotl(lanes[0], 1) + std::rotl(lanes[1], 7) +
+                        std::rotl(lanes[2], 12) + std::rotl(lanes[3], 18);
+  // The 0-7 tail bytes, zero-padded, then the length.
+  std::uint64_t tail = 0;
+  if (const std::size_t rest = bytes.size() % 8; rest != 0)
+    std::memcpy(&tail, data + 8 * words, rest);
+  value = step(value, tail);
+  value = step(value, bytes.size());
+  // Final avalanche: xor-shifts and odd multiplies are bijections.
+  value ^= value >> 33;
+  value *= kPrime2;
+  value ^= value >> 29;
+  value *= kPrime3;
+  value ^= value >> 32;
+  return value;
+}
+
 ArtifactStore::ArtifactStore(ArtifactStoreOptions options)
     : options_(std::move(options)) {
   if (options_.root.empty())
@@ -117,7 +160,7 @@ std::string ArtifactStore::encodeEntry(std::uint64_t key, Stage stage,
   w.u32(static_cast<std::uint32_t>(last + 1));
   for (int i = 0; i <= last; ++i)
     w.u64(stageOptionsFingerprint(static_cast<Stage>(i), options));
-  w.u64(checksum(payload));
+  w.u64(payloadChecksum(payload));
   w.str(payload);
   return w.take();
 }
@@ -160,7 +203,7 @@ ArtifactStore::load(std::uint64_t key, Stage stage,
         return reject();
     const std::uint64_t expectedChecksum = r.u64();
     const std::string_view payload = r.view();
-    if (!r.atEnd() || checksum(payload) != expectedChecksum)
+    if (!r.atEnd() || payloadChecksum(payload) != expectedChecksum)
       return reject();
 
     auto entry = std::make_shared<StageCacheEntry>();
@@ -190,8 +233,6 @@ void ArtifactStore::publish(std::uint64_t key, Stage stage,
     return;
   const fs::path path = entryPath(key);
   std::error_code ec;
-  if (fs::exists(path, ec))
-    return; // first writer won; contents are content-derived anyway
 
   std::string bytes;
   try {
@@ -233,6 +274,8 @@ void ArtifactStore::publish(std::uint64_t key, Stage stage,
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.publishes;
     capacity = options_.capacityBytes;
+    // A replaced entry's old bytes stay in the estimate until the next
+    // GC scan recounts the directory, so it can only over-count.
     if (approxDiskBytes_)
       estimate = *approxDiskBytes_ += bytes.size();
   }

@@ -12,7 +12,9 @@
 // checksum). Reads verify all of it and treat ANY mismatch — truncated
 // file, flipped byte, unknown version, wrong stage, a FIFO or directory
 // at the entry path — as a clean miss counted in Stats::verifyFailures,
-// never as an exception escaping to the compile.
+// never as an exception escaping to the compile. The process that then
+// compiles the prefix publishes it over the rejected entry, so a bad or
+// old-format entry costs one recompile, not one per later process.
 //
 // Concurrency: writers serialize an entry into `<name>.<pid>.<seq>.tmp`
 // and publish it with one atomic rename(2), so readers never observe a
@@ -37,8 +39,17 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace cfd::store {
+
+/// The 64-bit payload checksum of store format v2. Four lanes take the
+/// payload's 8-byte words in turn, then the 0-7 tail bytes and the
+/// length are mixed in. Every step, the final combination of the lanes
+/// included, is a bijection of the running state when its other inputs
+/// are fixed, so any change confined to one 8-byte word — every
+/// single-byte corruption among them — changes the value.
+std::uint64_t payloadChecksum(std::string_view bytes);
 
 struct ArtifactStoreOptions {
   /// Root directory; created (recursively) on construction. When
@@ -54,8 +65,11 @@ class ArtifactStore {
 public:
   /// Bumped whenever the header or ArtifactCodec encoding changes; a
   /// version mismatch on read is a verification miss, so stores survive
-  /// format evolution without migration (stale entries age out via GC).
-  static constexpr std::uint32_t kFormatVersion = 1;
+  /// format evolution without migration (the next publish of the key
+  /// replaces a stale entry; unused ones age out via GC). In version 2
+  /// the payload checksum is payloadChecksum(), and decode rebuilds the
+  /// compatibility graph instead of reading it.
+  static constexpr std::uint32_t kFormatVersion = 2;
 
   struct Stats {
     std::int64_t hits = 0;           // entries loaded and verified
@@ -81,9 +95,10 @@ public:
        const FlowOptions& options);
 
   /// Serializes the prefix up to `stage` and publishes it under `key`
-  /// via temp-file + atomic rename. A no-op when the entry file already
-  /// exists (first writer won). Never throws: I/O failures drop the
-  /// publish (the entry is recomputed next time).
+  /// via temp-file + atomic rename, replacing any entry file already
+  /// there — one that failed verification included; between racing
+  /// publishers the last rename wins. Never throws: I/O failures drop
+  /// the publish (the entry is recomputed next time).
   void publish(std::uint64_t key, Stage stage,
                const StageArtifacts& artifacts, const std::string& source,
                const FlowOptions& options);

@@ -17,6 +17,24 @@ std::string formatShape(const std::vector<std::int64_t>& shape) {
   return os.str();
 }
 
+bool isBoundedShape(const std::vector<std::int64_t>& shape) {
+  std::int64_t elements = 1;
+  for (std::int64_t extent : shape) {
+    if (extent <= 0 || extent > kMaxTensorElements)
+      return false;
+    // Both factors are at most 2^28, so the product fits in int64.
+    elements *= extent;
+    if (elements > kMaxTensorElements)
+      return false;
+  }
+  return true;
+}
+
+std::string shapeBoundMessage(const std::vector<std::int64_t>& shape) {
+  return "shape " + formatShape(shape) + " exceeds the bound of " +
+         formatThousands(kMaxTensorElements) + " elements per tensor";
+}
+
 std::string formatFixed(double value, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, value);

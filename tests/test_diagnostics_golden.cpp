@@ -95,6 +95,67 @@ TEST(DiagnosticsGoldenTest, UnknownSweepAxis) {
 })json");
 }
 
+// Two shapes whose element counts overflow int64 further down the flow
+// (a row-major layout stride, and a byte size in system generation).
+// Sema bounds every declared shape first, so each is a diagnostic.
+TEST(DiagnosticsGoldenTest, ShapeOverflowingTheLayoutStrides) {
+  Session session;
+  const auto result = session.compile(
+      CompileRequest("var input  u : [4294967296 4294967296 8]\n"
+                     "var output v : [4294967296 4294967296 8]\n"
+                     "v = u\n"));
+  ASSERT_FALSE(result);
+  EXPECT_EQ(renderJson(result.diagnostics()),
+            R"json({
+  "schema": "cfd-diagnostics-v1",
+  "diagnostics": [
+    {
+      "severity": "error",
+      "message": "'u': shape [4294967296 4294967296 8] exceeds the bound of 268,435,456 elements per tensor",
+      "stage": "parse",
+      "line": 1,
+      "column": 1
+    },
+    {
+      "severity": "error",
+      "message": "'v': shape [4294967296 4294967296 8] exceeds the bound of 268,435,456 elements per tensor",
+      "stage": "parse",
+      "line": 2,
+      "column": 1
+    }
+  ]
+})json");
+}
+
+TEST(DiagnosticsGoldenTest, ShapeOverflowingTheByteSizes) {
+  Session session;
+  const auto result = session.compile(
+      CompileRequest("var input  u : [1048576 1048576 1048576]\n"
+                     "var output v : [1048576 1048576 1048576]\n"
+                     "v = u\n"));
+  ASSERT_FALSE(result);
+  EXPECT_EQ(renderJson(result.diagnostics()),
+            R"json({
+  "schema": "cfd-diagnostics-v1",
+  "diagnostics": [
+    {
+      "severity": "error",
+      "message": "'u': shape [1048576 1048576 1048576] exceeds the bound of 268,435,456 elements per tensor",
+      "stage": "parse",
+      "line": 1,
+      "column": 1
+    },
+    {
+      "severity": "error",
+      "message": "'v': shape [1048576 1048576 1048576] exceeds the bound of 268,435,456 elements per tensor",
+      "stage": "parse",
+      "line": 2,
+      "column": 1
+    }
+  ]
+})json");
+}
+
 TEST(DiagnosticsGoldenTest, DeadlineExpiredJob) {
   Session session(SessionOptions{.workers = 1});
   // Deterministic queued expiry: occupy the single worker until the

@@ -231,6 +231,37 @@ TEST(SemaTest, AssignmentShapeMismatch) {
   EXPECT_NE(diags.str().find("shape mismatch"), std::string::npos);
 }
 
+TEST(SemaTest, ShapeBoundIsInclusive) {
+  Program atBound = parseOk("var input a : [16384 16384]\n"
+                            "var output b : [16384 16384]\nb = a");
+  Diagnostics diags;
+  EXPECT_TRUE(analyze(atBound, diags)) << diags.str();
+
+  Program overBound = parseOk("var input a : [16384 16385]\n"
+                              "var output b : [16384 16385]\nb = a");
+  EXPECT_FALSE(analyze(overBound, diags));
+  EXPECT_NE(diags.str().find("'a': shape [16384 16385] exceeds the bound "
+                             "of 268,435,456 elements per tensor"),
+            std::string::npos)
+      << diags.str();
+}
+
+TEST(SemaTest, ShapeBoundCoversFormedProducts) {
+  // The product under the contraction (2^58 elements) is never formed
+  // whole, but its factor a # b (2^30) is.
+  Program program = parseOk("var input a : [16384 2]\n"
+                            "var input b : [16384 2]\n"
+                            "var input c : [16384 16384]\n"
+                            "var output v : [2 2]\n"
+                            "v = (a # b) # c . [[0 4] [2 5]]");
+  Diagnostics diags;
+  EXPECT_FALSE(analyze(program, diags));
+  EXPECT_EQ(diags.errorCount(), 1u) << diags.str();
+  EXPECT_NE(diags.str().find("shape [16384 2 16384 2] exceeds the bound"),
+            std::string::npos)
+      << diags.str();
+}
+
 TEST(SemaTest, ParseAndCheckThrowsOnBadInput) {
   EXPECT_THROW(parseAndCheck("var output z : [3]\nz = q"), FlowError);
   EXPECT_NO_THROW(parseAndCheck(test::kInverseHelmholtz));

@@ -114,13 +114,41 @@ TEST(EdgeCaseTest, EmptySourceRejected) {
 }
 
 TEST(EdgeCaseTest, HugeTensorViolatesEq3) {
-  // A 2M-word PLM cannot fit the device.
-  EXPECT_THROW(Flow::compile(R"(
+  // A 2M-word PLM cannot fit the device. At 2^21 elements the shape is
+  // far under the flow's element bound, so the failure is Eq. 3's.
+  try {
+    Flow::compile(R"(
 var input  a : [128 128 128]
 var output b : [128 128 128]
 b = a + a
-)"),
-               FlowError);
+)");
+    ADD_FAILURE() << "a 2M-word PLM fit the device";
+  } catch (const FlowError& e) {
+    EXPECT_NE(std::string(e.what()).find("Eq. 3"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(EdgeCaseTest, ContractionIntermediateOverTheShapeBoundIsAFlowError) {
+  // Sema bounds the factors and the result, all 2^15 elements. The
+  // right-to-left factor order first forms b # c, an outer product of
+  // 2^30 elements, which lowering refuses before any stage sizes it.
+  try {
+    Flow::compile(R"(
+var input  a : [32768]
+var input  b : [32768]
+var input  c : [32768]
+var output v : [32768]
+v = a # b # c . [[0 2]]
+)");
+    ADD_FAILURE() << "formed an intermediate over the shape bound";
+  } catch (const FlowError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "contraction intermediate: shape [32768 32768] exceeds "
+                  "the bound of 268,435,456 elements per tensor"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(EdgeCaseTest, WhitespaceAndCommentRobustness) {

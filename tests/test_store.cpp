@@ -4,6 +4,7 @@
 // miss, never a crash.
 #include "core/Pipeline.h"
 #include "core/Session.h"
+#include "dsl/Parser.h"
 #include "store/ArtifactCodec.h"
 #include "store/ArtifactStore.h"
 #include "support/Hash.h"
@@ -124,6 +125,13 @@ TEST(ArtifactCodecTest, DecodedArtifactsAreSemanticallyEqual) {
   EXPECT_EQ(decoded.referenceSchedule->program, &decoded.optimized->program);
   EXPECT_EQ(decoded.schedule->statements.size(),
             pipeline->artifacts().schedule->statements.size());
+  // The compatibility graph is not stored; decode rebuilds it from the
+  // decoded schedule and liveness.
+  const mem::CompatibilityGraph& graph = pipeline->artifacts().memory->graph;
+  EXPECT_EQ(decoded.memory->graph.nodes(), graph.nodes());
+  EXPECT_EQ(decoded.memory->graph.addressSpaceEdges(),
+            graph.addressSpaceEdges());
+  EXPECT_EQ(decoded.memory->graph.interfaceEdges(), graph.interfaceEdges());
 }
 
 TEST(ArtifactCodecTest, TruncatedPayloadThrowsCodecError) {
@@ -140,70 +148,154 @@ TEST(ArtifactCodecTest, TruncatedPayloadThrowsCodecError) {
       store::CodecError);
 }
 
-// Store format v1 fixes the bytes of every prefix, down to the ascending
-// order of the compatibility edges. This digest of the memory-plan
-// prefix was recorded with the set-based graph storage the format was
-// defined with, so entries that builds of that storage wrote to a
-// --cache-dir still load. Pass timings are wall-clock, so they are
-// zeroed first.
+// Store format v2 fixes the bytes of every prefix. Pass timings are
+// wall-clock, so they are zeroed first.
 TEST(ArtifactCodecTest, MemoryPlanPrefixBytesArePinned) {
   const auto pipeline = compileAll(test::kInverseHelmholtz);
   const std::string payload = store::encodePrefix(
       Stage::MemoryPlan, artifactsWithoutTimings(*pipeline));
-  EXPECT_EQ(payload.size(), 13701u);
-  EXPECT_EQ(digestOf(payload), 0x44360172b64e8d80ull);
+  EXPECT_EQ(payload.size(), 12733u);
+  EXPECT_EQ(digestOf(payload), 0x01333f9746a73b3full);
 }
 
-TEST(ArtifactCodecTest, MemoryPlanIdOutsideTheProgramThrowsCodecError) {
+// Decode rebuilds the compatibility graph from the decoded schedule, and
+// the builder indexes an n x n matrix by its tensor ids, so every op
+// index and access tensor id of a schedule must fall inside the decoded
+// program. Both schedules are checked: the reference one in a Schedule
+// prefix, and the rescheduled one the graph is built from.
+TEST(ArtifactCodecTest, ScheduleIdOutsideTheProgramThrowsCodecError) {
   const auto pipeline = compileAll(test::kInverseHelmholtz);
-  const int numTensors = static_cast<int>(
-      pipeline->artifacts().optimized->program.tensors().size());
-  const std::string prefix =
-      store::encodePrefix(Stage::Liveness, pipeline->artifacts());
-  // A format v1 memory-plan section: one node, one edge of the chosen
-  // relation, none of the other, and an empty plan (buffers, bufferOf,
-  // baseOffsets).
-  const auto payload = [&](int node, int a, int b, bool interface) {
-    store::ByteWriter w;
-    w.u8(static_cast<std::uint8_t>(Stage::MemoryPlan));
-    w.u64(1);
-    w.i32(node);
-    for (const bool edgesOfInterface : {false, true}) {
-      if (edgesOfInterface != interface) {
-        w.u64(0);
-        continue;
-      }
-      w.u64(1);
-      w.i32(a);
-      w.i32(b);
+  const ir::Program& program = pipeline->artifacts().optimized->program;
+  const int numTensors = static_cast<int>(program.tensors().size());
+  const int numOps = static_cast<int>(program.operations().size());
+
+  using Break = std::function<void(sched::ScheduledStatement&)>;
+  const auto decodeBroken = [&](Stage stage, const Break& breakIt,
+                                const std::string& what) {
+    SCOPED_TRACE(what);
+    StageArtifacts artifacts = pipeline->artifacts();
+    auto& slot = stage == Stage::Schedule ? artifacts.referenceSchedule
+                                          : artifacts.schedule;
+    sched::Schedule broken = *slot;
+    ASSERT_FALSE(broken.statements.front().reads.empty());
+    breakIt(broken.statements.front());
+    slot = std::make_shared<const sched::Schedule>(std::move(broken));
+    const std::string payload = store::encodePrefix(stage, artifacts);
+    EXPECT_THROW(store::decodePrefix(stage, payload, pipeline->options()),
+                 store::CodecError);
+  };
+  for (const Stage stage : {Stage::Schedule, Stage::MemoryPlan}) {
+    for (const int id : {-1, numTensors}) {
+      decodeBroken(
+          stage, [id](auto& stmt) { stmt.write.tensor = id; },
+          "write tensor " + std::to_string(id));
+      decodeBroken(
+          stage, [id](auto& stmt) { stmt.reads.back().tensor = id; },
+          "read tensor " + std::to_string(id));
     }
-    w.u64(0);
-    w.u64(0);
-    w.u64(0);
-    return prefix + w.take();
-  };
-  const auto decode = [&](const std::string& bytes) {
-    return store::decodePrefix(Stage::MemoryPlan, bytes,
-                               pipeline->options());
-  };
+    for (const int index : {-1, numOps})
+      decodeBroken(
+          stage, [index](auto& stmt) { stmt.opIndex = index; },
+          "op index " + std::to_string(index));
+  }
 
-  const int last = numTensors - 1;
-  const StageArtifacts valid = decode(payload(last, 0, last, false));
-  EXPECT_TRUE(valid.memory->graph.addressSpaceCompatible(last, 0));
-  EXPECT_TRUE(decode(payload(0, last, 0, true))
-                  .memory->graph.interfaceCompatible(0, last));
+  // The unbroken prefix still decodes.
+  const std::string valid =
+      store::encodePrefix(Stage::MemoryPlan, pipeline->artifacts());
+  EXPECT_NO_THROW(
+      store::decodePrefix(Stage::MemoryPlan, valid, pipeline->options()));
+}
 
-  EXPECT_THROW(decode(payload(numTensors, 0, 1, false)), store::CodecError);
-  EXPECT_THROW(decode(payload(-1, 0, 1, false)), store::CodecError);
-  for (const bool interface : {false, true}) {
-    EXPECT_THROW(decode(payload(0, 0, numTensors, interface)),
-                 store::CodecError);
-    EXPECT_THROW(decode(payload(0, numTensors, 0, interface)),
-                 store::CodecError);
-    EXPECT_THROW(decode(payload(0, -1, 1, interface)), store::CodecError);
-    EXPECT_THROW(decode(payload(0, 0, 1 << 30, interface)),
-                 store::CodecError);
-    EXPECT_THROW(decode(payload(0, 1, 1, interface)), store::CodecError);
+// A checksum-valid entry may carry any shape. Layouts, which schedule
+// decoding builds, multiply extents into row-major strides, so a shape
+// over the element bound must be a CodecError before that: the AST's
+// shapes are checked as they are read, and a program's by verify().
+TEST(ArtifactCodecTest, ShapeOverTheElementBoundThrowsCodecError) {
+  const std::string huge = "[4294967296 4294967296 8]";
+  const std::string source = "var input u : " + huge +
+                             "\nvar output v : " + huge + "\nv = u\n";
+  // The same kernel at a small shape supplies the schedule.
+  const auto pipeline = compileAll(
+      "var input u : [2 2 8]\nvar output v : [2 2 8]\nv = u\n");
+  const StageArtifacts small = pipeline->artifacts();
+
+  Diagnostics diagnostics;
+  const auto hugeAst = std::make_shared<const dsl::Program>(
+      dsl::Parser(source, diagnostics).parseProgram());
+  ASSERT_FALSE(diagnostics.hasErrors()) << diagnostics.str();
+  ir::Program hugeProgram;
+  for (const ir::Tensor& tensor : small.optimized->program.tensors())
+    hugeProgram.addTensor(tensor.name, tensor.kind,
+                          ir::TensorType{{4294967296, 4294967296, 8}});
+  for (const ir::Operation& op : small.optimized->program.operations())
+    hugeProgram.addOperation(op);
+
+  const auto expectBoundError = [&](const StageArtifacts& artifacts) {
+    const std::string payload =
+        store::encodePrefix(Stage::Schedule, artifacts);
+    try {
+      store::decodePrefix(Stage::Schedule, payload, pipeline->options());
+      ADD_FAILURE() << "decoded a shape over the element bound";
+    } catch (const store::CodecError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "shape " + huge +
+                    " exceeds the bound of 268,435,456 elements"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  StageArtifacts artifacts = small;
+  artifacts.ast = hugeAst;
+  artifacts.program = std::make_shared<const ir::Program>(hugeProgram);
+  artifacts.optimized = std::make_shared<const OptimizeArtifact>(
+      OptimizeArtifact{hugeProgram, small.optimized->report});
+  {
+    SCOPED_TRACE("every stage carries the shape");
+    expectBoundError(artifacts);
+  }
+  artifacts.ast = small.ast;
+  {
+    SCOPED_TRACE("only the programs carry the shape");
+    expectBoundError(artifacts);
+  }
+  artifacts = small;
+  artifacts.ast = hugeAst;
+  {
+    SCOPED_TRACE("only the AST carries the shape");
+    expectBoundError(artifacts);
+  }
+}
+
+// Every step of the v2 payload checksum is a bijection of its state, so
+// a change confined to one 8-byte word always changes the value; adding
+// or removing a byte changes the length it mixes in.
+TEST(ArtifactCodecTest, PayloadChecksumSeesEverySingleByteChange) {
+  // 1 KiB plus a 3-byte tail, filled by a fixed LCG.
+  std::string buffer(1027, '\0');
+  std::uint64_t state = 0x0123456789abcdefull;
+  for (char& byte : buffer) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    byte = static_cast<char>(state >> 56);
+  }
+  const std::uint64_t value = store::payloadChecksum(buffer);
+  for (std::size_t offset = 0; offset < buffer.size(); ++offset) {
+    const char original = buffer[offset];
+    for (int delta = 1; delta < 256; ++delta) {
+      buffer[offset] = static_cast<char>(original ^ delta);
+      ASSERT_NE(store::payloadChecksum(buffer), value)
+          << "byte " << offset << " ^ " << delta;
+    }
+    buffer[offset] = original;
+  }
+  ASSERT_EQ(store::payloadChecksum(buffer), value);
+
+  const std::string_view view(buffer);
+  EXPECT_NE(store::payloadChecksum(view.substr(1)), value);
+  EXPECT_NE(store::payloadChecksum(view.substr(0, view.size() - 1)), value);
+  for (int byte = 0; byte < 256; ++byte) {
+    const char c = static_cast<char>(byte);
+    EXPECT_NE(store::payloadChecksum(buffer + c), value) << "append " << byte;
+    EXPECT_NE(store::payloadChecksum(c + buffer), value) << "prepend " << byte;
   }
 }
 
@@ -280,10 +372,8 @@ TEST_F(StoreTest, PublishedEntryLoadsAndVerifies) {
   EXPECT_EQ(store.stats().hits, 1);
 }
 
-// The whole entry file of store format v1 — header, source, option
-// fingerprints, checksum and payload — recorded with the stream-based
-// entry reader the format was defined with. Entries that builds of that
-// reader wrote must keep loading.
+// The whole entry file of store format v2: header, source, option
+// fingerprints, checksum and payload.
 TEST_F(StoreTest, SysGenEntryFileBytesArePinned) {
   const auto pipeline = compileAll(test::kInverseHelmholtz);
   store::ArtifactStore store({root_});
@@ -291,8 +381,8 @@ TEST_F(StoreTest, SysGenEntryFileBytesArePinned) {
   store.publish(key, Stage::SysGen, artifactsWithoutTimings(*pipeline),
                 pipeline->source(), pipeline->options());
   const std::string bytes = readFile(store.entryPath(key));
-  EXPECT_EQ(bytes.size(), 14720u);
-  EXPECT_EQ(digestOf(bytes), 0xe96b08f66ae5ecc4ull);
+  EXPECT_EQ(bytes.size(), 13752u);
+  EXPECT_EQ(digestOf(bytes), 0x05e4610adcab5adaull);
   EXPECT_NE(store.load(key, Stage::SysGen, pipeline->source(),
                        pipeline->options()),
             nullptr);
@@ -653,7 +743,7 @@ TEST_F(StoreFaultTest, DirectoryAtTheEntryPathIsACleanMiss) {
   expectCleanMiss(store, key);
 }
 
-// Store format v1 has no redundancy a reader may skip: every other value
+// Store format v2 has no redundancy a reader may skip: every other value
 // of every header byte, a changed byte at a stride through the payload,
 // and a cut at every header offset each count exactly one verify
 // failure.
@@ -706,6 +796,38 @@ TEST_F(StoreFaultTest, EverySingleByteCorruptionIsAVerifyFailure) {
   EXPECT_NE(store.load(key, Stage::SysGen, pipeline_->source(),
                        pipeline_->options()),
             nullptr);
+}
+
+// A publish replaces the entry file at its key, so an entry that fails
+// verification costs one recompile: the process that recompiles the
+// prefix publishes it over the bad file, and the next process adopts it.
+TEST_F(StoreFaultTest, RejectedEntryIsReplacedByTheNextPublish) {
+  {
+    store::ArtifactStore store({root_});
+    const std::uint64_t key = publishEntry(store);
+    std::string bytes = readFile(store.entryPath(key));
+    bytes[bytes.size() - 16] ^= 0x40; // deep in the payload
+    writeFile(store.entryPath(key), bytes);
+  }
+  SessionOptions options;
+  options.cacheDir = root_;
+  {
+    Session session(options);
+    ASSERT_TRUE(session.compile(CompileRequest(test::kInverseHelmholtz)));
+    const auto stats = session.stats();
+    EXPECT_EQ(stats.artifactStore.verifyFailures, 1);
+    EXPECT_EQ(stats.artifactStore.publishes, kStageCount);
+  }
+
+  Session fresh(options);
+  auto result = fresh.compile(CompileRequest(test::kInverseHelmholtz));
+  ASSERT_TRUE(result);
+  EXPECT_EQ(result->flow().systemDesign().str(),
+            pipeline_->artifacts().system->str());
+  const auto stats = fresh.stats();
+  EXPECT_EQ(stats.artifactStore.hits, 1);
+  EXPECT_EQ(stats.artifactStore.verifyFailures, 0);
+  EXPECT_EQ(stats.stageCache.misses, 0);
 }
 
 TEST_F(StoreFaultTest, StaleTmpFromCrashedPublisherDoesNotBlockTheKey) {
