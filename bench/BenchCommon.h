@@ -1,8 +1,7 @@
 // Shared helpers for the paper-reproduction benchmark binaries.
 //
 // Every bench regenerates one table or figure of the paper's §VI and
-// prints paper-reported vs measured values side by side (EXPERIMENTS.md
-// records the same numbers).
+// prints paper-reported vs measured values side by side.
 #pragma once
 
 #include "core/Session.h"
@@ -32,24 +31,6 @@ v = S # S # S # r . [[0 6] [2 7] [4 8]]
 /// simulation of 50,000 elements with all data in DRAM").
 inline constexpr std::int64_t kNumElements = 50000;
 
-/// The Fig. 1 operator at an arbitrary polynomial degree (extent =
-/// p + 1); multi-kernel workloads (bench_store) sweep this over many
-/// degrees.
-inline std::string inverseHelmholtzSource(int extent) {
-  const std::string n = std::to_string(extent);
-  std::string src;
-  src += "var input  S : [" + n + " " + n + "]\n";
-  src += "var input  D : [" + n + " " + n + " " + n + "]\n";
-  src += "var input  u : [" + n + " " + n + " " + n + "]\n";
-  src += "var output v : [" + n + " " + n + " " + n + "]\n";
-  src += "var t : [" + n + " " + n + " " + n + "]\n";
-  src += "var r : [" + n + " " + n + " " + n + "]\n";
-  src += "t = S # S # S # u . [[1 6] [3 7] [5 8]]\n";
-  src += "r = D * t\n";
-  src += "v = S # S # S # r . [[0 6] [2 7] [4 8]]\n";
-  return src;
-}
-
 inline Flow compileHelmholtz(bool sharing = true, int m = 0, int k = 0) {
   FlowOptions options;
   options.memory.enableSharing = sharing;
@@ -73,11 +54,11 @@ inline void printRow(const std::string& label, double paper, double measured,
             << formatFixed(paper != 0 ? measured / paper : 0.0, 3) << "\n";
 }
 
-/// Benches that produce a JSON report (DESIGN.md §8 conventions) emit
-/// it to the path in $CFD_TUNE_REPORT when it is set, so CI and
-/// plotting scripts can consume bench results without scraping the
-/// printed tables. Returns whether a report was written.
-inline bool maybeWriteJsonReport(const json::Value& report) {
+/// Benches that tune write their JSON tuning report (DESIGN.md §8) to
+/// the path in $CFD_TUNE_REPORT when it is set, so plotting scripts can
+/// consume bench results without scraping the printed tables. Returns
+/// whether a report was written.
+inline bool maybeWriteTuningReport(const TuningReport& report) {
   const char* path = std::getenv("CFD_TUNE_REPORT");
   if (path == nullptr || *path == '\0')
     return false;
@@ -86,35 +67,8 @@ inline bool maybeWriteJsonReport(const json::Value& report) {
     std::cerr << "cannot write JSON report '" << path << "'\n";
     return false;
   }
-  out << report.dump(2) << "\n";
+  out << report.toJson().dump(2) << "\n";
   std::cout << "  (JSON report written to " << path << ")\n";
-  return true;
-}
-
-/// The auto-tuning flavor of maybeWriteJsonReport (PR 2 schema).
-inline bool maybeWriteTuningReport(const TuningReport& report) {
-  return maybeWriteJsonReport(report.toJson());
-}
-
-/// Canonical bench baseline: every bench writes BENCH_<name>.json into
-/// $CFD_BENCH_DIR (falling back to the working directory) so CI can
-/// diff the machine-independent metrics against the committed baselines
-/// at the repo root (scripts/check_bench_regression.py). Wall-clock
-/// fields are recorded for humans but excluded from the regression
-/// gate.
-inline bool writeBenchReport(const std::string& name,
-                             const json::Value& report) {
-  std::string dir = ".";
-  if (const char* env = std::getenv("CFD_BENCH_DIR"); env && *env)
-    dir = env;
-  const std::string path = dir + "/BENCH_" + name + ".json";
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot write bench report '" << path << "'\n";
-    return false;
-  }
-  out << report.dump(2) << "\n";
-  std::cout << "  (bench report written to " << path << ")\n";
   return true;
 }
 

@@ -37,18 +37,5 @@ int main() {
   std::cout << "\nCompatibility graph (paper Fig. 5):\n"
             << sharing.compatibilityDot();
 
-  // Canonical regression report (scripts/check_bench_regression.py):
-  // every metric is a deterministic BRAM count, so any drift at all is
-  // a real behavior change in the memory planner.
-  json::Value report = json::Value::object();
-  report.set("schema", "cfd-plm-bram-v1");
-  json::Value bram = json::Value::object();
-  bram.set("no_sharing", noSharing.memoryPlan().plmBram36());
-  bram.set("with_sharing", sharing.memoryPlan().plmBram36());
-  bram.set("in_hls_memory", inHls.memoryPlan().plmBram36());
-  bram.set("in_hls_accelerator", inHls.memoryPlan().acceleratorBram36());
-  bram.set("in_hls_total", inHls.memoryPlan().totalBram36());
-  report.set("bram36", std::move(bram));
-  writeBenchReport("plm_bram", report);
   return 0;
 }

@@ -71,6 +71,13 @@ struct Expr {
   std::vector<std::int64_t> shape;
 };
 
+/// The deepest node an assignment's expression may have: its root is
+/// at depth 0 and each operand one level deeper. The parser refuses a
+/// deeper expression, and parentheses or unary minuses nested deeper,
+/// with a parse diagnostic; the artifact codec refuses a deeper one on
+/// decode. Every recursive walk of an AST stays this shallow.
+inline constexpr int kMaxExprDepth = 256;
+
 /// `lhs = expr`
 struct Assignment {
   std::string target;

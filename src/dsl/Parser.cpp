@@ -3,6 +3,7 @@
 #include "dsl/Sema.h"
 #include "support/Error.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace cfd::dsl {
@@ -156,67 +157,99 @@ void Parser::parseAssignment(Program& program) {
   assignment.target =
       expect(TokenKind::Identifier, "as the assignment target").text;
   expect(TokenKind::Equal, "in an assignment");
-  assignment.value = parseExpr();
+  try {
+    assignment.value = parseExpr().expr;
+  } catch (const TooDeep&) {
+    nesting_ = 0;
+    synchronize();
+    return;
+  }
   program.assignments.push_back(std::move(assignment));
 }
 
-ExprPtr Parser::parseExpr() {
-  ExprPtr lhs = parseTerm();
+Parser::Parsed Parser::binary(ExprKind kind, SourceLocation location,
+                              Parsed lhs, Parsed rhs) {
+  auto node = std::make_unique<Expr>();
+  node->kind = kind;
+  node->location = location;
+  node->operands.push_back(std::move(lhs.expr));
+  node->operands.push_back(std::move(rhs.expr));
+  return {std::move(node),
+          checkHeight(1 + std::max(lhs.height, rhs.height), location)};
+}
+
+int Parser::checkHeight(int height, SourceLocation location) {
+  if (height > kMaxExprDepth)
+    tooDeep(location);
+  return height;
+}
+
+void Parser::tooDeep(SourceLocation location) {
+  diagnostics_.error(location, "expression nested deeper than " +
+                                   std::to_string(kMaxExprDepth) +
+                                   " levels");
+  throw TooDeep{};
+}
+
+Parser::Parsed Parser::parseExpr() {
+  Parsed lhs = parseTerm();
   while (current().is(TokenKind::Plus) || current().is(TokenKind::Minus)) {
     const Token op = consume();
-    auto node = std::make_unique<Expr>();
-    node->kind = op.is(TokenKind::Plus) ? ExprKind::Add : ExprKind::Sub;
-    node->location = op.location;
-    node->operands.push_back(std::move(lhs));
-    node->operands.push_back(parseTerm());
-    lhs = std::move(node);
+    Parsed rhs = parseTerm();
+    lhs = binary(op.is(TokenKind::Plus) ? ExprKind::Add : ExprKind::Sub,
+                 op.location, std::move(lhs), std::move(rhs));
   }
   return lhs;
 }
 
-ExprPtr Parser::parseTerm() {
-  ExprPtr lhs = parseFactor();
+Parser::Parsed Parser::parseTerm() {
+  Parsed lhs = parseFactor();
   while (current().is(TokenKind::Star) || current().is(TokenKind::Slash)) {
     const Token op = consume();
-    auto node = std::make_unique<Expr>();
-    node->kind = op.is(TokenKind::Star) ? ExprKind::Mul : ExprKind::Div;
-    node->location = op.location;
-    node->operands.push_back(std::move(lhs));
-    node->operands.push_back(parseFactor());
-    lhs = std::move(node);
+    Parsed rhs = parseFactor();
+    lhs = binary(op.is(TokenKind::Star) ? ExprKind::Mul : ExprKind::Div,
+                 op.location, std::move(lhs), std::move(rhs));
   }
   return lhs;
 }
 
-ExprPtr Parser::parseFactor() {
-  ExprPtr product = parseProduct();
+Parser::Parsed Parser::parseFactor() {
+  Parsed product = parseProduct();
   if (!current().is(TokenKind::Dot))
     return product;
   const Token dot = consume();
   auto node = std::make_unique<Expr>();
   node->kind = ExprKind::Contraction;
   node->location = dot.location;
-  node->operands.push_back(std::move(product));
+  node->operands.push_back(std::move(product.expr));
   node->pairs = parsePairList();
-  return node;
+  return {std::move(node), checkHeight(product.height + 1, dot.location)};
 }
 
-ExprPtr Parser::parseProduct() {
-  ExprPtr first = parsePrimary();
+Parser::Parsed Parser::parseProduct() {
+  Parsed first = parsePrimary();
   if (!current().is(TokenKind::Hash))
     return first;
   auto node = std::make_unique<Expr>();
   node->kind = ExprKind::Product;
   node->location = current().location;
-  node->operands.push_back(std::move(first));
-  while (match(TokenKind::Hash))
-    node->operands.push_back(parsePrimary());
-  return node;
+  int height = first.height;
+  node->operands.push_back(std::move(first.expr));
+  while (match(TokenKind::Hash)) {
+    Parsed factor = parsePrimary();
+    height = std::max(height, factor.height);
+    node->operands.push_back(std::move(factor.expr));
+  }
+  const SourceLocation location = node->location;
+  return {std::move(node), checkHeight(height + 1, location)};
 }
 
-ExprPtr Parser::parsePrimary() {
+Parser::Parsed Parser::parsePrimary() {
   auto node = std::make_unique<Expr>();
   node->location = current().location;
+  if ((current().is(TokenKind::Minus) || current().is(TokenKind::LParen)) &&
+      nesting_ >= kMaxExprDepth)
+    tooDeep(current().location);
   if (current().is(TokenKind::Minus)) {
     // Unary minus desugars to (0 - expr).
     consume();
@@ -226,13 +259,17 @@ ExprPtr Parser::parsePrimary() {
     zero->location = node->location;
     node->kind = ExprKind::Sub;
     node->operands.push_back(std::move(zero));
-    node->operands.push_back(parsePrimary());
-    return node;
+    ++nesting_;
+    Parsed operand = parsePrimary();
+    --nesting_;
+    node->operands.push_back(std::move(operand.expr));
+    const SourceLocation location = node->location;
+    return {std::move(node), checkHeight(operand.height + 1, location)};
   }
   if (current().is(TokenKind::Identifier)) {
     node->kind = ExprKind::Ident;
     node->name = consume().text;
-    return node;
+    return {std::move(node)};
   }
   if (current().is(TokenKind::IntegerLiteral) ||
       current().is(TokenKind::FloatLiteral)) {
@@ -241,10 +278,12 @@ ExprPtr Parser::parsePrimary() {
     node->value = literal.is(TokenKind::FloatLiteral)
                       ? literal.floatValue
                       : static_cast<double>(literal.intValue);
-    return node;
+    return {std::move(node)};
   }
   if (match(TokenKind::LParen)) {
-    ExprPtr inner = parseExpr();
+    ++nesting_;
+    Parsed inner = parseExpr();
+    --nesting_;
     expect(TokenKind::RParen, "to close a parenthesized expression");
     return inner;
   }
@@ -253,7 +292,7 @@ ExprPtr Parser::parsePrimary() {
   consume();
   node->kind = ExprKind::Number;
   node->value = 0.0;
-  return node;
+  return {std::move(node)};
 }
 
 std::vector<IndexPair> Parser::parsePairList() {

@@ -16,6 +16,7 @@
 //
 // Contraction binds tighter than entry-wise operators, so
 // `D * S # S # S # u . [[..]]` parses as D ∘ contraction(product).
+// An expression nests at most kMaxExprDepth (AST.h) levels deep.
 #pragma once
 
 #include "dsl/AST.h"
@@ -39,20 +40,39 @@ private:
   Token expect(TokenKind kind, const char* context);
   void synchronize();
 
+  /// A parsed subexpression and the depth of its deepest node below
+  /// its root (0 for a leaf).
+  struct Parsed {
+    ExprPtr expr;
+    int height = 0;
+  };
+  /// Thrown once an assignment nests deeper than kMaxExprDepth and its
+  /// diagnostic is recorded; parseAssignment skips the statement.
+  struct TooDeep {};
+
   void parseTypeDecl(Program& program);
   void parseVarDecl(Program& program);
   void parseAssignment(Program& program);
   std::vector<std::int64_t> parseShape();
   std::vector<std::int64_t> parseShapeOrTypeName(const Program& program);
-  ExprPtr parseExpr();
-  ExprPtr parseTerm();
-  ExprPtr parseFactor();
-  ExprPtr parseProduct();
-  ExprPtr parsePrimary();
+  Parsed parseExpr();
+  Parsed parseTerm();
+  Parsed parseFactor();
+  Parsed parseProduct();
+  Parsed parsePrimary();
   std::vector<IndexPair> parsePairList();
+  /// A binary entry-wise node over `lhs` and `rhs`.
+  Parsed binary(ExprKind kind, SourceLocation location, Parsed lhs,
+                Parsed rhs);
+  /// `height` if it is within kMaxExprDepth; else throws TooDeep.
+  int checkHeight(int height, SourceLocation location);
+  [[noreturn]] void tooDeep(SourceLocation location);
 
   std::vector<Token> tokens_;
   std::size_t index_ = 0;
+  /// Parentheses and unary minuses open around the current token: the
+  /// parser recurses once for each.
+  int nesting_ = 0;
   Diagnostics& diagnostics_;
 };
 

@@ -2,7 +2,7 @@
 // (DESIGN.md §15).
 //
 // The client side of serve/Protocol.h used by `cfdc --connect`, the
-// serve tests, and bench_serve_flood: connect() to a daemon's socket,
+// serve tests, and the dist coordinator: connect() to a daemon's socket,
 // then call() requests and get matched responses back. call() blocks;
 // for pipelined use, send() several requests and receive() each id as
 // needed — responses arriving for other ids are stashed and handed
@@ -10,8 +10,8 @@
 // acks) never loses a message.
 //
 // A Client is deliberately single-threaded (no internal locking): one
-// client per thread, as many clients per process as you like — that is
-// exactly the flood-bench shape.
+// client per thread, as many clients per process as you like — the
+// shape of test_serve's pipelined flood.
 #pragma once
 
 #include "serve/Protocol.h"

@@ -29,6 +29,7 @@
 #include "support/Expected.h"
 #include "support/Json.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -43,6 +44,14 @@ inline constexpr int kProtocolVersion = 1;
 
 /// The leading member every message starts with.
 inline constexpr const char* kVersionKey = "cfd_serve";
+
+/// The longest request line, without its newline, a daemon reads. A
+/// longer one gets one "serve" error response, then the connection
+/// closes. The longest lines the repo's own clients send are the
+/// sweep_chunk requests of distributed sweeps, the source plus up to
+/// ~190 bytes per point in ~4 chunks per worker: at most 3.5 KB in
+/// perfbench's dist_sweep, 19 KB for an 800-point `cfdc --distribute=2`.
+inline constexpr std::size_t kMaxRequestBytes = std::size_t{16} << 20;
 
 enum class RequestKind {
   Compile,    ///< one compile job; optional materialized artifacts

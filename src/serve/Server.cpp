@@ -405,6 +405,8 @@ void Server::drainAndClose() {
 }
 
 void Server::readerLoop(const std::shared_ptr<Connection>& connection) {
+  // The stream's unterminated tail: each read handles the lines it
+  // completes, scanning only the bytes it appended for their newline.
   std::string buffer;
   char chunk[4096];
   for (;;) {
@@ -416,13 +418,29 @@ void Server::readerLoop(const std::shared_ptr<Connection>& connection) {
         handleLine(*connection, buffer);
       break;
     }
+    std::size_t scanFrom = buffer.size();
     buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
-      const std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      if (!line.empty())
-        handleLine(*connection, line);
+    std::size_t lineStart = 0;
+    for (std::size_t newline;
+         (newline = buffer.find('\n', scanFrom)) != std::string::npos &&
+         newline - lineStart <= kMaxRequestBytes;
+         lineStart = scanFrom = newline + 1)
+      if (newline > lineStart)
+        handleLine(*connection,
+                   buffer.substr(lineStart, newline - lineStart));
+    buffer.erase(0, lineStart);
+    if (buffer.size() > kMaxRequestBytes) {
+      // The line is over the bound (whether or not its newline has
+      // arrived): one error, then the connection closes instead of
+      // buffering on.
+      bumpStat(&Stats::requestsReceived);
+      bumpStat(&Stats::protocolErrors);
+      sendResponse(*connection,
+                   errorResponse(0, RequestKind::Invalid,
+                                 serveError("request line longer than " +
+                                            std::to_string(kMaxRequestBytes) +
+                                            " bytes")));
+      break;
     }
   }
   // EOF or error: the client is gone. Cancel whatever it still had in

@@ -154,8 +154,6 @@ ir::Access readAccess(ByteReader& r, std::size_t numTensors) {
 
 // ---- dsl::Program (parse) ----------------------------------------------
 
-constexpr int kMaxExprDepth = 256;
-
 void writeExpr(ByteWriter& w, const dsl::Expr& expr) {
   w.enumeration(expr.kind);
   writeLocation(w, expr.location);
@@ -175,7 +173,7 @@ void writeExpr(ByteWriter& w, const dsl::Expr& expr) {
 /// `formed` is false for the operand of a contraction: a product there
 /// is never formed whole, so, as in dsl::Sema, its shape is not bounded.
 dsl::ExprPtr readExpr(ByteReader& r, int depth, bool formed) {
-  if (depth > kMaxExprDepth)
+  if (depth > dsl::kMaxExprDepth)
     throw CodecError("artifact codec: expression nesting too deep");
   auto expr = std::make_unique<dsl::Expr>();
   expr->kind = r.enumeration<dsl::ExprKind>(8);

@@ -203,6 +203,14 @@ std::string Value::dump(int indent) const {
 
 namespace {
 
+/// The deepest nesting of objects and arrays a document may have. The
+/// parser recurses once per level, so a bound keeps hostile input (one
+/// wire line of 100,000 '[') from overflowing the stack. The deepest
+/// documents the repo writes have 6 levels (a daemon's tune response,
+/// which embeds the 5-level tune report); sweep reports and
+/// diagnostics have 3.
+constexpr int kMaxDepth = 128;
+
 /// Recursive-descent parser over a complete document.
 class Parser {
 public:
@@ -252,8 +260,14 @@ private:
   Value parseValue() {
     skipWhitespace();
     switch (peek()) {
-    case '{': return parseObject();
-    case '[': return parseArray();
+    case '{':
+    case '[': {
+      if (++depth_ > kMaxDepth)
+        fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+      Value nested = peek() == '{' ? parseObject() : parseArray();
+      --depth_;
+      return nested;
+    }
     case '"': return Value(parseString());
     case 't':
       if (!consumeLiteral("true"))
@@ -418,6 +432,7 @@ private:
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0; ///< objects and arrays open at pos_
 };
 
 } // namespace

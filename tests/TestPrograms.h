@@ -1,7 +1,10 @@
 // Shared CFDlang test programs.
 #pragma once
 
+#include "core/StageGraph.h"
+
 #include <string>
+#include <vector>
 
 namespace cfd::test {
 
@@ -32,6 +35,40 @@ inline std::string inverseHelmholtzSource(int extent) {
   src += "r = D * t\n";
   src += "v = S # S # S # r . [[0 6] [2 7] [4 8]]\n";
   return src;
+}
+
+/// An HLS-only sweep: point i runs at 100 + i MHz with II 1 + i % 2.
+/// Neither field is read before the hls stage, so every point after the
+/// first can adopt the whole parse..memory-plan prefix.
+inline std::vector<FlowOptions> hlsOnlySweep(int points) {
+  std::vector<FlowOptions> variants;
+  for (int i = 0; i < points; ++i) {
+    FlowOptions options;
+    options.hls.clockMHz = 100.0 + i;
+    options.hls.requestedII = 1 + i % 2;
+    variants.push_back(options);
+  }
+  return variants;
+}
+
+/// `v = ...` over `u : [4]` in four shapes whose deepest expression node
+/// sits at `depth`: a parenthesized sum `(u + (u + ... u))`, a chain
+/// `u + u + ... u`, unary minuses `--...-u`, and contractions
+/// `S # (S # (...) . [[1 2]]) . [[1 2]]`, two levels per parenthesis.
+inline std::vector<std::string> deepExpressionSources(int depth) {
+  std::string sum = "u", chain = "u", contractions = "u";
+  for (int i = 0; i < depth; ++i) {
+    sum = "(u + " + sum + ")";
+    chain += " + u";
+  }
+  for (int i = 0; i < depth / 2; ++i)
+    contractions = "S # (" + contractions + ") . [[1 2]]";
+  std::vector<std::string> sources;
+  for (const std::string& expr :
+       {sum, chain, std::string(depth, '-') + "u", contractions})
+    sources.push_back("var input  S : [4 4]\nvar input  u : [4]\n"
+                      "var output v : [4]\nv = " + expr + "\n");
+  return sources;
 }
 
 /// Spectral interpolation (mentioned in the paper as a simpler operator

@@ -258,30 +258,46 @@ TEST(AsyncJobTest, DestructionWhileJobsPendingDrainsCleanly) {
 }
 
 TEST(AsyncJobTest, SubmitBatchWarmsTheSharedPrefixInDependencyOrder) {
-  Session session(SessionOptions{.workers = 4});
-  std::vector<CompileRequest> requests;
-  for (int i = 0; i < 8; ++i) {
-    CompileRequest request(test::kInverseHelmholtz);
-    FlowOptions options;
-    options.hls.clockMHz = 120.0 + 10.0 * i; // HLS-only: shared prefix
-    request.options(options);
-    requests.push_back(std::move(request));
+  // The 64-point HLS-only sweep (shared prefix), each time on a fresh
+  // session: as a blocking compile() loop, and as one batch on 1 and on
+  // 4 workers. The batch leader compiles cold and every follower waits
+  // for it, so all three do the same stage work: 63 points adopt
+  // parse..memory-plan, and the first point's 9 stages plus every other
+  // point's hls and sysgen miss.
+  const auto requests = [] {
+    std::vector<CompileRequest> out;
+    for (const FlowOptions& options : test::hlsOnlySweep(64))
+      out.push_back(CompileRequest(test::kInverseHelmholtz).options(options));
+    return out;
+  };
+  const auto expectSweepWork = [](const Session::Stats& stats) {
+    EXPECT_EQ(stats.stageCache.hits, 441);
+    EXPECT_EQ(stats.stageCache.misses, 135);
+    EXPECT_EQ(stats.flowCache.misses, 64);
+  };
+
+  Session blocking(SessionOptions{.workers = 1});
+  for (const CompileRequest& request : requests())
+    ASSERT_TRUE(blocking.compile(request).ok());
+  expectSweepWork(blocking.stats());
+
+  for (const int workers : {1, 4}) {
+    SCOPED_TRACE("batch on " + std::to_string(workers) + " workers");
+    Session session(SessionOptions{.workers = workers});
+    const std::vector<Job<CompileResult>> jobs =
+        session.submitBatch(requests());
+    ASSERT_EQ(jobs.size(), 64u);
+    int adoptedTotal = 0;
+    for (const Job<CompileResult>& job : jobs) {
+      const Expected<CompileResult>& result = job.wait();
+      ASSERT_TRUE(result.ok()) << result.errorText();
+      adoptedTotal += result->flow().pipeline().adoptedStageCount();
+    }
+    EXPECT_EQ(adoptedTotal, 441);
+    const Session::Stats stats = session.stats();
+    expectSweepWork(stats);
+    EXPECT_EQ(stats.jobsCompleted, 64);
   }
-  const std::vector<Job<CompileResult>> jobs =
-      session.submitBatch(std::move(requests));
-  ASSERT_EQ(jobs.size(), 8u);
-  int adoptedTotal = 0;
-  for (const Job<CompileResult>& job : jobs) {
-    const Expected<CompileResult>& result = job.wait();
-    ASSERT_TRUE(result.ok()) << result.errorText();
-    adoptedTotal += result->flow().pipeline().adoptedStageCount();
-  }
-  // The leader compiled cold; every follower waited for it and adopted
-  // at least the parse..liveness prefix (5 stages) it published.
-  EXPECT_GE(adoptedTotal, 5 * 7);
-  const Session::Stats stats = session.stats();
-  EXPECT_EQ(stats.jobsCompleted, 8);
-  EXPECT_GT(stats.stageCache.hits, 0);
 }
 
 TEST(AsyncJobTest, BatchMemberWithBadOverrideFailsAlone) {

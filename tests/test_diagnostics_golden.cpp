@@ -156,6 +156,52 @@ TEST(DiagnosticsGoldenTest, ShapeOverflowingTheByteSizes) {
 })json");
 }
 
+// 20,000 nested parentheses (a 40 KB source): the parser stops at the
+// 257th instead of recursing until the stack overflows.
+TEST(DiagnosticsGoldenTest, ParenthesesNestedPastTheDepthBound) {
+  Session session;
+  const auto result = session.compile(CompileRequest(
+      "var input u : [4]\nvar output v : [4]\nv = " +
+      std::string(20000, '(') + "u" + std::string(20000, ')') + "\n"));
+  ASSERT_FALSE(result);
+  EXPECT_EQ(renderJson(result.diagnostics()),
+            R"json({
+  "schema": "cfd-diagnostics-v1",
+  "diagnostics": [
+    {
+      "severity": "error",
+      "message": "expression nested deeper than 256 levels",
+      "stage": "parse",
+      "line": 3,
+      "column": 261
+    }
+  ]
+})json");
+}
+
+// A sum nested 257 deep, one level past what the artifact codec
+// decodes: compiled, its store entries failed verification in every
+// later process (test_store reloads the 256-deep one).
+TEST(DiagnosticsGoldenTest, SumNestedOneLevelPastTheDepthBound) {
+  Session session;
+  const auto result =
+      session.compile(CompileRequest(test::deepExpressionSources(257)[0]));
+  ASSERT_FALSE(result);
+  EXPECT_EQ(renderJson(result.diagnostics()),
+            R"json({
+  "schema": "cfd-diagnostics-v1",
+  "diagnostics": [
+    {
+      "severity": "error",
+      "message": "expression nested deeper than 256 levels",
+      "stage": "parse",
+      "line": 4,
+      "column": 1285
+    }
+  ]
+})json");
+}
+
 TEST(DiagnosticsGoldenTest, DeadlineExpiredJob) {
   Session session(SessionOptions{.workers = 1});
   // Deterministic queued expiry: occupy the single worker until the

@@ -58,10 +58,11 @@ protected:
 
   /// A single-process sweep over the same space, rendered through the
   /// same canonical report — the reference bytes.
-  static std::string localReport(const std::string& source) {
+  static std::string localReport(const std::string& source,
+                                 const std::vector<TuneAxis>& space = axes()) {
     Session session(SessionOptions{.workers = 2});
     SweepRequest request(source);
-    for (const TuneAxis& axis : axes())
+    for (const TuneAxis& axis : space)
       request.axis(axis.key, axis.values);
     const Expected<SweepResult> swept = session.sweep(request);
     EXPECT_TRUE(swept.ok()) << swept.errorText();
@@ -82,30 +83,60 @@ protected:
 };
 
 TEST_F(DistTest, ShardedSweepIsByteIdenticalToLocal) {
-  const std::string source = test::kInverseHelmholtz;
-  WorkerPoolSpawner pool({.workers = 2, .socketDir = root_});
-  const Expected<bool> started = pool.start();
-  ASSERT_TRUE(started.ok()) << started.errorText();
-
-  DistSweepOptions options = optionsFor(pool, source);
-  options.chunkSize = 2; // 3 chunks over 2 workers: real stealing
-  std::atomic<std::size_t> lastDone{0};
-  options.onProgress = [&](std::size_t done, std::size_t total) {
-    EXPECT_EQ(total, 6u);
-    lastDone = done;
+  struct Case {
+    std::string source;
+    std::vector<TuneAxis> axes;
+    int workers;
+    std::size_t chunkSize; // 0: the coordinator's default
+    std::size_t points;
+    std::int64_t chunks;
   };
-  const Expected<DistSweepResult> result =
-      SweepCoordinator(options).run();
-  ASSERT_TRUE(result.ok()) << result.errorText();
+  // The 6-point space in chunks of 2 (3 chunks over 2 workers: real
+  // stealing), and a 200-point space over a 40-deep contraction chain
+  // in default chunks over 4 workers.
+  const Case cases[] = {
+      {test::kInverseHelmholtz, axes(), 2, 2, 6, 3},
+      {test::contractionChainSource(40),
+       {{"unroll", {"1", "2", "4", "8", "16"}},
+        {"m", {"2", "4", "8", "16", "32"}},
+        {"opt", {"0", "1"}},
+        {"sharing", {"0", "1"}},
+        {"objective", {"hw", "sw"}}},
+       4,
+       0,
+       200,
+       16},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::to_string(c.points) + " points");
+    WorkerPoolSpawner pool({.workers = c.workers, .socketDir = root_});
+    const Expected<bool> started = pool.start();
+    ASSERT_TRUE(started.ok()) << started.errorText();
 
-  // The whole point: merged bytes == single-process bytes.
-  EXPECT_EQ(result->reportText(), localReport(source));
-  EXPECT_EQ(lastDone.load(), 6u);
-  EXPECT_EQ(result->stats.workersConnected, 2);
-  EXPECT_EQ(result->stats.workersLost, 0);
-  EXPECT_EQ(result->stats.chunksDispatched, 3);
-  EXPECT_GE(result->stats.progressEvents, 6); // >= one per point
-  EXPECT_FALSE(result->frontier.empty());
+    DistSweepOptions options = optionsFor(pool, c.source);
+    options.axes = c.axes;
+    options.chunkSize = c.chunkSize;
+    std::atomic<std::size_t> lastDone{0};
+    options.onProgress = [&](std::size_t done, std::size_t total) {
+      EXPECT_EQ(total, c.points);
+      lastDone = done;
+    };
+    const Expected<DistSweepResult> result =
+        SweepCoordinator(options).run();
+    ASSERT_TRUE(result.ok()) << result.errorText();
+
+    // The whole point: merged bytes == single-process bytes.
+    EXPECT_EQ(result->reportText(), localReport(c.source, c.axes));
+    EXPECT_EQ(lastDone.load(), c.points);
+    EXPECT_EQ(result->stats.workersConnected, c.workers);
+    EXPECT_EQ(result->stats.workersLost, 0);
+    EXPECT_EQ(result->stats.chunksDispatched, c.chunks);
+    EXPECT_EQ(result->stats.chunksRetried, 0);
+    // One progress event per point.
+    EXPECT_EQ(result->stats.progressEvents,
+              static_cast<std::int64_t>(c.points));
+    EXPECT_FALSE(result->frontier.empty());
+  }
 }
 
 TEST_F(DistTest, SigkilledWorkerMidChunkStillCompletesIdentically) {

@@ -136,6 +136,23 @@ TEST(ParserTest, NegativeExtentRejected) {
   EXPECT_TRUE(diags.hasErrors());
 }
 
+TEST(ParserTest, ExpressionDepthIsBoundedWhereTheCodecBoundsIt) {
+  // Every shape parses with its deepest node at kMaxExprDepth. Two
+  // levels deeper (contractions nest in pairs), each is one diagnostic
+  // and a skipped statement, not a recursion as deep as the input.
+  for (const std::string& source : test::deepExpressionSources(kMaxExprDepth))
+    EXPECT_NO_THROW(parseAndCheck(source));
+  for (const std::string& source :
+       test::deepExpressionSources(kMaxExprDepth + 2)) {
+    Diagnostics diags;
+    const Program program = Parser(source, diags).parseProgram();
+    ASSERT_EQ(diags.errorCount(), 1u) << diags.str();
+    EXPECT_EQ(diags.all()[0].message,
+              "expression nested deeper than 256 levels");
+    EXPECT_TRUE(program.assignments.empty());
+  }
+}
+
 TEST(SemaTest, AcceptsFig1AndInfersShapes) {
   Program program = parseOk(test::kInverseHelmholtz);
   Diagnostics diags;

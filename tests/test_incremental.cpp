@@ -371,15 +371,13 @@ TEST(StageCacheTest, ByteBoundEvictsLeastRecentlyUsedEntries) {
 
 TEST(StageCacheTest, SharedAcrossExplorerWorkersWithoutDivergence) {
   // Explorer workers adopt artifacts published by other threads; rows
-  // must agree with a serial reference sweep byte for byte (this is
-  // the configuration the CI sanitizer job hammers).
-  std::vector<FlowOptions> variants;
-  for (int i = 0; i < 12; ++i) {
-    FlowOptions options;
-    options.hls.clockMHz = 100.0 + 10.0 * i;
-    variants.push_back(options);
-  }
-  Session serialSession, parallelSession(SessionOptions{.workers = 4});
+  // must agree byte for byte with a serial sweep and with a sweep that
+  // has no stage cache at all (this is the configuration the CI
+  // sanitizer job hammers).
+  const std::vector<FlowOptions> variants = test::hlsOnlySweep(64);
+  Session serialSession, parallelSession(SessionOptions{.workers = 4}),
+      coldSession;
+  coldSession.flowCache().setStageCache(nullptr);
   ExplorerOptions serial;
   serial.workers = 1;
   ExplorerOptions parallel;
@@ -388,12 +386,18 @@ TEST(StageCacheTest, SharedAcrossExplorerWorkersWithoutDivergence) {
       explore(serialSession, test::kInverseHelmholtz, variants, serial);
   const ExplorationResult b =
       explore(parallelSession, test::kInverseHelmholtz, variants, parallel);
+  const ExplorationResult cold =
+      explore(coldSession, test::kInverseHelmholtz, variants, serial);
   ASSERT_EQ(a.rows.size(), b.rows.size());
+  ASSERT_EQ(a.rows.size(), cold.rows.size());
   for (std::size_t i = 0; i < a.rows.size(); ++i) {
     ASSERT_TRUE(a.rows[i].ok());
     ASSERT_TRUE(b.rows[i].ok());
+    ASSERT_TRUE(cold.rows[i].ok());
     EXPECT_EQ(a.rows[i].flow->systemDesign().str(),
               b.rows[i].flow->systemDesign().str());
+    EXPECT_EQ(a.rows[i].flow->systemDesign().str(),
+              cold.rows[i].flow->systemDesign().str());
     EXPECT_EQ(a.rows[i].flow->cCode(), b.rows[i].flow->cCode());
   }
   // The serial sweep's provenance is deterministic: first row cold,
@@ -403,7 +407,11 @@ TEST(StageCacheTest, SharedAcrossExplorerWorkersWithoutDivergence) {
     EXPECT_EQ(a.rows[i].resumedFrom, "hls");
     EXPECT_EQ(a.rows[i].stagesAdopted, 7);
   }
-  EXPECT_EQ(a.stageStats.hits, 7 * 11);
+  // 63 rows adopt parse..memory-plan; the first row's 9 stages and
+  // every other row's hls and sysgen miss.
+  EXPECT_EQ(a.stageStats.hits, 441);
+  EXPECT_EQ(a.stageStats.misses, 135);
+  EXPECT_EQ(a.stagesAdoptedTotal(), 441);
 }
 
 } // namespace

@@ -242,6 +242,7 @@ TEST(MnemosyneTest, NonDecoupledKeepsTemporariesInside) {
   // Interface PLMs outside; t, r, t0..t3 inside with pow2 padding.
   EXPECT_EQ(plan.plmBram36(), 10);
   EXPECT_EQ(plan.acceleratorBram36(), 24); // 6 arrays * 4 BRAM36
+  EXPECT_EQ(plan.totalBram36(), 34);
 }
 
 TEST(MnemosyneTest, BufferLookupByTensor) {

@@ -287,12 +287,54 @@ TEST(OptLevelZeroTest, ArtifactsMatchDefaultLevelWhenOptimizerIsANoOp) {
 }
 
 TEST(OptLevelZeroTest, RedundantProgramValidatesAtEveryLevel) {
-  for (int level = 0; level <= 2; ++level) {
-    FlowOptions options;
-    options.optimize.level = level;
-    const Flow flow = Flow::compile(kRedundantContraction, options);
-    EXPECT_LE(flow.validate(), 1e-8) << "level " << level;
-  }
+  // The per-pass ablation: level 0, each level-1 pass alone, level 1 and
+  // level 2, with the ops left and the modeled kernel latency of each.
+  // The SEM kernel that applies its stiffness chain twice loses its
+  // common subexpressions to cse and one more op to fuse + dce at level
+  // 2; the Helmholtz kernel has nothing to remove.
+  auto passes = [](int level, bool cse, bool fold, bool dce, bool fuse) {
+    ir::OptimizeOptions options;
+    options.level = level;
+    options.cse = cse;
+    options.fold = fold;
+    options.dce = dce;
+    options.fuse = fuse;
+    return options;
+  };
+  const ir::OptimizeOptions configs[] = {
+      passes(0, false, false, false, false), // level 0
+      passes(1, true, false, false, false),  // cse only
+      passes(1, false, true, false, false),  // fold only
+      passes(1, false, false, true, false),  // dce only
+      passes(1, true, true, true, false),    // level 1
+      passes(2, true, true, true, true),     // level 2
+  };
+  const struct {
+    const char* source;
+    std::size_t ops[6];
+    double kernelUs[6];
+  } cases[] = {
+      {test::kInverseHelmholtz,
+       {7, 7, 7, 7, 7, 7},
+       {486.445, 486.445, 486.445, 486.445, 486.445, 486.445}},
+      {test::kRedundantSem,
+       {8, 6, 8, 8, 6, 5},
+       {144.035, 77.21, 144.035, 144.035, 77.21, 74.63}},
+      {kRedundantContraction,
+       {2, 2, 2, 2, 2, 2},
+       {1.08, 0.59, 1.08, 1.08, 0.59, 0.59}},
+  };
+  for (const auto& c : cases)
+    for (int i = 0; i < 6; ++i) {
+      FlowOptions options;
+      options.optimize = configs[i];
+      const Flow flow = Flow::compile(c.source, options);
+      EXPECT_EQ(flow.program().operations().size(), c.ops[i])
+          << "config " << i << " on " << c.source;
+      EXPECT_EQ(flow.kernelReport().timeUs(), c.kernelUs[i])
+          << "config " << i << " on " << c.source;
+      EXPECT_LE(flow.validate(), 1e-8) << "config " << i;
+    }
   // And the optimizer actually removed the duplicate contraction.
   FlowOptions level1;
   level1.optimize.level = 1;

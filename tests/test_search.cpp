@@ -281,33 +281,109 @@ TEST(ModelStrategyTest, CompilesFewerPointsThanExhaustive) {
   EXPECT_FALSE(model.frontier.empty());
 }
 
+/// 4 x 3 x 3 x 2 x 2 x 2 = 288 points over the Fig. 1 kernel. Every
+/// m/k pair passes the structural pre-filter, so the model has to rank
+/// and demote.
+TuneSpace fig1Space() {
+  TuneSpace space;
+  space.axes.push_back(TuneAxis{"unroll", {"1", "2", "4", "8"}});
+  space.axes.push_back(TuneAxis{"m", {"4", "8", "16"}});
+  space.axes.push_back(TuneAxis{"k", {"1", "2", "4"}});
+  space.axes.push_back(TuneAxis{"sharing", {"0", "1"}});
+  space.axes.push_back(TuneAxis{"decoupled", {"0", "1"}});
+  space.axes.push_back(TuneAxis{"layout", {"rowmajor", "colmajor"}});
+  return space;
+}
+
 TEST(ModelStrategyTest, IsSeedDeterministicAcrossWorkerCounts) {
-  TunerOptions base;
-  base.strategy = SearchStrategy::Model;
-  base.seed = 99;
+  // The small matmul space, and the 288-point Fig. 1 space under the
+  // latency objective.
+  TunerOptions matmul;
+  matmul.strategy = SearchStrategy::Model;
+  matmul.seed = 99;
+  TunerOptions fig1 = matmul;
+  fig1.seed = 17;
+  fig1.objectives = {latencyObjective()};
+  const struct {
+    const char* source;
+    TuneSpace space;
+    TunerOptions options;
+  } cases[] = {
+      {test::kMatMul2D, modelSpace(), matmul},
+      {test::kInverseHelmholtz, fig1Space(), fig1},
+  };
 
-  Session sessionA, sessionB(SessionOptions{.workers = 4});
-  TunerOptions a = base;
-  a.workers = 1;
-  TunerOptions b = base;
-  b.workers = 4;
+  for (const auto& c : cases) {
+    Session sessionA, sessionB(SessionOptions{.workers = 4});
+    TunerOptions a = c.options;
+    a.workers = 1;
+    TunerOptions b = c.options;
+    b.workers = 4;
 
-  const TuningReport first =
-      tune(sessionA, test::kMatMul2D, modelSpace(), a);
-  const TuningReport second =
-      tune(sessionB, test::kMatMul2D, modelSpace(), b);
+    const TuningReport first = tune(sessionA, c.source, c.space, a);
+    const TuningReport second = tune(sessionB, c.source, c.space, b);
 
-  EXPECT_EQ(labels(first), labels(second));
-  EXPECT_EQ(first.frontier, second.frontier);
-  for (std::size_t i = 0; i < first.points.size(); ++i)
-    EXPECT_EQ(first.points[i].scores, second.points[i].scores);
-  ASSERT_EQ(first.modelRounds.size(), second.modelRounds.size());
-  for (std::size_t i = 0; i < first.modelRounds.size(); ++i) {
-    EXPECT_EQ(first.modelRounds[i].compiled,
-              second.modelRounds[i].compiled);
-    EXPECT_EQ(first.modelRounds[i].proxyDemoted,
-              second.modelRounds[i].proxyDemoted);
+    EXPECT_EQ(labels(first), labels(second));
+    EXPECT_EQ(first.frontier, second.frontier);
+    ASSERT_EQ(first.points.size(), second.points.size());
+    for (std::size_t i = 0; i < first.points.size(); ++i)
+      EXPECT_EQ(first.points[i].scores, second.points[i].scores);
+    ASSERT_EQ(first.modelRounds.size(), second.modelRounds.size());
+    for (std::size_t i = 0; i < first.modelRounds.size(); ++i) {
+      EXPECT_EQ(first.modelRounds[i].compiled,
+                second.modelRounds[i].compiled);
+      EXPECT_EQ(first.modelRounds[i].proxyDemoted,
+                second.modelRounds[i].proxyDemoted);
+    }
   }
+}
+
+double bestLatency(const TuningReport& report) {
+  double best = std::numeric_limits<double>::infinity();
+  for (const TunedPoint& point : report.points)
+    if (point.row.ok())
+      best = std::min(best, point.scores.front());
+  return best;
+}
+
+TEST(ModelStrategyTest, FindsTheExhaustiveBestOnThePaperKernel) {
+  // The latency objective is the analytic HLS model, so every count
+  // below is exact.
+  const TuneSpace space = fig1Space();
+  TunerOptions exhaustiveOptions;
+  exhaustiveOptions.objectives = {latencyObjective()};
+  exhaustiveOptions.seed = 17;
+
+  Session exhaustiveSession;
+  const TuningReport exhaustive = tune(exhaustiveSession,
+                                       test::kInverseHelmholtz, space,
+                                       exhaustiveOptions);
+  EXPECT_EQ(exhaustive.spaceSize, 288u);
+  EXPECT_EQ(exhaustive.points.size(), 288u);
+  EXPECT_EQ(exhaustive.feasibleCount, 190u);
+  EXPECT_EQ(bestLatency(exhaustive), 15.35125);
+
+  TunerOptions modelOptions = exhaustiveOptions;
+  modelOptions.strategy = SearchStrategy::Model;
+  modelOptions.workers = 1;
+  Session modelSession;
+  const TuningReport model =
+      tune(modelSession, test::kInverseHelmholtz, space, modelOptions);
+  std::size_t proxyEvaluations = 0;
+  for (const auto& round : model.modelRounds)
+    proxyEvaluations += round.proxyEvaluations;
+  EXPECT_EQ(model.points.size(), 75u);
+  EXPECT_EQ(proxyEvaluations, 171u);
+  EXPECT_EQ(bestLatency(model), bestLatency(exhaustive));
+
+  // Re-tuned from its own report, the model skips the seeding round.
+  TunerOptions warmOptions = modelOptions;
+  warmOptions.warmStartJson = model.jsonText();
+  Session warmSession;
+  const TuningReport warm =
+      tune(warmSession, test::kInverseHelmholtz, space, warmOptions);
+  EXPECT_EQ(warm.warmStartPoints, 34u);
+  EXPECT_EQ(warm.points.size(), 61u);
 }
 
 TEST(ModelStrategyTest, RejectsAnOutOfRangeKeepFraction) {

@@ -6,6 +6,7 @@
 // restart warmth through a shared --cache-dir. The TSan CI job runs
 // this suite alongside test_async.
 #include "serve/Client.h"
+#include "serve/Io.h"
 #include "serve/Server.h"
 #include "TestPrograms.h"
 
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -353,12 +355,14 @@ TEST_F(ServeTest, EightClientsShareOneStageCacheAcrossWaves) {
   const Expected<bool> started = server.start();
   ASSERT_TRUE(started.ok()) << started.errorText();
 
-  const std::string source = test::inverseHelmholtzSource(8);
   constexpr int kClients = 8;
+  constexpr int kVariants = 3;
+  constexpr const char* kPriorities[] = {"high", "normal", "low"};
 
-  // One wave = 8 concurrent clients, each compiling its own unroll
-  // variant. Distinct variants still share per-stage artifacts through
-  // the one StageCache (stage-prefix adoption, DESIGN.md §9).
+  // One wave = 8 concurrent clients, each pipelining its own slice (a
+  // client-specific extent at 3 unroll factors): send all, then receive
+  // each response by id. A client's variants share per-stage artifacts
+  // through the one StageCache (stage-prefix adoption, DESIGN.md §9).
   auto wave = [&] {
     std::vector<std::thread> threads;
     std::atomic<int> okCount{0};
@@ -366,52 +370,75 @@ TEST_F(ServeTest, EightClientsShareOneStageCacheAcrossWaves) {
       threads.emplace_back([&, i] {
         Expected<Client> client = Client::connect(socketPath_);
         ASSERT_TRUE(client.ok()) << client.errorText();
-        const Expected<Response> response = client->call(compileRequest(
-            source, {{"unroll", std::to_string(1 << (i % 4))}}));
-        ASSERT_TRUE(response.ok()) << response.errorText();
-        ASSERT_TRUE(response->ok) << response->encode();
-        EXPECT_TRUE(response->result.contains("cache_hit"));
-        okCount += response->ok ? 1 : 0;
+        // A lost response fails the wave after 10 s instead of hanging.
+        const timeval timeout{10, 0};
+        ::setsockopt(client->fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                     sizeof(timeout));
+        std::vector<std::int64_t> ids;
+        for (int v = 0; v < kVariants; ++v) {
+          Request request = compileRequest(
+              test::inverseHelmholtzSource(5 + i),
+              {{"unroll", std::to_string(1 << v)}});
+          request.id = client->nextId();
+          request.priority = kPriorities[i % 3];
+          ASSERT_TRUE(client->send(request));
+          ids.push_back(request.id);
+        }
+        for (const std::int64_t id : ids) {
+          const Expected<Response> response = client->receive(id);
+          ASSERT_TRUE(response.ok()) << response.errorText();
+          EXPECT_EQ(response->id, id);
+          ASSERT_TRUE(response->ok) << response->encode();
+          EXPECT_TRUE(response->result.contains("cache_hit"));
+          ++okCount;
+        }
       });
     for (std::thread& thread : threads)
       thread.join();
     return okCount.load();
   };
 
-  ASSERT_EQ(wave(), kClients);
+  ASSERT_EQ(wave(), kClients * kVariants);
   Expected<Client> probe = Client::connect(socketPath_);
   ASSERT_TRUE(probe.ok()) << probe.errorText();
-  const json::Value cold = statusOf(*probe);
-  const std::int64_t coldFlowHits =
-      cold.at("stats").at("flow_cache").at("hits").asInt();
-  const std::int64_t coldStageHits =
-      cold.at("stats").at("stage_cache").at("hits").asInt();
-  // 8 clients over 4 distinct variants: repeats hit the flow cache,
-  // and distinct variants share stage prefixes.
-  EXPECT_GT(coldStageHits, 0);
+  const json::Value cold = statusOf(*probe).at("stats");
+  // 24 distinct compiles, each looking up all 9 stages. How the cold
+  // lookups split into hits and misses depends on thread timing: two
+  // clients can both miss one shared prefix. Some always hit.
+  EXPECT_EQ(cold.at("flow_cache").at("hits").asInt(), 0);
+  EXPECT_EQ(cold.at("stage_cache").at("hits").asInt() +
+                cold.at("stage_cache").at("misses").asInt(),
+            216);
+  EXPECT_GT(cold.at("stage_cache").at("hits").asInt(), 0);
 
   // The identical second wave rides the warm caches: every compile is
-  // a flow-cache hit, so the hit rate strictly rises.
-  ASSERT_EQ(wave(), kClients);
-  const json::Value warm = statusOf(*probe);
-  const std::int64_t warmFlowHits =
-      warm.at("stats").at("flow_cache").at("hits").asInt();
-  EXPECT_GE(warmFlowHits, coldFlowHits + kClients);
-  EXPECT_EQ(warm.at("stats").at("flow_cache").at("misses").asInt(),
-            cold.at("stats").at("flow_cache").at("misses").asInt());
+  // a flow-cache hit and reaches no stage.
+  ASSERT_EQ(wave(), kClients * kVariants);
+  const json::Value warmStatus = statusOf(*probe);
+  const json::Value& warm = warmStatus.at("stats");
+  EXPECT_EQ(warm.at("flow_cache").at("hits").asInt(), 24);
+  EXPECT_EQ(warm.at("flow_cache").at("misses").asInt(),
+            cold.at("flow_cache").at("misses").asInt());
+  EXPECT_EQ(warm.at("stage_cache").at("hits").asInt(),
+            cold.at("stage_cache").at("hits").asInt());
+  EXPECT_EQ(warm.at("stage_cache").at("misses").asInt(),
+            cold.at("stage_cache").at("misses").asInt());
 
   // The status payload also carries the server's own counters and the
   // same human report the CLI prints.
-  EXPECT_EQ(warm.at("server").at("protocol_errors").asInt(), 0);
-  EXPECT_NE(warm.at("report").asString().find("flow cache:"),
+  EXPECT_EQ(warmStatus.at("server").at("protocol_errors").asInt(), 0);
+  EXPECT_NE(warmStatus.at("report").asString().find("flow cache:"),
             std::string::npos);
 
   server.requestStop();
   server.join();
   EXPECT_FALSE(fs::exists(socketPath_));
-  // No lost or duplicate responses: one response per request.
+  // No lost or duplicate responses: one response per request, the 48
+  // compiles and the 2 status probes.
   const Server::Stats stats = server.stats();
-  EXPECT_EQ(stats.requestsReceived, stats.responsesSent);
+  EXPECT_EQ(stats.requestsReceived, 2 * kClients * kVariants + 2);
+  EXPECT_EQ(stats.responsesSent, 2 * kClients * kVariants + 2);
+  EXPECT_EQ(stats.protocolErrors, 0);
   EXPECT_EQ(stats.connectionsAccepted, stats.connectionsClosed);
 }
 
@@ -497,41 +524,100 @@ TEST_F(ServeTest, CompileErrorsTravelAsDiagnostics) {
   server.join();
 }
 
+/// A raw socket connected to `path`, not a Client: the tests below
+/// send bytes no valid client would produce. -1 if it cannot connect.
+int connectRaw(const std::string& path) {
+  sockaddr_un address{};
+  address.sun_family = AF_UNIX;
+  std::memcpy(address.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd >= 0 && ::connect(fd, reinterpret_cast<const sockaddr*>(&address),
+                           sizeof(address)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// What `fd` receives up to its first newline (which is dropped), EOF,
+/// an error, or 10 s without data.
+std::string receiveLine(int fd) {
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  std::string received;
+  char chunk[4096];
+  while (received.find('\n') == std::string::npos) {
+    const ssize_t n = recvSome(fd, chunk, sizeof(chunk));
+    if (n <= 0)
+      break;
+    received.append(chunk, static_cast<std::size_t>(n));
+  }
+  return received.substr(0, received.find('\n'));
+}
+
 TEST_F(ServeTest, MalformedWireLineGetsAnIdZeroErrorResponse) {
   Session session(SessionOptions{.workers = 1});
   Server server(session, {.socketPath = socketPath_});
   ASSERT_TRUE(server.start().ok());
 
-  // A raw socket, not a Client: the point is sending bytes no valid
-  // client would produce.
-  sockaddr_un address{};
-  address.sun_family = AF_UNIX;
-  std::memcpy(address.sun_path, socketPath_.c_str(),
-              socketPath_.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  // Not JSON at all, and 100 KB of '[' (nested past the JSON parser's
+  // bound; unbounded, its recursion overflowed the daemon's stack).
+  const std::string lines[] = {"this is not json",
+                               std::string(100 * 1024, '[')};
+  const int fd = connectRaw(socketPath_);
   ASSERT_GE(fd, 0);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&address),
-                      sizeof(address)),
-            0);
-  const std::string line = "this is not json\n";
-  ASSERT_EQ(::send(fd, line.data(), line.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(line.size()));
-  std::string received;
-  char chunk[4096];
-  while (received.find('\n') == std::string::npos) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    ASSERT_GT(n, 0);
-    received.append(chunk, static_cast<std::size_t>(n));
+  for (const std::string& line : lines) {
+    const std::string wire = line + "\n";
+    ASSERT_TRUE(sendAll(fd, wire.data(), wire.size()));
+    const Expected<Response> response = Response::parse(receiveLine(fd));
+    ASSERT_TRUE(response.ok()) << response.errorText();
+    EXPECT_EQ(response->id, 0);
+    EXPECT_EQ(response->kind, RequestKind::Invalid);
+    EXPECT_FALSE(response->ok);
+    EXPECT_EQ(response->diagnostics.all()[0].stage, "serve");
   }
   ::close(fd);
 
-  const Expected<Response> response =
-      Response::parse(received.substr(0, received.find('\n')));
+  // The daemon still compiles.
+  Expected<Client> client = Client::connect(socketPath_);
+  ASSERT_TRUE(client.ok()) << client.errorText();
+  const Expected<Response> compiled =
+      client->call(compileRequest(test::kMatMul2D));
+  ASSERT_TRUE(compiled.ok()) << compiled.errorText();
+  EXPECT_TRUE(compiled->ok) << compiled->encode();
+
+  server.requestStop();
+  server.join();
+  EXPECT_EQ(server.stats().protocolErrors, 2);
+}
+
+TEST_F(ServeTest, OverlongRequestLineGetsOneErrorThenEof) {
+  Session session(SessionOptions{.workers = 1});
+  Server server(session, {.socketPath = socketPath_});
+  ASSERT_TRUE(server.start().ok());
+
+  // One byte over the bound, with no newline yet: the daemon refuses
+  // the line instead of buffering on, and closes the connection.
+  const int fd = connectRaw(socketPath_);
+  ASSERT_GE(fd, 0);
+  const std::string line(kMaxRequestBytes + 1, ' ');
+  ASSERT_TRUE(sendAll(fd, line.data(), line.size()));
+  const Expected<Response> response = Response::parse(receiveLine(fd));
   ASSERT_TRUE(response.ok()) << response.errorText();
   EXPECT_EQ(response->id, 0);
-  EXPECT_EQ(response->kind, RequestKind::Invalid);
   EXPECT_FALSE(response->ok);
   EXPECT_EQ(response->diagnostics.all()[0].stage, "serve");
+  char byte = 0;
+  EXPECT_EQ(recvSome(fd, &byte, 1), 0); // EOF
+  ::close(fd);
+
+  // A second client on the same daemon is still served.
+  Expected<Client> client = Client::connect(socketPath_);
+  ASSERT_TRUE(client.ok()) << client.errorText();
+  const Expected<Response> compiled =
+      client->call(compileRequest(test::kMatMul2D));
+  ASSERT_TRUE(compiled.ok()) << compiled.errorText();
+  EXPECT_TRUE(compiled->ok) << compiled->encode();
 
   server.requestStop();
   server.join();

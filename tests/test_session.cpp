@@ -240,6 +240,39 @@ TEST(SessionTest, SweepExpandsAxesOverTheSessionDefaults) {
   EXPECT_EQ(again->exploration.cacheHitCount(), 4u);
 }
 
+TEST(SessionTest, OneSessionServesAMixedRequestStreamFromItsCaches) {
+  // 24 requests: every 6th a 2-point unroll sweep, the rest compiles
+  // cycling through 4 HLS clocks, so one long-lived session sees
+  // repeats (flow-cache hits) and variants of one prefix (stage hits).
+  Session session;
+  for (int i = 0; i < 24; ++i) {
+    if (i % 6 == 5) {
+      const Expected<SweepResult> swept =
+          session.sweep(SweepRequest(test::kInverseHelmholtz)
+                            .axis("unroll", {"1", "2"})
+                            .workers(1));
+      ASSERT_TRUE(swept.ok()) << swept.errorText();
+      EXPECT_EQ(swept->exploration.feasibleCount(), 2u);
+      continue;
+    }
+    FlowOptions options;
+    options.hls.clockMHz = 100.0 + 25.0 * (i % 4);
+    ASSERT_TRUE(session
+                    .compile(CompileRequest(test::kInverseHelmholtz)
+                                 .options(options))
+                    .ok());
+  }
+  const Session::Stats stats = session.stats();
+  EXPECT_EQ(stats.flowCache.hits, 22);
+  EXPECT_EQ(stats.flowCache.misses, 6);
+  EXPECT_EQ(stats.stageCache.hits, 34);
+  EXPECT_EQ(stats.stageCache.misses, 20);
+  EXPECT_EQ(stats.stageCache.evictions, 0);
+  EXPECT_EQ(stats.compileRequests, 20);
+  EXPECT_EQ(stats.sweepRequests, 4);
+  EXPECT_EQ(stats.failedRequests, 0);
+}
+
 TEST(SessionTest, SweepRejectsMixedAxesAndVariants) {
   Session session;
   const Expected<SweepResult> swept = session.sweep(

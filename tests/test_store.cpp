@@ -497,6 +497,68 @@ TEST_F(StoreTest, ColdSessionAdoptsSharedPrefixUnderChangedHlsOptions) {
   EXPECT_EQ(stats.artifactStore.publishes, 2);
 }
 
+TEST_F(StoreTest, FreshSessionAdoptsAMultiKernelSweepFromDisk) {
+  // 64 points: extents 4..11, each with and without a smoothing
+  // statement, at 4 HLS clocks. Every kernel needs its own
+  // parse..memory-plan prefix, so only the disk tier carries them into
+  // a new process.
+  std::vector<std::string> sources;
+  for (int extent = 4; extent < 12; ++extent) {
+    const std::string n = std::to_string(extent);
+    sources.push_back(test::inverseHelmholtzSource(extent));
+    sources.push_back(sources.back() + "var output w : [" + n + " " + n +
+                      " " + n + "]\nw = D * v\n");
+  }
+  const auto sweep = [&](Session::Stats& stats) {
+    Session session(SessionOptions{.cacheDir = root_});
+    std::vector<std::string> systems;
+    for (const std::string& source : sources)
+      for (int clock = 0; clock < 4; ++clock) {
+        FlowOptions options;
+        options.hls.clockMHz = 100.0 + 20.0 * clock;
+        const auto compiled =
+            session.compile(CompileRequest(source).options(options));
+        EXPECT_TRUE(compiled.ok()) << compiled.errorText();
+        systems.push_back(compiled ? compiled->flow().systemDesign().str()
+                                   : "");
+      }
+    stats = session.stats();
+    return systems;
+  };
+
+  Session::Stats cold, warm;
+  const std::vector<std::string> coldSystems = sweep(cold);
+  const std::vector<std::string> warmSystems = sweep(warm);
+  // 16 kernels x 9 stages, plus hls and sysgen at 3 more clocks each.
+  EXPECT_EQ(cold.artifactStore.publishes, 240);
+  EXPECT_EQ(warm.artifactStore.hits, 64);
+  EXPECT_EQ(warm.artifactStore.verifyFailures, 0);
+  EXPECT_EQ(warm.stageCache.hits, 576);
+  EXPECT_EQ(warm.stageCache.misses, 0);
+  EXPECT_EQ(warmSystems, coldSystems);
+}
+
+TEST_F(StoreTest, DeepestAcceptedExpressionsReloadFromDisk) {
+  // The codec decodes every expression the parser accepts, so each
+  // shape at dsl::kMaxExprDepth is published once and then adopted by a
+  // fresh Session instead of failing verification on every restart.
+  for (const std::string& source :
+       test::deepExpressionSources(dsl::kMaxExprDepth)) {
+    fs::remove_all(root_);
+    {
+      Session first(SessionOptions{.cacheDir = root_});
+      ASSERT_TRUE(first.compile(CompileRequest(source)));
+      EXPECT_EQ(first.stats().artifactStore.publishes, kStageCount);
+    }
+    Session fresh(SessionOptions{.cacheDir = root_});
+    ASSERT_TRUE(fresh.compile(CompileRequest(source)));
+    const auto stats = fresh.stats();
+    EXPECT_EQ(stats.artifactStore.hits, 1);
+    EXPECT_EQ(stats.artifactStore.verifyFailures, 0);
+    EXPECT_EQ(stats.stageCache.misses, 0);
+  }
+}
+
 // ---- GC: byte bound, mtime order, stale tmp sweeping ----
 
 TEST_F(StoreTest, GcEvictsOldestMtimeFirstUntilUnderTheBound) {

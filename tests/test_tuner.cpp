@@ -100,6 +100,12 @@ TEST(JsonTest, ParseRejectsMalformedInput) {
   EXPECT_THROW(json::Value::parse("[1-2]"), FlowError);
   EXPECT_THROW(json::Value::parse("[3ee5]"), FlowError);
   EXPECT_THROW(json::Value::parse("[1.2.3]"), FlowError);
+  // Nesting is bounded at 128 levels, before it can exhaust the
+  // parser's stack.
+  const std::string deepest = std::string(128, '[') + std::string(128, ']');
+  EXPECT_EQ(json::Value::parse(deepest).dump(-1), deepest);
+  EXPECT_THROW(json::Value::parse("[" + deepest + "]"), FlowError);
+  EXPECT_THROW(json::Value::parse(std::string(100000, '[')), FlowError);
 }
 
 TEST(JsonTest, Int64RoundTripsAbove2To53) {
