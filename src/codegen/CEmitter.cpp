@@ -2,8 +2,10 @@
 
 #include "support/Error.h"
 #include "support/Hash.h"
+#include "support/TextBuilder.h"
 
-#include <sstream>
+#include <array>
+#include <string_view>
 
 namespace cfd::codegen {
 
@@ -21,125 +23,147 @@ std::uint64_t CEmitterOptions::fingerprint() const {
 
 namespace {
 
-/// Iterator names i0, i1, ... for a loop nest of the given depth.
-std::vector<std::string> iteratorNames(std::size_t depth) {
-  std::vector<std::string> names;
-  names.reserve(depth);
-  for (std::size_t i = 0; i < depth; ++i)
-    names.push_back("i" + std::to_string(i));
-  return names;
-}
+/// Loop iterator names: loop p of a nest (or dim p of a tensor's index
+/// space) is i<p>. kMaxDims bounds both.
+constexpr std::array<std::string_view, kMaxDims> kIterators = {
+    "i0", "i1", "i2", "i3", "i4", "i5", "i6", "i7"};
 
-/// Prints `array[<affine offset>]` for an access bound to its layout.
-std::string accessString(const sched::Schedule& schedule,
-                         const ir::Access& access,
-                         std::span<const std::string> iterators) {
-  const auto& program = *schedule.program;
-  const auto& layout = schedule.layouts.layoutOf(access.tensor);
-  const poly::AffineMap flat = layout.map.compose(access.map);
-  CFD_ASSERT(flat.numResults() == 1, "layouts are one-dimensional");
-  return program.tensor(access.tensor).name + "[" +
-         flat.result(0).str(iterators) + "]";
-}
-
-std::string indent(int level) { return std::string(2 * level, ' '); }
+/// Bytes to reserve for one artifact: enough for the common kernels in
+/// one allocation, so the buffer rarely grows.
+constexpr std::size_t kHeaderBytes = 512;
+constexpr std::size_t kStatementBytes = 640;
 
 class CEmitter {
 public:
   CEmitter(const sched::Schedule& schedule, const CEmitterOptions& options)
-      : schedule_(schedule), options_(options),
-        program_(*schedule.program) {}
+      : schedule_(schedule), options_(options), program_(*schedule.program),
+        interface_(program_.interfaceOrder()) {}
 
   std::string prototype() const {
-    std::ostringstream os;
-    os << "void " << options_.functionName << "(";
-    bool first = true;
-    for (ir::TensorId id : program_.interfaceOrder()) {
-      const ir::Tensor& tensor = program_.tensor(id);
-      if (!first)
-        os << ", ";
-      first = false;
-      // Inputs are const; every array is a flattened 1-D PLM image.
-      if (tensor.kind == ir::TensorKind::Input)
-        os << "const ";
-      os << "double " << tensor.name;
-      if (options_.restrictPointers)
-        os << "[restrict static "
-           << schedule_.layouts.layoutOf(id).sizeInElements << "]";
-      else
-        os << "[" << schedule_.layouts.layoutOf(id).sizeInElements << "]";
-    }
-    os << ")";
-    return os.str();
+    TextBuilder out(kHeaderBytes);
+    appendPrototype(out);
+    return out.take();
   }
 
   std::string emit() const {
-    std::ostringstream os;
-    os << "/* Generated by cfdlang-fpga. Kernel: " << options_.functionName
-       << " */\n";
-    os << "/* Arrays are PLM images; the memory subsystem is generated\n"
-       << "   separately by the Mnemosyne-side flow (paper Sec. V-A). */\n\n";
-    os << prototype() << "\n{\n";
+    TextBuilder out(kHeaderBytes +
+                    kStatementBytes * schedule_.statements.size());
+    out << "/* Generated by cfdlang-fpga. Kernel: " << options_.functionName
+        << " */\n"
+        << "/* Arrays are PLM images; the memory subsystem is generated\n"
+        << "   separately by the Mnemosyne-side flow (paper Sec. V-A). */\n\n";
+    appendPrototype(out);
+    out << "\n{\n";
     if (options_.hlsPragmas) {
-      for (ir::TensorId id : program_.interfaceOrder())
-        os << "#pragma HLS INTERFACE ap_memory port="
-           << program_.tensor(id).name << "\n";
+      for (ir::TensorId id : interface_)
+        out << "#pragma HLS INTERFACE ap_memory port="
+            << program_.tensor(id).name << '\n';
       if (options_.unrollFactor > 1)
-        for (ir::TensorId id : program_.interfaceOrder())
-          os << "#pragma HLS ARRAY_PARTITION variable="
-             << program_.tensor(id).name << " cyclic factor="
-             << options_.unrollFactor << "\n";
-      os << "\n";
+        for (ir::TensorId id : interface_)
+          out << "#pragma HLS ARRAY_PARTITION variable="
+              << program_.tensor(id).name
+              << " cyclic factor=" << options_.unrollFactor << '\n';
+      out << '\n';
     }
-    for (std::size_t s = 0; s < schedule_.statements.size(); ++s)
-      emitStatement(os, schedule_.statements[s], s);
-    os << "}\n";
+    for (const sched::ScheduledStatement& stmt : schedule_.statements)
+      emitStatement(out, stmt);
+    out << "}\n";
     if (options_.emitTestMain)
-      emitTestMain(os);
-    return os.str();
+      emitTestMain(out);
+    return out.take();
   }
 
 private:
-  void emitStatement(std::ostringstream& os,
-                     const sched::ScheduledStatement& stmt,
-                     std::size_t index) const {
+  void appendPrototype(TextBuilder& out) const {
+    out << "void " << options_.functionName << '(';
+    bool first = true;
+    for (ir::TensorId id : interface_) {
+      const ir::Tensor& tensor = program_.tensor(id);
+      if (!first)
+        out << ", ";
+      first = false;
+      // Inputs are const; every array is a flattened 1-D PLM image.
+      if (tensor.kind == ir::TensorKind::Input)
+        out << "const ";
+      out << "double " << tensor.name
+          << (options_.restrictPointers ? "[restrict static " : "[")
+          << schedule_.layouts.layoutOf(id).sizeInElements << ']';
+    }
+    out << ')';
+  }
+
+  /// `array[<affine offset>]` for an access bound to its layout.
+  void appendAccess(TextBuilder& out, const ir::Access& access) const {
+    out << program_.tensor(access.tensor).name << '[';
+    schedule_.layouts.flatOffset(access).print(out, kIterators);
+    out << ']';
+  }
+
+  /// `[<layout offset>]` over a tensor's own index space.
+  static void appendIndex(TextBuilder& out, const poly::AffineMap& layout) {
+    out << '[';
+    layout.result(0).print(out, kIterators);
+    out << ']';
+  }
+
+  /// `for (int i<d> = 0; i<d> < extent; ++i<d>)`, unbraced, one line per
+  /// dimension of `shape` from indentation level `level` on; returns the
+  /// level of the body.
+  static int appendDenseLoops(TextBuilder& out,
+                              const std::vector<std::int64_t>& shape,
+                              int level) {
+    for (std::size_t d = 0; d < shape.size(); ++d) {
+      indent(out, level++);
+      appendLoopHeader(out, kIterators[d], shape[d]);
+      out << '\n';
+    }
+    return level;
+  }
+
+  static void appendLoopHeader(TextBuilder& out, std::string_view iterator,
+                               std::int64_t extent) {
+    out << "for (int " << iterator << " = 0; " << iterator << " < "
+        << extent << "; ++" << iterator << ')';
+  }
+
+  static void indent(TextBuilder& out, int level) {
+    out.spaces(static_cast<std::size_t>(2 * level));
+  }
+
+  void appendPipeline(TextBuilder& out) const {
+    out << "#pragma HLS PIPELINE II=" << options_.pipelineII << '\n';
+  }
+
+  void emitStatement(TextBuilder& out,
+                     const sched::ScheduledStatement& stmt) const {
     const ir::Tensor& target = program_.tensor(stmt.write.tensor);
-    os << indent(1) << "/* " << stmt.name << ": " << target.name;
+    indent(out, 1);
+    out << "/* " << stmt.name << ": " << target.name;
     switch (stmt.kind) {
     case ir::OpKind::Contract:
-      os << (stmt.needsInit ? " (contraction)" : " (outer product)");
+      out << (stmt.needsInit ? " (contraction)" : " (outer product)");
       break;
     case ir::OpKind::EntryWise:
-      os << " (entry-wise " << ir::entryWiseKindName(stmt.entryWise) << ")";
+      out << " (entry-wise " << ir::entryWiseKindName(stmt.entryWise) << ')';
       break;
     case ir::OpKind::Copy:
-      os << " (copy)";
+      out << " (copy)";
       break;
     case ir::OpKind::Fill:
-      os << " (fill)";
+      out << " (fill)";
       break;
     }
-    os << " */\n";
-
-    const auto iterators = iteratorNames(stmt.loops.size());
+    out << " */\n";
 
     // Zero-initialization loop for accumulation targets.
     if (stmt.needsInit) {
-      const auto initIterators = iteratorNames(
-          static_cast<std::size_t>(target.type.rank()));
-      const auto& layout = schedule_.layouts.layoutOf(stmt.write.tensor);
-      int level = 1;
-      for (int d = 0; d < target.type.rank(); ++d) {
-        os << indent(level) << "for (int " << initIterators[static_cast<std::size_t>(d)]
-           << " = 0; " << initIterators[static_cast<std::size_t>(d)] << " < "
-           << target.type.shape[static_cast<std::size_t>(d)] << "; ++"
-           << initIterators[static_cast<std::size_t>(d)] << ")\n";
-        ++level;
-      }
+      const int level = appendDenseLoops(out, target.type.shape, 1);
       if (options_.hlsPragmas)
-        os << "#pragma HLS PIPELINE II=" << options_.pipelineII << "\n";
-      os << indent(level) << target.name << "["
-         << layout.map.result(0).str(initIterators) << "] = 0.0;\n";
+        appendPipeline(out);
+      indent(out, level);
+      out << target.name;
+      appendIndex(out, schedule_.layouts.layoutOf(stmt.write.tensor).map);
+      out << " = 0.0;\n";
     }
 
     const bool registerAccumulator =
@@ -150,80 +174,89 @@ private:
 
     int level = 1;
     for (std::size_t p = 0; p < bodyLoops; ++p) {
-      os << indent(level) << "for (int " << iterators[p] << " = 0; "
-         << iterators[p] << " < " << stmt.loops[p].extent << "; ++"
-         << iterators[p] << ") {\n";
-      ++level;
+      indent(out, level++);
+      appendLoopHeader(out, kIterators[p], stmt.loops[p].extent);
+      out << " {\n";
     }
     if (options_.hlsPragmas && !registerAccumulator) {
-      os << "#pragma HLS PIPELINE II=" << options_.pipelineII << "\n";
+      appendPipeline(out);
       if (options_.unrollFactor > 1)
-        os << "#pragma HLS UNROLL factor=" << options_.unrollFactor
-           << "\n";
+        out << "#pragma HLS UNROLL factor=" << options_.unrollFactor << '\n';
     }
 
+    indent(out, level);
     switch (stmt.kind) {
-    case ir::OpKind::Contract: {
-      const std::string lhs =
-          accessString(schedule_, stmt.reads[0], iterators);
-      const std::string rhs =
-          accessString(schedule_, stmt.reads[1], iterators);
-      const std::string write =
-          accessString(schedule_, stmt.write, iterators);
+    case ir::OpKind::Contract:
       if (!stmt.needsInit) {
-        os << indent(level) << write << " = " << lhs << " * " << rhs
-           << ";\n";
+        appendAccess(out, stmt.write);
+        out << " = ";
+        appendProduct(out, stmt);
+        out << ";\n";
       } else if (registerAccumulator) {
-        const std::string& inner = iterators[stmt.loops.size() - 1];
-        os << indent(level) << "double acc = " << write << ";\n";
-        os << indent(level) << "for (int " << inner << " = 0; " << inner
-           << " < " << stmt.loops.back().extent << "; ++" << inner
-           << ") {\n";
+        out << "double acc = ";
+        appendAccess(out, stmt.write);
+        out << ";\n";
+        indent(out, level);
+        appendLoopHeader(out, kIterators[stmt.loops.size() - 1],
+                         stmt.loops.back().extent);
+        out << " {\n";
         if (options_.hlsPragmas)
-          os << "#pragma HLS PIPELINE II=" << options_.pipelineII << "\n";
-        os << indent(level + 1) << "acc += " << lhs << " * " << rhs
-           << ";\n";
-        os << indent(level) << "}\n";
-        os << indent(level) << write << " = acc;\n";
+          appendPipeline(out);
+        indent(out, level + 1);
+        out << "acc += ";
+        appendProduct(out, stmt);
+        out << ";\n";
+        indent(out, level);
+        out << "}\n";
+        indent(out, level);
+        appendAccess(out, stmt.write);
+        out << " = acc;\n";
       } else {
-        os << indent(level) << write << " += " << lhs << " * " << rhs
-           << ";\n";
+        appendAccess(out, stmt.write);
+        out << " += ";
+        appendProduct(out, stmt);
+        out << ";\n";
       }
       break;
-    }
-    case ir::OpKind::EntryWise: {
-      os << indent(level) << accessString(schedule_, stmt.write, iterators)
-         << " = " << accessString(schedule_, stmt.reads[0], iterators) << " "
-         << ir::entryWiseKindName(stmt.entryWise) << " "
-         << accessString(schedule_, stmt.reads[1], iterators) << ";\n";
+    case ir::OpKind::EntryWise:
+      appendAccess(out, stmt.write);
+      out << " = ";
+      appendAccess(out, stmt.reads[0]);
+      out << ' ' << ir::entryWiseKindName(stmt.entryWise) << ' ';
+      appendAccess(out, stmt.reads[1]);
+      out << ";\n";
       break;
-    }
-    case ir::OpKind::Copy: {
-      os << indent(level) << accessString(schedule_, stmt.write, iterators)
-         << " = " << accessString(schedule_, stmt.reads[0], iterators)
-         << ";\n";
+    case ir::OpKind::Copy:
+      appendAccess(out, stmt.write);
+      out << " = ";
+      appendAccess(out, stmt.reads[0]);
+      out << ";\n";
       break;
-    }
-    case ir::OpKind::Fill: {
-      std::ostringstream value;
-      value.precision(17);
-      value << stmt.scalar;
-      os << indent(level) << accessString(schedule_, stmt.write, iterators)
-         << " = " << value.str() << ";\n";
+    case ir::OpKind::Fill:
+      appendAccess(out, stmt.write);
+      out << " = ";
+      out.real(stmt.scalar);
+      out << ";\n";
       break;
-    }
     }
 
     for (std::size_t p = bodyLoops; p > 0; --p) {
-      --level;
-      os << indent(level) << "}\n";
+      indent(out, --level);
+      out << "}\n";
     }
-    (void)index;
-    os << "\n";
+    out << '\n';
   }
 
-  void emitTestMain(std::ostringstream& os) const {
-    os << R"(
+  /// `lhs[..] * rhs[..]` of a contraction.
+  void appendProduct(TextBuilder& out,
+                     const sched::ScheduledStatement& stmt) const {
+    appendAccess(out, stmt.reads[0]);
+    out << " * ";
+    appendAccess(out, stmt.reads[1]);
+  }
+
+  void emitTestMain(TextBuilder& out) const {
+    out << R"(
 #include <stdio.h>
 #include <stdint.h>
 
@@ -242,78 +275,60 @@ static void fill_input(double* data, long n, uint64_t seed) {
 int main(void) {
 )";
     // Declare buffers.
-    for (ir::TensorId id : program_.interfaceOrder()) {
-      const ir::Tensor& tensor = program_.tensor(id);
-      os << "  static double " << tensor.name << "_buf["
-         << schedule_.layouts.layoutOf(id).sizeInElements << "];\n";
-    }
+    for (ir::TensorId id : interface_)
+      out << "  static double " << program_.tensor(id).name << "_buf["
+          << schedule_.layouts.layoutOf(id).sizeInElements << "];\n";
     // Inputs are filled in interface order with seeds 1, 2, ... to match
     // the integration test driver. The generator writes the *dense
     // row-major* image; import through the layout map.
     std::uint64_t seed = 1;
-    for (ir::TensorId id : program_.interfaceOrder()) {
+    for (ir::TensorId id : interface_) {
       const ir::Tensor& tensor = program_.tensor(id);
       if (tensor.kind != ir::TensorKind::Input)
         continue;
-      os << "  {\n"
-         << "    static double dense[" << tensor.type.numElements()
-         << "];\n"
-         << "    fill_input(dense, " << tensor.type.numElements() << ", "
-         << seed++ << "ULL);\n";
+      out << "  {\n"
+          << "    static double dense[" << tensor.type.numElements()
+          << "];\n"
+          << "    fill_input(dense, " << tensor.type.numElements() << ", "
+          << seed++ << "ULL);\n";
       // Scatter through the layout map.
-      const auto iters =
-          iteratorNames(static_cast<std::size_t>(tensor.type.rank()));
-      int level = 2;
-      for (int d = 0; d < tensor.type.rank(); ++d) {
-        os << indent(level) << "for (int " << iters[static_cast<std::size_t>(d)]
-           << " = 0; " << iters[static_cast<std::size_t>(d)] << " < "
-           << tensor.type.shape[static_cast<std::size_t>(d)] << "; ++"
-           << iters[static_cast<std::size_t>(d)] << ")\n";
-        ++level;
-      }
-      const auto rowMajor =
-          poly::AffineMap::rowMajorLayout(tensor.type.shape);
-      os << indent(level) << tensor.name << "_buf["
-         << schedule_.layouts.layoutOf(id).map.result(0).str(iters)
-         << "] = dense[" << rowMajor.result(0).str(iters) << "];\n";
-      os << "  }\n";
+      const int level = appendDenseLoops(out, tensor.type.shape, 2);
+      indent(out, level);
+      out << tensor.name << "_buf";
+      appendIndex(out, schedule_.layouts.layoutOf(id).map);
+      out << " = dense";
+      appendIndex(out, poly::AffineMap::rowMajorLayout(tensor.type.shape));
+      out << ";\n  }\n";
     }
     // Call the kernel.
-    os << "  " << options_.functionName << "(";
+    out << "  " << options_.functionName << '(';
     bool first = true;
-    for (ir::TensorId id : program_.interfaceOrder()) {
+    for (ir::TensorId id : interface_) {
       if (!first)
-        os << ", ";
+        out << ", ";
       first = false;
-      os << program_.tensor(id).name << "_buf";
+      out << program_.tensor(id).name << "_buf";
     }
-    os << ");\n";
+    out << ");\n";
     // Print outputs in dense row-major order.
-    for (ir::TensorId id : program_.interfaceOrder()) {
+    for (ir::TensorId id : interface_) {
       const ir::Tensor& tensor = program_.tensor(id);
       if (tensor.kind != ir::TensorKind::Output)
         continue;
-      const auto iters =
-          iteratorNames(static_cast<std::size_t>(tensor.type.rank()));
-      int level = 1;
-      for (int d = 0; d < tensor.type.rank(); ++d) {
-        os << indent(level) << "for (int " << iters[static_cast<std::size_t>(d)]
-           << " = 0; " << iters[static_cast<std::size_t>(d)] << " < "
-           << tensor.type.shape[static_cast<std::size_t>(d)] << "; ++"
-           << iters[static_cast<std::size_t>(d)] << ")\n";
-        ++level;
-      }
-      os << indent(level) << "printf(\"%.17g\\n\", " << tensor.name
-         << "_buf["
-         << schedule_.layouts.layoutOf(id).map.result(0).str(iters)
-         << "]);\n";
+      const int level = appendDenseLoops(out, tensor.type.shape, 1);
+      indent(out, level);
+      out << "printf(\"%.17g\\n\", " << tensor.name << "_buf";
+      appendIndex(out, schedule_.layouts.layoutOf(id).map);
+      out << ");\n";
     }
-    os << "  return 0;\n}\n";
+    out << "  return 0;\n}\n";
   }
 
   const sched::Schedule& schedule_;
   CEmitterOptions options_;
   const ir::Program& program_;
+  /// Tensors in kernel argument order (ir::Program::interfaceOrder).
+  const std::vector<ir::TensorId> interface_;
 };
 
 } // namespace

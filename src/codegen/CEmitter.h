@@ -8,6 +8,12 @@
 // (a PLM read-modify-write), exactly mirroring the interpreter in
 // eval/Evaluator.h so the generated C and the interpreted schedule are
 // operation-for-operation identical.
+//
+// Each artifact is appended to one string (support/TextBuilder.h):
+// numbers go through std::to_chars (fill literals as "%.17g" prints
+// them), index expressions through poly::AffineExpr::print with the
+// iterator names i0 .. i7, and the returned string's capacity equals its
+// size.
 #pragma once
 
 #include "sched/Schedule.h"

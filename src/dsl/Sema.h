@@ -11,8 +11,11 @@
 //  * every local/output read is preceded by its definition (straight-line
 //    def-before-use) and every declared output is defined;
 //  * every declared shape, and every shape a product or contraction
-//    forms, has positive extents and at most kMaxTensorElements elements
-//    (support/Format.h).
+//    forms, has at most kMaxDims positive extents and at most
+//    kMaxTensorElements elements (support/Format.h). The product under
+//    a contraction is never formed (lowering contracts it factor by
+//    factor and bounds each binary contraction's loop domain), so it
+//    may exceed both: Helmholtz's `S # S # S # u` has rank 9.
 //
 // On success, every Expr node carries its inferred shape.
 #pragma once

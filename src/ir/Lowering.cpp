@@ -227,6 +227,16 @@ private:
           accReduced.end())
         resultDims.push_back(g);
 
+    // Every statement's loop nest must fit kMaxDims (support/Format.h).
+    // Sema bounds the ranks of the tensors, not the domain that pairing
+    // two of them forms: free dims of both plus one loop per pair.
+    const std::size_t loops = resultDims.size() + op.pairs.size();
+    if (loops > static_cast<std::size_t>(kMaxDims))
+      throw FlowError("contraction " + program_.tensor(lhs.id).name + " # " +
+                      program_.tensor(acc.id).name + ": domain of " +
+                      std::to_string(loops) + " loops exceeds the bound of " +
+                      std::to_string(kMaxDims) + " loops per statement");
+
     // Shape of the result in resultDims order.
     std::vector<std::int64_t> resultShape;
     for (int g : resultDims) {

@@ -3,6 +3,7 @@
 #include "support/Format.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 namespace cfd::ir {
@@ -110,143 +111,125 @@ void Program::dropUnusedTensors() {
 
 namespace {
 
-std::vector<int> freeDims(int rank, const std::vector<int>& bound) {
-  std::vector<int> result;
-  for (int d = 0; d < rank; ++d)
-    if (std::find(bound.begin(), bound.end(), d) == bound.end())
-      result.push_back(d);
-  return result;
-}
-
-std::vector<int> lhsBound(const Operation& op) {
-  std::vector<int> bound;
+/// Bit d is set when operand dim d is bound by a contraction pair: the
+/// lhs dims (first of each pair) or the rhs dims (second). verify()
+/// keeps pair dims inside the operand ranks, which kMaxDims bounds.
+std::uint32_t boundDims(const Operation& op, bool lhs) {
+  std::uint32_t bound = 0;
   for (const auto& [l, r] : op.pairs)
-    bound.push_back(l);
+    bound |= std::uint32_t{1} << (lhs ? l : r);
   return bound;
 }
 
-std::vector<int> rhsBound(const Operation& op) {
-  std::vector<int> bound;
-  for (const auto& [l, r] : op.pairs)
-    bound.push_back(r);
-  return bound;
+int countFree(int rank, std::uint32_t bound) {
+  return rank - std::popcount(bound);
+}
+
+/// Number of domain dims of `op` with `outDims` output dims: one more
+/// per pair for a contraction.
+int domainRank(const Operation& op, int outDims) {
+  return op.kind == OpKind::Contract
+             ? outDims + static_cast<int>(op.pairs.size())
+             : outDims;
 }
 
 } // namespace
 
 poly::Box Program::domain(const Operation& op) const {
-  switch (op.kind) {
-  case OpKind::Contract: {
-    const auto& lhsShape = tensor(op.lhs).type.shape;
-    const auto& rhsShape = tensor(op.rhs).type.shape;
-    const auto freeL = freeDims(static_cast<int>(lhsShape.size()),
-                                lhsBound(op));
-    const auto freeR = freeDims(static_cast<int>(rhsShape.size()),
-                                rhsBound(op));
-    std::vector<std::int64_t> extents;
-    for (int d : freeL)
-      extents.push_back(lhsShape[static_cast<std::size_t>(d)]);
-    for (int d : freeR)
-      extents.push_back(rhsShape[static_cast<std::size_t>(d)]);
-    for (const auto& [l, r] : op.pairs)
-      extents.push_back(lhsShape[static_cast<std::size_t>(l)]);
-    return poly::Box::fromShape(extents);
-  }
-  case OpKind::EntryWise:
-  case OpKind::Copy:
-  case OpKind::Fill:
+  if (op.kind != OpKind::Contract)
     return tensor(op.target).type.indexSpace();
-  }
-  CFD_UNREACHABLE("bad op kind");
+  const auto& lhsShape = tensor(op.lhs).type.shape;
+  const auto& rhsShape = tensor(op.rhs).type.shape;
+  const std::uint32_t boundL = boundDims(op, true);
+  const std::uint32_t boundR = boundDims(op, false);
+  std::vector<std::int64_t> extents;
+  extents.reserve(lhsShape.size() + rhsShape.size());
+  for (std::size_t d = 0; d < lhsShape.size(); ++d)
+    if (!(boundL >> d & 1))
+      extents.push_back(lhsShape[d]);
+  for (std::size_t d = 0; d < rhsShape.size(); ++d)
+    if (!(boundR >> d & 1))
+      extents.push_back(rhsShape[d]);
+  for (const auto& [l, r] : op.pairs)
+    extents.push_back(lhsShape[static_cast<std::size_t>(l)]);
+  return poly::Box::fromShape(extents);
 }
 
 int Program::numOutputDims(const Operation& op) const {
-  if (op.kind == OpKind::Contract)
-    return domain(op).rank() - static_cast<int>(op.pairs.size());
-  return tensor(op.target).type.rank();
+  if (op.kind != OpKind::Contract)
+    return tensor(op.target).type.rank();
+  return countFree(tensor(op.lhs).type.rank(), boundDims(op, true)) +
+         countFree(tensor(op.rhs).type.rank(), boundDims(op, false));
 }
 
 Access Program::writeAccess(const Operation& op) const {
-  const int domainRank = domain(op).rank();
   const int outDims = numOutputDims(op);
+  const int rank = domainRank(op, outDims);
+  const bool permuted = op.kind == OpKind::Contract && !op.resultPerm.empty();
+  CFD_ASSERT(!permuted || static_cast<int>(op.resultPerm.size()) == outDims,
+             "resultPerm arity mismatch");
   std::vector<poly::AffineExpr> results;
-  if (op.kind == OpKind::Contract && !op.resultPerm.empty()) {
-    CFD_ASSERT(static_cast<int>(op.resultPerm.size()) == outDims,
-               "resultPerm arity mismatch");
-    for (int j = 0; j < outDims; ++j)
-      results.push_back(poly::AffineExpr::dim(domainRank, op.resultPerm[static_cast<std::size_t>(j)]));
-  } else {
-    for (int j = 0; j < outDims; ++j)
-      results.push_back(poly::AffineExpr::dim(domainRank, j));
-  }
-  return Access{op.target, poly::AffineMap(domainRank, std::move(results))};
+  results.reserve(static_cast<std::size_t>(outDims));
+  for (int j = 0; j < outDims; ++j)
+    results.push_back(poly::AffineExpr::dim(
+        rank, permuted ? op.resultPerm[static_cast<std::size_t>(j)] : j));
+  return Access{op.target, poly::AffineMap(rank, std::move(results))};
 }
 
 std::vector<Access> Program::readAccesses(const Operation& op) const {
-  const int domainRank = domain(op).rank();
+  const int outDims = numOutputDims(op);
+  const int rank = domainRank(op, outDims);
   std::vector<Access> reads;
   switch (op.kind) {
   case OpKind::Contract: {
-    const int lhsRank = tensor(op.lhs).type.rank();
-    const int rhsRank = tensor(op.rhs).type.rank();
-    const auto freeL = freeDims(lhsRank, lhsBound(op));
-    const auto freeR = freeDims(rhsRank, rhsBound(op));
-    const int numFree = static_cast<int>(freeL.size() + freeR.size());
-
-    // lhs: free dim d at position p in freeL reads domain dim p; paired
-    // dim of pair q reads domain dim numFree + q.
-    std::vector<poly::AffineExpr> lhsResults(
-        static_cast<std::size_t>(lhsRank),
-        poly::AffineExpr::constant(domainRank, 0));
-    for (std::size_t p = 0; p < freeL.size(); ++p)
-      lhsResults[static_cast<std::size_t>(freeL[p])] =
-          poly::AffineExpr::dim(domainRank, static_cast<int>(p));
-    for (std::size_t q = 0; q < op.pairs.size(); ++q)
-      lhsResults[static_cast<std::size_t>(op.pairs[q].first)] =
-          poly::AffineExpr::dim(domainRank, numFree + static_cast<int>(q));
-    reads.push_back(
-        {op.lhs, poly::AffineMap(domainRank, std::move(lhsResults))});
-
-    std::vector<poly::AffineExpr> rhsResults(
-        static_cast<std::size_t>(rhsRank),
-        poly::AffineExpr::constant(domainRank, 0));
-    for (std::size_t p = 0; p < freeR.size(); ++p)
-      rhsResults[static_cast<std::size_t>(freeR[p])] = poly::AffineExpr::dim(
-          domainRank, static_cast<int>(freeL.size() + p));
-    for (std::size_t q = 0; q < op.pairs.size(); ++q)
-      rhsResults[static_cast<std::size_t>(op.pairs[q].second)] =
-          poly::AffineExpr::dim(domainRank, numFree + static_cast<int>(q));
-    reads.push_back(
-        {op.rhs, poly::AffineMap(domainRank, std::move(rhsResults))});
+    reads.reserve(2);
+    // Free operand dims read the domain's output dims in order (lhs ones
+    // first, from position `next`); paired dim q of either operand reads
+    // domain dim outDims + q.
+    int next = 0;
+    for (const bool lhs : {true, false}) {
+      const TensorId operand = lhs ? op.lhs : op.rhs;
+      const int operandRank = tensor(operand).type.rank();
+      const std::uint32_t bound = boundDims(op, lhs);
+      std::vector<poly::AffineExpr> results;
+      results.reserve(static_cast<std::size_t>(operandRank));
+      for (int d = 0; d < operandRank; ++d)
+        results.push_back(bound >> d & 1 ? poly::AffineExpr::constant(rank, 0)
+                                         : poly::AffineExpr::dim(rank, next++));
+      for (std::size_t q = 0; q < op.pairs.size(); ++q)
+        results[static_cast<std::size_t>(lhs ? op.pairs[q].first
+                                             : op.pairs[q].second)] =
+            poly::AffineExpr::dim(rank, outDims + static_cast<int>(q));
+      reads.push_back({operand, poly::AffineMap(rank, std::move(results))});
+    }
     return reads;
   }
   case OpKind::EntryWise: {
+    reads.reserve(2);
     for (TensorId operand : {op.lhs, op.rhs}) {
-      const int rank = tensor(operand).type.rank();
-      if (rank == 0) {
-        reads.push_back({operand, poly::AffineMap(domainRank, {})});
+      const int operandRank = tensor(operand).type.rank();
+      if (operandRank == 0) {
+        reads.push_back({operand, poly::AffineMap(rank, {})});
       } else {
-        CFD_ASSERT(rank == domainRank, "entry-wise operand rank mismatch");
-        reads.push_back({operand, poly::AffineMap::identity(domainRank)});
+        CFD_ASSERT(operandRank == rank, "entry-wise operand rank mismatch");
+        reads.push_back({operand, poly::AffineMap::identity(rank)});
       }
     }
     return reads;
   }
   case OpKind::Copy: {
-    const int sourceRank = tensor(op.lhs).type.rank();
-    CFD_ASSERT(sourceRank == domainRank, "copy rank mismatch");
-    std::vector<poly::AffineExpr> results(
-        static_cast<std::size_t>(sourceRank),
-        poly::AffineExpr::constant(domainRank, 0));
+    CFD_ASSERT(tensor(op.lhs).type.rank() == rank, "copy rank mismatch");
     if (op.perm.empty()) {
-      reads.push_back({op.lhs, poly::AffineMap::identity(domainRank)});
-    } else {
-      // target[i...] = source[j...] with j[perm[t]] = i[t].
-      for (int t = 0; t < domainRank; ++t)
-        results[static_cast<std::size_t>(op.perm[static_cast<std::size_t>(t)])] =
-            poly::AffineExpr::dim(domainRank, t);
-      reads.push_back({op.lhs, poly::AffineMap(domainRank, std::move(results))});
+      reads.push_back({op.lhs, poly::AffineMap::identity(rank)});
+      return reads;
     }
+    // target[i...] = source[j...] with j[perm[t]] = i[t].
+    std::vector<poly::AffineExpr> results(
+        static_cast<std::size_t>(rank), poly::AffineExpr::constant(rank, 0));
+    for (int t = 0; t < rank; ++t)
+      results[static_cast<std::size_t>(op.perm[static_cast<std::size_t>(t)])] =
+          poly::AffineExpr::dim(rank, t);
+    reads.push_back({op.lhs, poly::AffineMap(rank, std::move(results))});
     return reads;
   }
   case OpKind::Fill:
@@ -307,6 +290,10 @@ const Program& Program::verify() const {
       for (const auto& [l, r] : op.pairs)
         extents.push_back(lhsShape[static_cast<std::size_t>(l)]);
       const int domainRank = static_cast<int>(extents.size());
+      CFD_ASSERT(domainRank <= kMaxDims,
+                 "contraction domain of " + std::to_string(domainRank) +
+                     " loops on " + target.name + " exceeds the bound of " +
+                     std::to_string(kMaxDims) + " loops per statement");
       if (!op.resultPerm.empty()) {
         CFD_ASSERT(static_cast<int>(op.resultPerm.size()) == numFree,
                    "resultPerm arity mismatch");

@@ -140,14 +140,15 @@ public:
   /// Validates pseudo-SSA form and access sanity from each op's own
   /// fields, in O(total operand rank) per op; throws InternalError on the
   /// first violation. Returns *this for chaining. First, every tensor's
-  /// shape has positive extents and at most kMaxTensorElements elements
-  /// (support/Format.h). Then, per op:
+  /// shape has at most kMaxDims positive extents and at most
+  /// kMaxTensorElements elements (support/Format.h). Then, per op:
   ///  * target, lhs and rhs ids are in range;
   ///  * the target is not an input and is written once;
   ///  * Contract: each pair names a dim inside both operands' ranks;
-  ///    resultPerm is empty or has one entry per free dim, each inside
-  ///    the domain; the free dims match the target rank, and each
-  ///    written dim's extent fits the target's;
+  ///    the domain has at most kMaxDims loops; resultPerm is empty or
+  ///    has one entry per free dim, each inside the domain; the free
+  ///    dims match the target rank, and each written dim's extent fits
+  ///    the target's;
   ///  * EntryWise: each operand is rank 0 or has the target's rank;
   ///  * Copy: the source has the target's rank; a non-empty perm has at
   ///    least one entry per target dim, each inside the source rank;
@@ -159,6 +160,9 @@ public:
   std::string str() const;
 
   // ---- Inner domains and operand maps (paper §IV-B) ----
+  //
+  // Ranks come straight from the op's fields (operand ranks minus the
+  // dims its pairs bind), so only domain() builds a domain box.
 
   /// The statement's inner domain: output dims then reduction dims.
   poly::Box domain(const Operation& op) const;

@@ -3,6 +3,7 @@
 #include "support/Error.h"
 #include "support/Format.h"
 #include "support/Hash.h"
+#include "support/TextBuilder.h"
 
 #include <algorithm>
 #include <sstream>
@@ -276,40 +277,43 @@ std::string emitMnemosyneConfig(const sched::Schedule& schedule,
                                 const LivenessInfo& liveness) {
   CFD_ASSERT(schedule.program != nullptr, "schedule without program");
   const ir::Program& program = *schedule.program;
-  std::ostringstream os;
-  os << "# Mnemosyne configuration generated by the CFDlang compiler\n";
-  os << "# (array definitions, access patterns, compatibilities)\n";
-  os << "[arrays]\n";
+  const auto& nodes = graph.nodes();
+  TextBuilder out(256 + 80 * program.tensors().size() +
+                  48 * schedule.statements.size() +
+                  8 * nodes.size() * nodes.size());
+  out << "# Mnemosyne configuration generated by the CFDlang compiler\n"
+      << "# (array definitions, access patterns, compatibilities)\n"
+      << "[arrays]\n";
   for (const auto& tensor : program.tensors()) {
     const auto& interval = liveness.of(tensor.id);
-    os << tensor.name << " depth=" << tensor.type.numElements()
-       << " width=64 kind=" << ir::tensorKindName(tensor.kind)
-       << " live=[" << interval.begin << "," << interval.end << "]\n";
+    out << tensor.name << " depth=" << tensor.type.numElements()
+        << " width=64 kind=" << ir::tensorKindName(tensor.kind) << " live=["
+        << interval.begin << ',' << interval.end << "]\n";
   }
-  os << "[access_patterns]\n";
+  out << "[access_patterns]\n";
   for (const auto& stmt : schedule.statements) {
-    os << stmt.name << " writes " << program.tensor(stmt.write.tensor).name;
-    os << " reads";
+    out << stmt.name << " writes " << program.tensor(stmt.write.tensor).name
+        << " reads";
     for (const auto& read : stmt.reads)
-      os << " " << program.tensor(read.tensor).name;
+      out << ' ' << program.tensor(read.tensor).name;
     if (stmt.needsInit && !stmt.innermostIsReduction())
-      os << " rmw";
-    os << "\n";
+      out << " rmw";
+    out << '\n';
   }
-  os << "[address_space_compatible]\n";
-  const auto& nodes = graph.nodes();
-  for (std::size_t i = 0; i < nodes.size(); ++i)
-    for (std::size_t j = i + 1; j < nodes.size(); ++j)
-      if (graph.addressSpaceCompatible(nodes[i], nodes[j]))
-        os << program.tensor(nodes[i]).name << " "
-           << program.tensor(nodes[j]).name << "\n";
-  os << "[interface_compatible]\n";
-  for (std::size_t i = 0; i < nodes.size(); ++i)
-    for (std::size_t j = i + 1; j < nodes.size(); ++j)
-      if (graph.interfaceCompatible(nodes[i], nodes[j]))
-        os << program.tensor(nodes[i]).name << " "
-           << program.tensor(nodes[j]).name << "\n";
-  return os.str();
+  const auto appendPairs = [&](bool addressSpace) {
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+      for (std::size_t j = i + 1; j < nodes.size(); ++j)
+        if (addressSpace
+                ? graph.addressSpaceCompatible(nodes[i], nodes[j])
+                : graph.interfaceCompatible(nodes[i], nodes[j]))
+          out << program.tensor(nodes[i]).name << ' '
+              << program.tensor(nodes[j]).name << '\n';
+  };
+  out << "[address_space_compatible]\n";
+  appendPairs(/*addressSpace=*/true);
+  out << "[interface_compatible]\n";
+  appendPairs(/*addressSpace=*/false);
+  return out.take();
 }
 
 } // namespace cfd::mem

@@ -5,17 +5,34 @@
 // rise to dense rectangular iteration domains with affine index functions,
 // so a plain linear-combination representation is complete for this
 // program class.
+//
+// An expression keeps its coefficients inline, in an array of kMaxDims
+// (support/Format.h) entries plus a count, so building, combining,
+// substituting and copying expressions never touch the heap. kMaxDims is
+// a checked input limit (every entry point for ranks and loop nests
+// rejects more); the constructors here assert it.
 #pragma once
 
+#include "support/Format.h"
+
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
+#include <string_view>
+
+namespace cfd {
+class TextBuilder;
+}
 
 namespace cfd::poly {
 
+/// Dimension names d0 .. d7, as str() prints them.
+inline constexpr std::array<std::string_view, kMaxDims> kDimNames = {
+    "d0", "d1", "d2", "d3", "d4", "d5", "d6", "d7"};
+
 /// An affine expression `sum_i coeff[i] * d_i + constant` over `numDims`
-/// integer dimensions d_0 .. d_{numDims-1}.
+/// integer dimensions d_0 .. d_{numDims-1}, numDims <= kMaxDims.
 class AffineExpr {
 public:
   AffineExpr() = default;
@@ -27,11 +44,15 @@ public:
   static AffineExpr constant(int numDims, std::int64_t value);
 
   /// Builds an expression from explicit coefficients.
-  static AffineExpr fromCoefficients(std::vector<std::int64_t> coefficients,
+  static AffineExpr fromCoefficients(std::span<const std::int64_t> coefficients,
                                      std::int64_t constant);
 
-  int numDims() const { return static_cast<int>(coefficients_.size()); }
+  int numDims() const { return numDims_; }
   std::int64_t coefficient(int dim) const;
+  /// The coefficients of the live dimensions.
+  std::span<const std::int64_t> coefficients() const {
+    return {coefficients_.data(), static_cast<std::size_t>(numDims_)};
+  }
   std::int64_t constantTerm() const { return constant_; }
 
   bool isConstant() const;
@@ -47,7 +68,8 @@ public:
   AffineExpr operator*(std::int64_t factor) const;
   AffineExpr operator+(std::int64_t value) const;
 
-  friend bool operator==(const AffineExpr&, const AffineExpr&) = default;
+  /// Equal spaces, constants and live coefficients.
+  friend bool operator==(const AffineExpr& a, const AffineExpr& b);
 
   /// Substitutes each dimension d_i with `replacements[i]` (an expression
   /// over the `targetDims`-dimensional space). All replacements must share
@@ -56,14 +78,20 @@ public:
   AffineExpr substitute(std::span<const AffineExpr> replacements,
                         int targetDims) const;
 
-  /// Renders the expression with dimension names d0, d1, ... or the given
-  /// names.
+  /// Appends the expression to `out`, naming dimension i `dimNames[i]`:
+  /// terms in dimension order, unit coefficients dropped, a zero
+  /// constant omitted unless it is the whole expression ("121*i0 - i1 +
+  /// 7"). The one formatter behind str() and the C emitter.
+  void print(TextBuilder& out,
+             std::span<const std::string_view> dimNames) const;
+
+  /// The expression over dimension names d0, d1, ...
   std::string str() const;
-  std::string str(std::span<const std::string> dimNames) const;
 
 private:
-  std::vector<std::int64_t> coefficients_;
+  std::array<std::int64_t, kMaxDims> coefficients_{};
   std::int64_t constant_ = 0;
+  int numDims_ = 0;
 };
 
 } // namespace cfd::poly

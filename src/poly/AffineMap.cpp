@@ -2,14 +2,17 @@
 
 #include "poly/Box.h"
 #include "support/Error.h"
+#include "support/TextBuilder.h"
 
 #include <set>
-#include <sstream>
 
 namespace cfd::poly {
 
 AffineMap::AffineMap(int numDims, std::vector<AffineExpr> results)
     : numDims_(numDims), results_(std::move(results)) {
+  CFD_ASSERT(numDims_ >= 0 && numDims_ <= kMaxDims,
+             "affine space of " + std::to_string(numDims_) +
+                 " dimensions exceeds kMaxDims");
   for (const auto& expr : results_)
     CFD_ASSERT(expr.numDims() == numDims_, "result space mismatch");
 }
@@ -30,30 +33,33 @@ AffineMap AffineMap::projection(int numDims, std::span<const int> dims) {
   return AffineMap(numDims, std::move(results));
 }
 
-AffineMap AffineMap::rowMajorLayout(std::span<const std::int64_t> shape) {
+namespace {
+
+/// The one-result dense layout of `shape`: innermost-last (row-major)
+/// or innermost-first (column-major) strides.
+AffineMap denseLayout(std::span<const std::int64_t> shape, bool rowMajor) {
+  CFD_ASSERT(shape.size() <= static_cast<std::size_t>(kMaxDims),
+             "layout rank exceeds kMaxDims");
   const int rank = static_cast<int>(shape.size());
-  std::vector<std::int64_t> coefficients(shape.size(), 0);
+  std::array<std::int64_t, kMaxDims> coefficients{};
   std::int64_t stride = 1;
-  for (int i = rank - 1; i >= 0; --i) {
-    coefficients[static_cast<std::size_t>(i)] = stride;
-    stride *= shape[static_cast<std::size_t>(i)];
+  for (int step = 0; step < rank; ++step) {
+    const auto i = static_cast<std::size_t>(rowMajor ? rank - 1 - step : step);
+    coefficients[i] = stride;
+    stride *= shape[i];
   }
-  std::vector<AffineExpr> results;
-  results.push_back(AffineExpr::fromCoefficients(std::move(coefficients), 0));
-  return AffineMap(rank, std::move(results));
+  return AffineMap(rank, {AffineExpr::fromCoefficients(
+                             {coefficients.data(), shape.size()}, 0)});
+}
+
+} // namespace
+
+AffineMap AffineMap::rowMajorLayout(std::span<const std::int64_t> shape) {
+  return denseLayout(shape, /*rowMajor=*/true);
 }
 
 AffineMap AffineMap::columnMajorLayout(std::span<const std::int64_t> shape) {
-  const int rank = static_cast<int>(shape.size());
-  std::vector<std::int64_t> coefficients(shape.size(), 0);
-  std::int64_t stride = 1;
-  for (int i = 0; i < rank; ++i) {
-    coefficients[static_cast<std::size_t>(i)] = stride;
-    stride *= shape[static_cast<std::size_t>(i)];
-  }
-  std::vector<AffineExpr> results;
-  results.push_back(AffineExpr::fromCoefficients(std::move(coefficients), 0));
-  return AffineMap(rank, std::move(results));
+  return denseLayout(shape, /*rowMajor=*/false);
 }
 
 const AffineExpr& AffineMap::result(int i) const {
@@ -118,21 +124,21 @@ bool AffineMap::isInjectiveOn(const Box& domain) const {
 }
 
 std::string AffineMap::str() const {
-  std::ostringstream os;
-  os << "(";
+  TextBuilder out;
+  out << '(';
   for (int i = 0; i < numDims_; ++i) {
     if (i != 0)
-      os << ", ";
-    os << "d" << i;
+      out << ", ";
+    out << kDimNames[static_cast<std::size_t>(i)];
   }
-  os << ") -> (";
+  out << ") -> (";
   for (int i = 0; i < numResults(); ++i) {
     if (i != 0)
-      os << ", ";
-    os << result(i).str();
+      out << ", ";
+    result(i).print(out, kDimNames);
   }
-  os << ")";
-  return os.str();
+  out << ')';
+  return out.take();
 }
 
 } // namespace cfd::poly

@@ -4,6 +4,7 @@
 #include "poly/AffineExpr.h"
 
 #include <optional>
+#include <vector>
 
 namespace cfd::poly {
 

@@ -27,7 +27,12 @@ std::uint64_t LayoutOptions::fingerprint() const {
 LayoutAssignment LayoutAssignment::materialize(const ir::Program& program,
                                                const LayoutOptions& options) {
   LayoutAssignment assignment;
+  assignment.layouts_.reserve(program.tensors().size());
   for (const auto& tensor : program.tensors()) {
+    // Tensor ids are their positions (ir::Program::addTensor).
+    CFD_ASSERT(tensor.id == static_cast<ir::TensorId>(
+                                assignment.layouts_.size()),
+               "tensor ids must be dense");
     LayoutKind kind = options.defaultLayout;
     if (const auto it = options.perTensor.find(tensor.name);
         it != options.perTensor.end())
@@ -46,25 +51,27 @@ LayoutAssignment LayoutAssignment::materialize(const ir::Program& program,
                  "partition dim out of range for " + tensor.name);
       layout.partition = spec;
     }
-    assignment.layouts_.emplace(tensor.id, std::move(layout));
+    assignment.layouts_.push_back(std::move(layout));
   }
   return assignment;
 }
 
 const Layout& LayoutAssignment::layoutOf(ir::TensorId id) const {
-  const auto it = layouts_.find(id);
-  CFD_ASSERT(it != layouts_.end(), "no layout for tensor");
-  return it->second;
+  CFD_ASSERT(has(id), "no layout for tensor");
+  return layouts_[static_cast<std::size_t>(id)];
+}
+
+poly::AffineExpr LayoutAssignment::flatOffset(const ir::Access& access) const {
+  const poly::AffineMap& layout = layoutOf(access.tensor).map;
+  CFD_ASSERT(layout.numResults() == 1, "layout must be one-dimensional");
+  return layout.result(0).substitute(access.map.results(),
+                                     access.map.numDims());
 }
 
 std::int64_t LayoutAssignment::strideOf(const ir::Access& access,
                                         int domainDim) const {
-  const Layout& layout = layoutOf(access.tensor);
-  // Compose layout with the access map, then read the coefficient of the
-  // domain dim in the flat offset expression.
-  const poly::AffineMap flat = layout.map.compose(access.map);
-  CFD_ASSERT(flat.numResults() == 1, "layout must be one-dimensional");
-  return flat.result(0).coefficient(domainDim);
+  // The coefficient of the domain dim in the flat offset expression.
+  return flatOffset(access).coefficient(domainDim);
 }
 
 } // namespace cfd::sched

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace cfd::sched {
 
@@ -53,21 +54,27 @@ struct Layout {
   PartitionSpec partition;
 };
 
-/// Layouts for every tensor in a program.
+/// Layouts for every tensor in a program, indexed by tensor id.
 class LayoutAssignment {
 public:
   static LayoutAssignment materialize(const ir::Program& program,
                                       const LayoutOptions& options = {});
 
   const Layout& layoutOf(ir::TensorId id) const;
-  bool has(ir::TensorId id) const { return layouts_.count(id) != 0; }
+  bool has(ir::TensorId id) const {
+    return id >= 0 && static_cast<std::size_t>(id) < layouts_.size();
+  }
+
+  /// The flat offset `access` reads or writes, over the access's own
+  /// domain: its tensor's layout composed with the access map.
+  poly::AffineExpr flatOffset(const ir::Access& access) const;
 
   /// Element stride of `access` along `domainDim` under this assignment:
   /// how far the flat offset moves when the domain dim advances by one.
   std::int64_t strideOf(const ir::Access& access, int domainDim) const;
 
 private:
-  std::map<ir::TensorId, Layout> layouts_;
+  std::vector<Layout> layouts_;
 };
 
 } // namespace cfd::sched

@@ -4,9 +4,8 @@
 #include "support/Hash.h"
 
 #include <algorithm>
-#include <map>
-#include <numeric>
-#include <set>
+#include <array>
+#include <span>
 
 namespace cfd::sched {
 
@@ -21,20 +20,24 @@ std::uint64_t RescheduleOptions::fingerprint() const {
 
 namespace {
 
+/// Per-domain-dimension costs of one statement (kMaxDims bounds every
+/// loop nest).
+using DimCosts = std::array<std::int64_t, kMaxDims>;
+
 /// Sum of |stride| of every access along each dimension of the
 /// statement's inner domain. Permuting the loops only permutes the
 /// loop-to-domain map that refreshAccesses composes into each access, so
 /// under any loop order the stride cost at loop position p is entry
-/// `loops[p].domainDim` of this vector.
-std::vector<std::int64_t> domainStrideCosts(const Schedule& schedule,
-                                            const ScheduledStatement& stmt) {
-  std::vector<std::int64_t> costs(stmt.loops.size(), 0);
+/// `loops[p].domainDim` of this array.
+DimCosts domainStrideCosts(const Schedule& schedule,
+                           const ScheduledStatement& stmt) {
+  CFD_ASSERT(stmt.loops.size() <= static_cast<std::size_t>(kMaxDims),
+             "loop nest deeper than kMaxDims");
+  DimCosts costs{};
   const auto addCosts = [&](const ir::Access& access) {
-    const poly::AffineMap flat =
-        schedule.layouts.layoutOf(access.tensor).map.compose(access.map);
+    const poly::AffineExpr flat = schedule.layouts.flatOffset(access);
     for (std::size_t pos = 0; pos < stmt.loops.size(); ++pos) {
-      const std::int64_t stride =
-          flat.result(0).coefficient(static_cast<int>(pos));
+      const std::int64_t stride = flat.coefficient(static_cast<int>(pos));
       costs[static_cast<std::size_t>(stmt.loops[pos].domainDim)] +=
           stride < 0 ? -stride : stride;
     }
@@ -47,8 +50,8 @@ std::vector<std::int64_t> domainStrideCosts(const Schedule& schedule,
 
 /// Cost of a candidate loop order under the given objective, from the
 /// statement's per-domain-dimension stride costs. Lower is better.
-std::int64_t permutationCost(const std::vector<std::int64_t>& strideCosts,
-                             const std::vector<LoopDim>& order,
+std::int64_t permutationCost(const DimCosts& strideCosts,
+                             std::span<const LoopDim> order,
                              ScheduleObjective objective) {
   const auto strideCostAt = [&](int pos) {
     return strideCosts[static_cast<std::size_t>(
@@ -80,6 +83,10 @@ std::int64_t permutationCost(const std::vector<std::int64_t>& strideCosts,
   return cost;
 }
 
+bool byDomainDim(const LoopDim& a, const LoopDim& b) {
+  return a.domainDim < b.domainDim;
+}
+
 } // namespace
 
 std::int64_t innermostStrideCost(const Schedule& schedule,
@@ -101,21 +108,26 @@ RescheduleStats reschedule(Schedule& schedule,
     // statement that closes the most live intervals (its reads are last
     // uses) relative to the storage it newly makes live.
     const std::size_t n = schedule.statements.size();
-    std::vector<std::set<int>> rawPreds(n);
-    std::map<ir::TensorId, int> writer;
+    const std::size_t numTensors = program.tensors().size();
+    // writer[t]: the statement writing tensor t, or -1 (the last one if
+    // several do). pendingReads[i]: reads of statement i whose writer is
+    // another statement not yet scheduled; i is ready at zero.
+    std::vector<int> writer(numTensors, -1);
     for (std::size_t i = 0; i < n; ++i)
-      writer[schedule.statements[i].write.tensor] = static_cast<int>(i);
+      writer[static_cast<std::size_t>(schedule.statements[i].write.tensor)] =
+          static_cast<int>(i);
+    const auto writerOf = [&](const ir::Access& read) {
+      return writer[static_cast<std::size_t>(read.tensor)];
+    };
+    std::vector<int> pendingReads(n, 0);
+    std::vector<int> remainingUses(numTensors, 0); // per tensor id
     for (std::size_t i = 0; i < n; ++i)
-      for (const auto& read : schedule.statements[i].reads)
-        if (const auto it = writer.find(read.tensor); it != writer.end())
-          if (it->second != static_cast<int>(i))
-            rawPreds[i].insert(it->second);
-
-    std::vector<int> remainingUses; // per tensor id
-    remainingUses.assign(program.tensors().size(), 0);
-    for (const auto& stmt : schedule.statements)
-      for (const auto& read : stmt.reads)
+      for (const auto& read : schedule.statements[i].reads) {
+        const int w = writerOf(read);
+        if (w >= 0 && w != static_cast<int>(i))
+          ++pendingReads[i];
         ++remainingUses[static_cast<std::size_t>(read.tensor)];
+      }
 
     std::vector<bool> done(n, false);
     std::vector<ScheduledStatement> newOrder;
@@ -124,13 +136,7 @@ RescheduleStats reschedule(Schedule& schedule,
       int best = -1;
       std::int64_t bestScore = 0;
       for (std::size_t i = 0; i < n; ++i) {
-        if (done[i])
-          continue;
-        bool ready = true;
-        for (int pred : rawPreds[i])
-          if (!done[static_cast<std::size_t>(pred)])
-            ready = false;
-        if (!ready)
+        if (done[i] || pendingReads[i] != 0)
           continue;
         // Bytes freed by last uses minus bytes newly made live.
         std::int64_t score = 0;
@@ -154,6 +160,11 @@ RescheduleStats reschedule(Schedule& schedule,
       for (const auto& read :
            schedule.statements[static_cast<std::size_t>(best)].reads)
         --remainingUses[static_cast<std::size_t>(read.tensor)];
+      for (std::size_t i = 0; i < n; ++i)
+        if (!done[i])
+          for (const auto& read : schedule.statements[i].reads)
+            if (writerOf(read) == best)
+              --pendingReads[i];
       if (best != static_cast<int>(step))
         ++stats.statementsMoved;
       newOrder.push_back(
@@ -166,35 +177,34 @@ RescheduleStats reschedule(Schedule& schedule,
     for (auto& stmt : schedule.statements) {
       if (stmt.loops.size() < 2)
         continue;
-      const std::vector<std::int64_t> strideCosts =
-          domainStrideCosts(schedule, stmt);
-      std::vector<LoopDim> best = stmt.loops;
+      const DimCosts strideCosts = domainStrideCosts(schedule, stmt);
+      const std::size_t depth = stmt.loops.size();
+      std::array<LoopDim, kMaxDims> best;
+      std::array<LoopDim, kMaxDims> candidate;
+      std::copy(stmt.loops.begin(), stmt.loops.end(), best.begin());
+      std::copy(stmt.loops.begin(), stmt.loops.end(), candidate.begin());
+      const std::span<LoopDim> bestOrder(best.data(), depth);
+      const std::span<LoopDim> candidateOrder(candidate.data(), depth);
       std::int64_t bestCost =
           permutationCost(strideCosts, stmt.loops, options.objective);
-      std::vector<LoopDim> candidate = stmt.loops;
-      std::sort(candidate.begin(), candidate.end(),
-                [](const LoopDim& a, const LoopDim& b) {
-                  return a.domainDim < b.domainDim;
-                });
+      std::sort(candidateOrder.begin(), candidateOrder.end(), byDomainDim);
       do {
         const std::int64_t cost =
-            permutationCost(strideCosts, candidate, options.objective);
+            permutationCost(strideCosts, candidateOrder, options.objective);
         if (cost < bestCost) {
           bestCost = cost;
-          best = candidate;
+          std::copy(candidateOrder.begin(), candidateOrder.end(),
+                    bestOrder.begin());
         }
-      } while (std::next_permutation(
-          candidate.begin(), candidate.end(),
-          [](const LoopDim& a, const LoopDim& b) {
-            return a.domainDim < b.domainDim;
-          }));
+      } while (std::next_permutation(candidateOrder.begin(),
+                                     candidateOrder.end(), byDomainDim));
       const bool changed = !std::equal(
-          best.begin(), best.end(), stmt.loops.begin(),
+          bestOrder.begin(), bestOrder.end(), stmt.loops.begin(),
           [](const LoopDim& a, const LoopDim& b) {
             return a.domainDim == b.domainDim;
           });
       if (changed) {
-        stmt.loops = std::move(best);
+        stmt.loops.assign(bestOrder.begin(), bestOrder.end());
         refreshAccesses(program, stmt);
         ++stats.loopNestsPermuted;
       }

@@ -32,17 +32,21 @@ void refreshAccesses(const ir::Program& program, ScheduledStatement& stmt) {
   // domainIndex[loops[p].domainDim] = loopIndex[p].
   std::vector<poly::AffineExpr> results(
       static_cast<std::size_t>(rank), poly::AffineExpr::constant(rank, 0));
-  for (int p = 0; p < rank; ++p)
-    results[static_cast<std::size_t>(stmt.loops[static_cast<std::size_t>(p)]
-                                         .domainDim)] =
+  for (int p = 0; p < rank; ++p) {
+    const int domainDim = stmt.loops[static_cast<std::size_t>(p)].domainDim;
+    CFD_ASSERT(domainDim >= 0 && domainDim < rank,
+               "loop domain dim out of range");
+    results[static_cast<std::size_t>(domainDim)] =
         poly::AffineExpr::dim(rank, p);
+  }
   const poly::AffineMap loopToDomain(rank, std::move(results));
 
   const ir::Access write = program.writeAccess(op);
   stmt.write = {write.tensor, write.map.compose(loopToDomain)};
-  stmt.reads.clear();
-  for (const auto& read : program.readAccesses(op))
-    stmt.reads.push_back({read.tensor, read.map.compose(loopToDomain)});
+  std::vector<ir::Access> reads = program.readAccesses(op);
+  for (ir::Access& read : reads)
+    read.map = read.map.compose(loopToDomain);
+  stmt.reads = std::move(reads);
 }
 
 Schedule buildReferenceSchedule(const ir::Program& program,
@@ -52,6 +56,7 @@ Schedule buildReferenceSchedule(const ir::Program& program,
   schedule.layouts = LayoutAssignment::materialize(program, layoutOptions);
 
   const auto& ops = program.operations();
+  schedule.statements.reserve(ops.size());
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const ir::Operation& op = ops[i];
     ScheduledStatement stmt;
@@ -64,6 +69,7 @@ Schedule buildReferenceSchedule(const ir::Program& program,
 
     const poly::Box domain = program.domain(op);
     const int outDims = program.numOutputDims(op);
+    stmt.loops.reserve(static_cast<std::size_t>(domain.rank()));
     for (int d = 0; d < domain.rank(); ++d) {
       LoopDim loop;
       loop.domainDim = d;

@@ -3,6 +3,7 @@
 #include "mem/Compatibility.h"
 #include "support/Format.h"
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <type_traits>
@@ -113,29 +114,42 @@ void writeAffineMap(ByteWriter& w, const poly::AffineMap& map) {
   w.i32(map.numDims());
   w.u64(static_cast<std::uint64_t>(map.numResults()));
   for (const poly::AffineExpr& expr : map.results()) {
-    std::vector<std::int64_t> coefficients;
-    coefficients.reserve(static_cast<std::size_t>(expr.numDims()));
-    for (int dim = 0; dim < expr.numDims(); ++dim)
-      coefficients.push_back(expr.coefficient(dim));
-    writeI64Vec(w, coefficients);
+    w.u64(static_cast<std::uint64_t>(expr.numDims()));
+    for (const std::int64_t coefficient : expr.coefficients())
+      w.i64(coefficient);
     w.i64(expr.constantTerm());
   }
 }
 
+/// Both counts are checked against kMaxDims before any expression is
+/// built: poly::AffineExpr holds that many coefficients inline, and an
+/// access map has one result per dim of its tensor.
 poly::AffineMap readAffineMap(ByteReader& r) {
   const int numDims = r.i32();
   if (numDims < 0)
     throw CodecError("artifact codec: negative affine dimension count");
+  if (numDims > kMaxDims)
+    throw CodecError("artifact codec: affine map over " +
+                     std::to_string(numDims) +
+                     " dimensions exceeds the bound of " +
+                     std::to_string(kMaxDims));
   const std::size_t numResults = r.count();
+  if (numResults > static_cast<std::size_t>(kMaxDims))
+    throw CodecError("artifact codec: affine map with " +
+                     std::to_string(numResults) +
+                     " results exceeds the bound of " +
+                     std::to_string(kMaxDims));
   std::vector<poly::AffineExpr> results;
   results.reserve(numResults);
+  std::array<std::int64_t, kMaxDims> coefficients{};
   for (std::size_t i = 0; i < numResults; ++i) {
-    std::vector<std::int64_t> coefficients = readI64Vec(r);
-    const std::int64_t constant = r.i64();
-    if (coefficients.size() != static_cast<std::size_t>(numDims))
+    if (r.count() != static_cast<std::size_t>(numDims))
       throw CodecError("artifact codec: affine expr dims mismatch");
+    for (int dim = 0; dim < numDims; ++dim)
+      coefficients[static_cast<std::size_t>(dim)] = r.i64();
+    const std::int64_t constant = r.i64();
     results.push_back(poly::AffineExpr::fromCoefficients(
-        std::move(coefficients), constant));
+        {coefficients.data(), static_cast<std::size_t>(numDims)}, constant));
   }
   return poly::AffineMap(numDims, std::move(results));
 }
@@ -399,11 +413,18 @@ sched::Schedule readSchedule(ByteReader& r, const ir::Program& program,
     sched::ScheduledStatement stmt;
     stmt.opIndex = readIndex(r, numOps, "op index");
     stmt.name = r.str();
+    // Rescheduling a decoded Schedule prefix rebuilds accesses over the
+    // loops, indexing by each loop's domain dim.
     const std::size_t numLoops = r.count();
+    if (numLoops > static_cast<std::size_t>(kMaxDims))
+      throw CodecError("artifact codec: loop nest of " +
+                       std::to_string(numLoops) +
+                       " loops exceeds the bound of " +
+                       std::to_string(kMaxDims));
     stmt.loops.reserve(numLoops);
     for (std::size_t loop = 0; loop < numLoops; ++loop) {
       sched::LoopDim dim;
-      dim.domainDim = r.i32();
+      dim.domainDim = readIndex(r, numLoops, "loop domain dim");
       dim.extent = r.i64();
       dim.isReduction = r.boolean();
       stmt.loops.push_back(dim);

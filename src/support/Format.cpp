@@ -18,6 +18,8 @@ std::string formatShape(const std::vector<std::int64_t>& shape) {
 }
 
 bool isBoundedShape(const std::vector<std::int64_t>& shape) {
+  if (shape.size() > static_cast<std::size_t>(kMaxDims))
+    return false;
   std::int64_t elements = 1;
   for (std::int64_t extent : shape) {
     if (extent <= 0 || extent > kMaxTensorElements)
@@ -31,6 +33,9 @@ bool isBoundedShape(const std::vector<std::int64_t>& shape) {
 }
 
 std::string shapeBoundMessage(const std::vector<std::int64_t>& shape) {
+  if (shape.size() > static_cast<std::size_t>(kMaxDims))
+    return "shape " + formatShape(shape) + " exceeds the bound of " +
+           std::to_string(kMaxDims) + " dimensions per tensor";
   return "shape " + formatShape(shape) + " exceeds the bound of " +
          formatThousands(kMaxTensorElements) + " elements per tensor";
 }

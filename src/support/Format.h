@@ -1,6 +1,6 @@
-// Small helpers shared across the flow: string formatting, and the one
-// bound on a tensor's element count that every entry point for shapes
-// checks.
+// Small helpers shared across the flow: string formatting, and the two
+// bounds on a shape (element count and rank) that every entry point for
+// shapes checks.
 #pragma once
 
 #include <cstdint>
@@ -39,12 +39,29 @@ std::string formatShape(const std::vector<std::int64_t>& shape);
 /// The last leaves a factor of 2^7 below 2^63.
 inline constexpr std::int64_t kMaxTensorElements = std::int64_t{1} << 28;
 
-/// True when every extent of `shape` is positive and their product is
-/// at most kMaxTensorElements. Forms no product that could overflow.
+/// The bound on a tensor's rank and on the loop depth of a statement:
+/// 8. poly::AffineExpr keeps this many coefficients inline, so every
+/// index space and loop nest the flow builds must fit in it. It is an
+/// input limit, checked where ranks enter the flow:
+///   dsl::Sema: every declared shape and every shape a product or
+///     contraction forms (through isBoundedShape; the product under a
+///     contraction is never formed, so Helmholtz's rank-9
+///     `S # S # S # u` compiles);
+///   lowering: the domain of every binary contraction it emits;
+///   ir::Program::verify(): every shape and every contraction domain;
+///   the store codec: every shape, affine map and loop nest it decodes.
+/// CFDlang's kernels need rank 3 and loop depth 4.
+inline constexpr int kMaxDims = 8;
+
+/// True when `shape` has at most kMaxDims extents, each positive, whose
+/// product is at most kMaxTensorElements. Forms no product that could
+/// overflow.
 bool isBoundedShape(const std::vector<std::int64_t>& shape);
 
 /// The diagnostic for a shape that fails isBoundedShape, e.g.
-/// "shape [a b c] exceeds the bound of 268,435,456 elements per tensor".
+/// "shape [a b c] exceeds the bound of 268,435,456 elements per tensor"
+/// or "shape [2 2 2 2 2 2 2 2 2] exceeds the bound of 8 dimensions per
+/// tensor".
 std::string shapeBoundMessage(const std::vector<std::int64_t>& shape);
 
 /// Formats `value` with `digits` digits after the decimal point.

@@ -4,6 +4,7 @@
 #include "support/Error.h"
 #include "support/Format.h"
 #include "support/Hash.h"
+#include "support/TextBuilder.h"
 
 #include <sstream>
 
@@ -152,22 +153,22 @@ std::string SystemDesign::str() const {
 std::string emitHostCode(const SystemDesign& design,
                          const sched::Schedule& schedule) {
   const ir::Program& program = *schedule.program;
-  std::ostringstream os;
-  os << "/* Host control program generated by the system generator\n"
-     << "   (paper Sec. V-B). Ne elements, m=" << design.m
-     << " PLM units, k=" << design.k << " accelerators, batch="
-     << design.batch << ". */\n";
-  os << "#include <stdint.h>\n#include <string.h>\n\n";
-  os << "#define CFD_M " << design.m << "\n";
-  os << "#define CFD_K " << design.k << "\n";
-  os << "#define CFD_BATCH " << design.batch << "\n";
-  os << "#define CFD_PLM_WINDOW 0x" << std::hex << design.plmWindowBytes
-     << std::dec << "\n\n";
+  TextBuilder out(1536 + 160 * design.addressMap.size());
+  out << "/* Host control program generated by the system generator\n"
+      << "   (paper Sec. V-B). Ne elements, m=" << design.m
+      << " PLM units, k=" << design.k << " accelerators, batch="
+      << design.batch << ". */\n"
+      << "#include <stdint.h>\n#include <string.h>\n\n"
+      << "#define CFD_M " << design.m << '\n'
+      << "#define CFD_K " << design.k << '\n'
+      << "#define CFD_BATCH " << design.batch << '\n'
+      << "#define CFD_PLM_WINDOW 0x";
+  out.hex(static_cast<std::uint64_t>(design.plmWindowBytes)) << "\n\n";
   for (const auto& entry : design.addressMap) {
-    os << "#define CFD_OFF_" << entry.array << " 0x" << std::hex
-       << entry.byteOffset << std::dec << "\n";
+    out << "#define CFD_OFF_" << entry.array << " 0x";
+    out.hex(static_cast<std::uint64_t>(entry.byteOffset)) << '\n';
   }
-  os << R"(
+  out << R"(
 /* AXI-lite peripheral registers (one interface controls all k kernels). */
 #define CTRL_START 0x00
 #define CTRL_DONE  0x04
@@ -179,8 +180,8 @@ extern void wait_for_interrupt(void);
 )";
   // Host-side element accessors for every interface array.
   for (const auto& entry : design.addressMap)
-    os << "extern void* host_" << entry.array << "(long element);\n";
-  os << R"(
+    out << "extern void* host_" << entry.array << "(long element);\n";
+  out << R"(
 void run_simulation(long num_elements)
 {
   for (long e = 0; e < num_elements; e += CFD_M) {
@@ -192,11 +193,11 @@ void run_simulation(long num_elements)
     const ir::Tensor* tensor = program.findTensor(entry.array);
     if (tensor == nullptr || tensor->kind != ir::TensorKind::Input)
       continue;
-    os << "      memcpy((void*)(window + CFD_OFF_" << entry.array
-       << "), host_" << entry.array << "(e + i), " << entry.byteSize
-       << ");\n";
+    out << "      memcpy((void*)(window + CFD_OFF_" << entry.array
+        << "), host_" << entry.array << "(e + i), " << entry.byteSize
+        << ");\n";
   }
-  os << R"(    }
+  out << R"(    }
     /* Execute batch rounds: broadcast start, wait for the interrupt. */
     for (int b = 0; b < CFD_BATCH; ++b) {
       ctrl_base[CTRL_START / 4] = 1u; /* start all k accelerators */
@@ -210,12 +211,12 @@ void run_simulation(long num_elements)
     const ir::Tensor* tensor = program.findTensor(entry.array);
     if (tensor == nullptr || tensor->kind != ir::TensorKind::Output)
       continue;
-    os << "      memcpy(host_" << entry.array << "(e + i), (void*)(window"
-       << " + CFD_OFF_" << entry.array << "), " << entry.byteSize
-       << ");\n";
+    out << "      memcpy(host_" << entry.array << "(e + i), (void*)(window"
+        << " + CFD_OFF_" << entry.array << "), " << entry.byteSize
+        << ");\n";
   }
-  os << "    }\n  }\n}\n";
-  return os.str();
+  out << "    }\n  }\n}\n";
+  return out.take();
 }
 
 } // namespace cfd::sysgen

@@ -156,6 +156,62 @@ TEST(DiagnosticsGoldenTest, ShapeOverflowingTheByteSizes) {
 })json");
 }
 
+// kMaxDims (support/Format.h) bounds every rank and loop nest, because
+// poly::AffineExpr keeps that many coefficients inline. Both kernels
+// compiled before the bound existed; each must end in diagnostics, not
+// in an InternalError from the affine engine.
+TEST(DiagnosticsGoldenTest, RankOverTheBound) {
+  Session session;
+  const auto result = session.compile(
+      CompileRequest("var input  a : [2 2 2 2 2 2 2 2 2]\n"
+                     "var output b : [2 2 2 2 2 2 2 2 2]\n"
+                     "b = a\n"));
+  ASSERT_FALSE(result);
+  EXPECT_EQ(renderJson(result.diagnostics()),
+            R"json({
+  "schema": "cfd-diagnostics-v1",
+  "diagnostics": [
+    {
+      "severity": "error",
+      "message": "'a': shape [2 2 2 2 2 2 2 2 2] exceeds the bound of 8 dimensions per tensor",
+      "stage": "parse",
+      "line": 1,
+      "column": 1
+    },
+    {
+      "severity": "error",
+      "message": "'b': shape [2 2 2 2 2 2 2 2 2] exceeds the bound of 8 dimensions per tensor",
+      "stage": "parse",
+      "line": 2,
+      "column": 1
+    }
+  ]
+})json");
+}
+
+// Every declared rank is within the bound, but contracting two rank-5
+// tensors over one pair forms a domain of 4 + 4 + 1 = 9 loops.
+TEST(DiagnosticsGoldenTest, ContractionDomainOverTheBound) {
+  Session session;
+  const auto result = session.compile(
+      CompileRequest("var input  a : [2 2 2 2 3]\n"
+                     "var input  c : [3 2 2 2 2]\n"
+                     "var output b : [2 2 2 2 2 2 2 2]\n"
+                     "b = a # c . [[4 5]]\n"));
+  ASSERT_FALSE(result);
+  EXPECT_EQ(renderJson(result.diagnostics()),
+            R"json({
+  "schema": "cfd-diagnostics-v1",
+  "diagnostics": [
+    {
+      "severity": "error",
+      "message": "contraction a # c: domain of 9 loops exceeds the bound of 8 loops per statement",
+      "stage": "lower"
+    }
+  ]
+})json");
+}
+
 // 20,000 nested parentheses (a 40 KB source): the parser stops at the
 // 257th instead of recursing until the stack overflows.
 TEST(DiagnosticsGoldenTest, ParenthesesNestedPastTheDepthBound) {

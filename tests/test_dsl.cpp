@@ -279,6 +279,46 @@ TEST(SemaTest, ShapeBoundCoversFormedProducts) {
       << diags.str();
 }
 
+// kMaxDims (support/Format.h) bounds the rank of every declared or
+// formed shape; the product under a contraction is never formed, so it
+// may exceed it.
+TEST(SemaTest, RankBoundIsInclusive) {
+  Program atBound = parseOk("var input a : [2 2 2 2 2 2 2 2]\n"
+                            "var output b : [2 2 2 2 2 2 2 2]\nb = a");
+  Diagnostics accepted;
+  EXPECT_TRUE(analyze(atBound, accepted)) << accepted.str();
+
+  Program overBound = parseOk("var input a : [2 2 2 2 2 2 2 2 2]\n"
+                              "var output b : [2 2 2 2 2 2 2 2 2]\nb = a");
+  Diagnostics rejected;
+  EXPECT_FALSE(analyze(overBound, rejected));
+  EXPECT_EQ(rejected.errorCount(), 2u) << rejected.str();
+  EXPECT_NE(rejected.str().find("'a': shape [2 2 2 2 2 2 2 2 2] exceeds the "
+                                "bound of 8 dimensions per tensor"),
+            std::string::npos)
+      << rejected.str();
+
+  // The factor a # b is formed at rank 9; the rank-10 product under the
+  // contraction is not.
+  Program formed = parseOk("var input a : [2 2 2 2 2]\n"
+                           "var input b : [2 2 2 2]\n"
+                           "var input c : [2]\n"
+                           "var output v : [2 2 2 2 2 2 2 2]\n"
+                           "v = (a # b) # c . [[8 9]]");
+  Diagnostics formedDiags;
+  EXPECT_FALSE(analyze(formed, formedDiags));
+  EXPECT_EQ(formedDiags.errorCount(), 1u) << formedDiags.str();
+  EXPECT_NE(formedDiags.str().find("shape [2 2 2 2 2 2 2 2 2] exceeds the "
+                                   "bound of 8 dimensions"),
+            std::string::npos)
+      << formedDiags.str();
+
+  // Helmholtz contracts a rank-9 product.
+  Program helmholtz = parseOk(test::kInverseHelmholtz);
+  Diagnostics helmholtzDiags;
+  EXPECT_TRUE(analyze(helmholtz, helmholtzDiags)) << helmholtzDiags.str();
+}
+
 TEST(SemaTest, ParseAndCheckThrowsOnBadInput) {
   EXPECT_THROW(parseAndCheck("var output z : [3]\nz = q"), FlowError);
   EXPECT_NO_THROW(parseAndCheck(test::kInverseHelmholtz));

@@ -193,6 +193,23 @@ d = copy(a, perm=[1 0])
                [](auto& ops) { ops[copy].perm = {1}; }}});
 }
 
+// kMaxDims (support/Format.h) bounds every contraction's loop domain:
+// the free dims of both operands plus one loop per pair. Dropping a pair
+// here turns an 8-loop domain into a 9-loop one.
+TEST(ProgramTest, VerifyRejectsAContractionDomainOverTheRankBound) {
+  const Program valid = parseProgramText(R"(
+input a : [2 2 2 3 3]
+input b : [3 3 2 2 2]
+output c : [2 2 2 2 2 2]
+c = contract(a, b, pairs={(3,0), (4,1)})
+)");
+  EXPECT_NO_THROW(valid.verify());
+  expectEachRejected(
+      valid, {{"contraction domain of 9 loops on c exceeds the bound of 8 "
+               "loops per statement",
+               [](auto& ops) { ops.front().pairs = {{4, 1}}; }}});
+}
+
 TEST(ProgramTest, InterfaceOrderGroupsKinds) {
   const Program program = lowerSource(test::kInverseHelmholtz);
   const auto order = program.interfaceOrder();

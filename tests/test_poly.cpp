@@ -56,6 +56,34 @@ TEST(AffineExprTest, OutOfRangeDimThrows) {
   EXPECT_THROW(AffineExpr::dim(2, -1), InternalError);
 }
 
+// Coefficients live inline: kMaxDims of them plus the constant and the
+// count, 80 bytes, which is what a 3-4-dim expression cost with its heap
+// block before.
+TEST(AffineExprTest, InlineUpToTheRankBound) {
+  static_assert(kMaxDims == 8);
+  static_assert(sizeof(AffineExpr) == 80);
+  const std::int64_t coefficients[kMaxDims] = {1, 2, 3, 4, 5, 6, 7, 8};
+  const AffineExpr full = AffineExpr::fromCoefficients(coefficients, 9);
+  EXPECT_EQ(full.numDims(), kMaxDims);
+  EXPECT_EQ(full.str(), "d0 + 2*d1 + 3*d2 + 4*d3 + 5*d4 + 6*d5 + 7*d6 + "
+                        "8*d7 + 9");
+  EXPECT_THROW(AffineExpr::constant(kMaxDims + 1, 0), InternalError);
+  EXPECT_THROW(AffineExpr::dim(kMaxDims + 1, 0), InternalError);
+  const std::int64_t tooMany[kMaxDims + 1] = {};
+  EXPECT_THROW(AffineExpr::fromCoefficients(tooMany, 0), InternalError);
+  EXPECT_THROW(AffineMap(kMaxDims + 1, {}), InternalError);
+}
+
+// Equality compares the space, the constant and the live coefficients.
+TEST(AffineExprTest, EqualityOverTheLiveDims) {
+  const AffineExpr d1 = AffineExpr::dim(3, 1);
+  EXPECT_EQ(d1, AffineExpr::dim(3, 1));
+  EXPECT_NE(d1, AffineExpr::dim(3, 0));
+  EXPECT_NE(d1, AffineExpr::dim(2, 1));
+  EXPECT_NE(d1, d1 + 1);
+  EXPECT_EQ(d1 * 2 - d1, d1);
+}
+
 TEST(AffineMapTest, RowMajorLayoutMatchesC99) {
   // t[i,j,k] -> 121 i + 11 j + k for shape [11 11 11] (paper §IV-D).
   const std::int64_t shape[] = {11, 11, 11};

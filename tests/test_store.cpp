@@ -421,6 +421,73 @@ TEST_F(StoreTest, DifferentOptionsRejectTheEntry) {
   EXPECT_EQ(store.stats().verifyFailures, 2);
 }
 
+// poly::AffineExpr keeps kMaxDims (support/Format.h) coefficients
+// inline, so a checksum-valid Schedule entry whose access map claims 9
+// dimensions must be rejected by the codec before any expression is
+// built: a CodecError naming the bound, and one verify failure in the
+// store.
+TEST_F(StoreTest, AccessMapOverTheRankBoundIsOneVerifyFailure) {
+  const auto pipeline = compileAll(test::kInverseHelmholtz);
+  const StageArtifacts& artifacts = pipeline->artifacts();
+  const std::string payload =
+      store::encodePrefix(Stage::Schedule, artifacts);
+  // The encoded write access of the reference schedule's first
+  // statement, at its own rank or padded with zero coefficients.
+  const ir::Access& write =
+      artifacts.referenceSchedule->statements.front().write;
+  const auto encodeWrite = [&](int numDims) {
+    store::ByteWriter w;
+    w.i32(write.tensor);
+    w.i32(numDims);
+    w.u64(static_cast<std::uint64_t>(write.map.numResults()));
+    for (const poly::AffineExpr& expr : write.map.results()) {
+      w.u64(static_cast<std::uint64_t>(numDims));
+      for (int dim = 0; dim < numDims; ++dim)
+        w.i64(dim < expr.numDims() ? expr.coefficient(dim) : 0);
+      w.i64(expr.constantTerm());
+    }
+    return w.take();
+  };
+  const std::string valid = encodeWrite(write.map.numDims());
+  const std::size_t at = payload.find(valid);
+  ASSERT_NE(at, std::string::npos);
+  std::string broken = payload;
+  broken.replace(at, valid.size(), encodeWrite(9));
+
+  try {
+    store::decodePrefix(Stage::Schedule, broken, pipeline->options());
+    ADD_FAILURE() << "decoded an affine map over the rank bound";
+  } catch (const store::CodecError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "affine map over 9 dimensions exceeds the bound of 8"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // The same payload behind a valid header and checksum.
+  store::ArtifactStore store({root_});
+  const std::uint64_t key = pipeline->stageKey(Stage::Schedule);
+  store.publish(key, Stage::Schedule, artifacts, pipeline->source(),
+                pipeline->options());
+  const std::string entry = readFile(store.entryPath(key));
+  // An entry ends in the payload checksum, the payload length and the
+  // payload.
+  ASSERT_GT(entry.size(), payload.size() + 16);
+  store::ByteWriter tail;
+  tail.u64(store::payloadChecksum(broken));
+  tail.str(broken);
+  writeFile(store.entryPath(key),
+            entry.substr(0, entry.size() - payload.size() - 16) +
+                tail.take());
+  EXPECT_EQ(store.load(key, Stage::Schedule, pipeline->source(),
+                       pipeline->options()),
+            nullptr);
+  const auto stats = store.stats();
+  EXPECT_EQ(stats.verifyFailures, 1);
+  EXPECT_EQ(stats.hits, 0);
+  EXPECT_EQ(stats.misses, 0);
+}
+
 TEST_F(StoreTest, UnusableRootDisablesTheStore) {
   // A root under a regular file cannot be created.
   const std::string file = root_ + "_file";
