@@ -273,10 +273,11 @@ ChunkOutcome runChunk(serve::Client& client, const Chunk& chunk,
     // (identical by construction — every worker compiles the same
     // (source, options) through the same pipeline).
     try {
-      const json::Value& rows = message->result.at("rows");
+      // Row strings move out of the parsed response.
+      json::Value& rows = message->result.at("rows");
       std::lock_guard<std::mutex> lock(state.mutex);
       for (std::size_t i = 0; i < rows.size(); ++i) {
-        const json::Value& entry = rows.at(i);
+        json::Value& entry = rows.at(i);
         const std::int64_t index = entry.at("index").asInt();
         if (index < 0 ||
             static_cast<std::size_t>(index) >= state.rows.size() ||
@@ -284,10 +285,10 @@ ChunkOutcome runChunk(serve::Client& client, const Chunk& chunk,
           continue;
         DistRow row;
         row.index = index;
-        row.label = entry.at("label").asString();
+        row.label = std::move(entry.at("label")).asString();
         row.feasible = entry.at("feasible").asBool();
         if (!row.feasible) {
-          row.error = entry.at("error").asString();
+          row.error = std::move(entry.at("error")).asString();
         } else {
           row.m = entry.at("m").asInt();
           row.k = entry.at("k").asInt();

@@ -83,22 +83,20 @@ void TensorStore::import(ir::TensorId id, const DenseTensor& value) {
   const ir::Tensor& tensor = program_->tensor(id);
   CFD_ASSERT(tensor.type.shape == value.shape,
              "import shape mismatch on " + tensor.name);
-  const auto& layout = layouts_->layoutOf(id);
+  const poly::AffineExpr& offset = layouts_->layoutOf(id).map.result(0);
   poly::Box::fromShape(tensor.type.shape)
       .forEachPoint([&](std::span<const std::int64_t> index) {
-        const auto offset = layout.map.evaluate(index);
-        store(id, offset[0], value.at(index));
+        store(id, offset.evaluate(index), value.at(index));
       });
 }
 
 DenseTensor TensorStore::exportTensor(ir::TensorId id) const {
   const ir::Tensor& tensor = program_->tensor(id);
   DenseTensor out = DenseTensor::zeros(tensor.type.shape);
-  const auto& layout = layouts_->layoutOf(id);
+  const poly::AffineExpr& offset = layouts_->layoutOf(id).map.result(0);
   poly::Box::fromShape(tensor.type.shape)
       .forEachPoint([&](std::span<const std::int64_t> index) {
-        const auto offset = layout.map.evaluate(index);
-        out.at(index) = load(id, offset[0]);
+        out.at(index) = load(id, offset.evaluate(index));
       });
   return out;
 }
@@ -116,17 +114,16 @@ OpCounts& OpCounts::operator+=(const OpCounts& other) {
 
 namespace {
 
-/// Evaluates the flat offset of an access at the current loop point,
-/// composing access map and layout once outside the loop would be
-/// faster; for clarity this interpreter recomputes per point.
+/// An access bound once per statement: its flat offset over the loop
+/// space, which evaluates per point without allocating.
 struct BoundAccess {
   ir::TensorId tensor;
-  poly::AffineMap flat; // loop space -> flat offset
+  poly::AffineExpr flat; // loop space -> flat offset
 };
 
 BoundAccess bind(const sched::LayoutAssignment& layouts,
                  const ir::Access& access) {
-  return {access.tensor, layouts.layoutOf(access.tensor).map.compose(access.map)};
+  return {access.tensor, layouts.flatOffset(access)};
 }
 
 } // namespace
@@ -146,11 +143,11 @@ OpCounts execute(const sched::Schedule& schedule, TensorStore& store) {
     // Zero-initialize accumulation targets over their index space.
     if (stmt.needsInit) {
       const auto& target = schedule.program->tensor(stmt.write.tensor);
-      const auto& layout = schedule.layouts.layoutOf(stmt.write.tensor);
+      const poly::AffineExpr& offset =
+          schedule.layouts.layoutOf(stmt.write.tensor).map.result(0);
       target.type.indexSpace().forEachPoint(
           [&](std::span<const std::int64_t> index) {
-            store.store(stmt.write.tensor, layout.map.evaluate(index)[0],
-                        0.0);
+            store.store(stmt.write.tensor, offset.evaluate(index), 0.0);
             ++counts.stores;
           });
     }
@@ -173,19 +170,19 @@ OpCounts execute(const sched::Schedule& schedule, TensorStore& store) {
       switch (stmt.kind) {
       case ir::OpKind::Contract: {
         const double a = store.load(reads[0].tensor,
-                                    reads[0].flat.evaluate(point)[0]);
+                                    reads[0].flat.evaluate(point));
         const double b = store.load(reads[1].tensor,
-                                    reads[1].flat.evaluate(point)[0]);
+                                    reads[1].flat.evaluate(point));
         counts.loads += 2;
         const double product = a * b;
         ++counts.fmul;
         if (!stmt.needsInit) {
           // Pure outer product: direct store.
-          store.store(write.tensor, write.flat.evaluate(point)[0], product);
+          store.store(write.tensor, write.flat.evaluate(point), product);
           ++counts.stores;
           break;
         }
-        const std::int64_t offset = write.flat.evaluate(point)[0];
+        const std::int64_t offset = write.flat.evaluate(point);
         if (registerAccumulator) {
           // Innermost loop is the (single innermost) reduction: keep the
           // partial sum in a register as compiled CPU code would.
@@ -213,9 +210,9 @@ OpCounts execute(const sched::Schedule& schedule, TensorStore& store) {
       }
       case ir::OpKind::EntryWise: {
         const double a = store.load(reads[0].tensor,
-                                    reads[0].flat.evaluate(point)[0]);
+                                    reads[0].flat.evaluate(point));
         const double b = store.load(reads[1].tensor,
-                                    reads[1].flat.evaluate(point)[0]);
+                                    reads[1].flat.evaluate(point));
         counts.loads += 2;
         double value = 0.0;
         switch (stmt.entryWise) {
@@ -236,20 +233,20 @@ OpCounts execute(const sched::Schedule& schedule, TensorStore& store) {
           ++counts.fdiv;
           break;
         }
-        store.store(write.tensor, write.flat.evaluate(point)[0], value);
+        store.store(write.tensor, write.flat.evaluate(point), value);
         ++counts.stores;
         break;
       }
       case ir::OpKind::Copy: {
         const double value = store.load(reads[0].tensor,
-                                        reads[0].flat.evaluate(point)[0]);
+                                        reads[0].flat.evaluate(point));
         ++counts.loads;
-        store.store(write.tensor, write.flat.evaluate(point)[0], value);
+        store.store(write.tensor, write.flat.evaluate(point), value);
         ++counts.stores;
         break;
       }
       case ir::OpKind::Fill: {
-        store.store(write.tensor, write.flat.evaluate(point)[0],
+        store.store(write.tensor, write.flat.evaluate(point),
                     stmt.scalar);
         ++counts.stores;
         break;

@@ -41,31 +41,31 @@ std::int64_t Accelerator::run(PlmUnit& plm) {
     const int targetBuffer = plan_->bufferIndexOf(stmt.write.tensor);
     const std::int64_t targetBase =
         plan_->baseOffsetOf(stmt.write.tensor);
-    const poly::AffineMap writeMap =
-        layouts.layoutOf(stmt.write.tensor).map.compose(stmt.write.map);
+    // Each access is bound once: its flat offset over the loop space,
+    // which evaluates per point without allocating.
+    const poly::AffineExpr writeOffset = layouts.flatOffset(stmt.write);
 
     if (stmt.needsInit) {
       const auto& target = program.tensor(stmt.write.tensor);
-      const auto& layout = layouts.layoutOf(stmt.write.tensor);
+      const poly::AffineExpr& offset =
+          layouts.layoutOf(stmt.write.tensor).map.result(0);
       target.type.indexSpace().forEachPoint(
           [&](std::span<const std::int64_t> index) {
-            plm.write(targetBuffer,
-                      targetBase + layout.map.evaluate(index)[0], 0.0);
+            plm.write(targetBuffer, targetBase + offset.evaluate(index), 0.0);
           });
     }
 
     struct BoundRead {
       int buffer;
       std::int64_t base;
-      poly::AffineMap map;
-      ir::TensorId tensor;
+      poly::AffineExpr offset;
     };
     std::vector<BoundRead> reads;
+    reads.reserve(stmt.reads.size());
     for (const auto& read : stmt.reads)
       reads.push_back({plan_->bufferIndexOf(read.tensor),
                        plan_->baseOffsetOf(read.tensor),
-                       layouts.layoutOf(read.tensor).map.compose(read.map),
-                       read.tensor});
+                       layouts.flatOffset(read)});
 
     std::vector<std::int64_t> extents;
     for (const auto& loop : stmt.loops)
@@ -76,11 +76,11 @@ std::int64_t Accelerator::run(PlmUnit& plm) {
           switch (stmt.kind) {
           case ir::OpKind::Contract: {
             const double a = plm.read(reads[0].buffer,
-                reads[0].base + reads[0].map.evaluate(point)[0]);
+                reads[0].base + reads[0].offset.evaluate(point));
             const double b = plm.read(reads[1].buffer,
-                reads[1].base + reads[1].map.evaluate(point)[0]);
+                reads[1].base + reads[1].offset.evaluate(point));
             const std::int64_t offset =
-                targetBase + writeMap.evaluate(point)[0];
+                targetBase + writeOffset.evaluate(point);
             if (!stmt.needsInit) {
               plm.write(targetBuffer, offset, a * b);
             } else {
@@ -91,9 +91,9 @@ std::int64_t Accelerator::run(PlmUnit& plm) {
           }
           case ir::OpKind::EntryWise: {
             const double a = plm.read(reads[0].buffer,
-                reads[0].base + reads[0].map.evaluate(point)[0]);
+                reads[0].base + reads[0].offset.evaluate(point));
             const double b = plm.read(reads[1].buffer,
-                reads[1].base + reads[1].map.evaluate(point)[0]);
+                reads[1].base + reads[1].offset.evaluate(point));
             double value = 0.0;
             switch (stmt.entryWise) {
             case ir::EntryWiseKind::Add:
@@ -109,19 +109,19 @@ std::int64_t Accelerator::run(PlmUnit& plm) {
               value = a / b;
               break;
             }
-            plm.write(targetBuffer, targetBase + writeMap.evaluate(point)[0],
+            plm.write(targetBuffer, targetBase + writeOffset.evaluate(point),
                       value);
             break;
           }
           case ir::OpKind::Copy: {
-            plm.write(targetBuffer, targetBase + writeMap.evaluate(point)[0],
+            plm.write(targetBuffer, targetBase + writeOffset.evaluate(point),
                       plm.read(reads[0].buffer,
                                reads[0].base +
-                                   reads[0].map.evaluate(point)[0]));
+                                   reads[0].offset.evaluate(point)));
             break;
           }
           case ir::OpKind::Fill: {
-            plm.write(targetBuffer, targetBase + writeMap.evaluate(point)[0],
+            plm.write(targetBuffer, targetBase + writeOffset.evaluate(point),
                       stmt.scalar);
             break;
           }
@@ -149,12 +149,12 @@ void SystemModel::writeArray(int plmIndex, const std::string& array,
              "PLM index out of range");
   const int buffer = flow_->memoryPlan().bufferIndexOf(tensor->id);
   const std::int64_t base = flow_->memoryPlan().baseOffsetOf(tensor->id);
-  const auto& layout = flow_->schedule().layouts.layoutOf(tensor->id);
+  const poly::AffineExpr& offset =
+      flow_->schedule().layouts.layoutOf(tensor->id).map.result(0);
   PlmUnit& plm = plms_[static_cast<std::size_t>(plmIndex)];
   tensor->type.indexSpace().forEachPoint(
       [&](std::span<const std::int64_t> index) {
-        plm.write(buffer, base + layout.map.evaluate(index)[0],
-                  value.at(index));
+        plm.write(buffer, base + offset.evaluate(index), value.at(index));
       });
 }
 
@@ -166,13 +166,13 @@ eval::DenseTensor SystemModel::readArray(int plmIndex,
              "PLM index out of range");
   const int buffer = flow_->memoryPlan().bufferIndexOf(tensor->id);
   const std::int64_t base = flow_->memoryPlan().baseOffsetOf(tensor->id);
-  const auto& layout = flow_->schedule().layouts.layoutOf(tensor->id);
+  const poly::AffineExpr& offset =
+      flow_->schedule().layouts.layoutOf(tensor->id).map.result(0);
   PlmUnit& plm = plms_[static_cast<std::size_t>(plmIndex)];
   eval::DenseTensor out = eval::DenseTensor::zeros(tensor->type.shape);
   tensor->type.indexSpace().forEachPoint(
       [&](std::span<const std::int64_t> index) {
-        out.at(index) =
-            plm.read(buffer, base + layout.map.evaluate(index)[0]);
+        out.at(index) = plm.read(buffer, base + offset.evaluate(index));
       });
   return out;
 }

@@ -56,13 +56,34 @@ void Client::shutdownWrites() {
 bool Client::send(const Request& request) {
   if (fd_ < 0)
     return false;
-  const std::string line = request.encode() + "\n";
+  std::string line = request.encode();
+  line += '\n';
   return sendAll(fd_, line.data(), line.size());
 }
 
-bool Client::readLine(std::string& line) {
-  std::size_t newline;
-  while ((newline = buffer_.find('\n')) == std::string::npos) {
+bool Client::readLine(std::string_view& line) {
+  // The line handed out last time is consumed now; a buffer holding
+  // nothing else is emptied, keeping its capacity for the next one.
+  if (lineStart_ == buffer_.size()) {
+    buffer_.clear();
+    lineStart_ = scanned_ = 0;
+  }
+  for (;;) {
+    const std::size_t newline = buffer_.find('\n', scanned_);
+    if (newline != std::string::npos) {
+      line = std::string_view(buffer_).substr(lineStart_,
+                                              newline - lineStart_);
+      lineStart_ = scanned_ = newline + 1;
+      return true;
+    }
+    scanned_ = buffer_.size();
+    if (lineStart_ > 0) {
+      // Only a partial line follows the consumed ones: move it to the
+      // front before the buffer grows.
+      buffer_.erase(0, lineStart_);
+      scanned_ -= lineStart_;
+      lineStart_ = 0;
+    }
     char chunk[4096];
     const ssize_t n = recvSome(fd_, chunk, sizeof(chunk));
     if (n == 0 && !buffer_.empty()) {
@@ -70,17 +91,14 @@ bool Client::readLine(std::string& line) {
       // wrote its last response and closed before flushing the '\n'
       // (or crashed between the two writes). Hand the leftover to the
       // parser instead of losing a complete answer.
-      line = std::move(buffer_);
-      buffer_.clear();
+      line = buffer_;
+      lineStart_ = scanned_ = buffer_.size();
       return true;
     }
     if (n <= 0)
       return false;
     buffer_.append(chunk, static_cast<std::size_t>(n));
   }
-  line = buffer_.substr(0, newline);
-  buffer_.erase(0, newline + 1);
-  return true;
 }
 
 Expected<Response> Client::receive(std::int64_t id) {
@@ -92,7 +110,7 @@ Expected<Response> Client::receive(std::int64_t id) {
       stash_.erase(it);
       return response;
     }
-  std::string line;
+  std::string_view line;
   for (;;) {
     if (!readLine(line))
       return Expected<Response>::failure(
@@ -120,7 +138,7 @@ Expected<Response> Client::receiveAny() {
     stash_.erase(stash_.begin());
     return response;
   }
-  std::string line;
+  std::string_view line;
   if (!readLine(line))
     return Expected<Response>::failure(
         "connection closed by the daemon", "serve");

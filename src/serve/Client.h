@@ -19,6 +19,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace cfd::serve {
@@ -35,6 +37,8 @@ public:
       fd_ = other.fd_;
       other.fd_ = -1;
       buffer_ = std::move(other.buffer_);
+      lineStart_ = std::exchange(other.lineStart_, 0);
+      scanned_ = std::exchange(other.scanned_, 0);
       stash_ = std::move(other.stash_);
       nextId_ = other.nextId_;
     }
@@ -82,7 +86,8 @@ public:
   /// available, i.e. receiveAny() would return without touching the
   /// socket.
   bool hasBufferedLine() const {
-    return !stash_.empty() || buffer_.find('\n') != std::string::npos;
+    return !stash_.empty() ||
+           buffer_.find('\n', scanned_) != std::string::npos;
   }
 
   /// Half-closes the write side: the daemon sees EOF — exactly what a
@@ -93,13 +98,17 @@ public:
   void closeConnection();
 
 private:
-  /// Reads one full line from the socket; false on EOF/error. A final
-  /// message the peer sent without a trailing '\n' before closing is
-  /// still surfaced as a line (once) rather than silently dropped.
-  bool readLine(std::string& line);
+  /// Reads one full line from the socket; false on EOF/error. `line`
+  /// views the receive buffer and stays valid until the next call.
+  /// Each received byte is scanned for '\n' once. A final message the
+  /// peer sent without a trailing '\n' before closing is still
+  /// surfaced as a line (once) rather than silently dropped.
+  bool readLine(std::string_view& line);
 
   int fd_ = -1;
   std::string buffer_;
+  std::size_t lineStart_ = 0; ///< where the unread part of buffer_ starts
+  std::size_t scanned_ = 0;   ///< buffer_ before this holds no unread '\n'
   std::vector<Response> stash_;
   std::int64_t nextId_ = 1;
 };

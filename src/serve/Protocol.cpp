@@ -3,6 +3,8 @@
 #include "support/Error.h"
 #include "support/SourceLocation.h"
 
+#include <algorithm>
+
 namespace cfd::serve {
 
 namespace {
@@ -30,28 +32,73 @@ std::string validKindList() {
 }
 
 /// Reads an optional member: returns fallback when absent.
-std::int64_t intOr(const json::Value& object, const std::string& key,
+std::int64_t intOr(const json::Value& object, std::string_view key,
                    std::int64_t fallback) {
   return object.contains(key) ? object.at(key).asInt() : fallback;
 }
 
-std::string stringOr(const json::Value& object, const std::string& key) {
-  return object.contains(key) ? object.at(key).asString() : std::string();
+/// Moves an optional string member out of a parsed document; "" when
+/// absent.
+std::string takeString(json::Value& object, std::string_view key) {
+  return object.contains(key) ? std::move(object.at(key)).asString()
+                              : std::string();
 }
 
-json::Value paramsToJson(
+// The writers below append straight into the line, member by member, in
+// the order and form json::Value::dump(-1) gives the same document.
+
+/// `{"cfd_serve":1,"id":N,"kind":"name"`: the leading members of every
+/// message.
+void writeEnvelope(std::string& out, std::int64_t id, RequestKind kind) {
+  out += "{\"";
+  out += kVersionKey;
+  out += "\":";
+  json::writeNumber(out, std::int64_t{kProtocolVersion});
+  out += ",\"id\":";
+  json::writeNumber(out, id);
+  out += ",\"kind\":\"";
+  out += requestKindName(kind);
+  out += '"';
+}
+
+/// `,"name":` before each later member (names need no escaping).
+void writeKey(std::string& out, std::string_view name) {
+  out += ",\"";
+  out += name;
+  out += "\":";
+}
+
+/// An object of string members. A repeated key keeps Value::set's rule:
+/// the last value, at the first key's place.
+void writeParams(
+    std::string& out,
     const std::vector<std::pair<std::string, std::string>>& params) {
-  json::Value object = json::Value::object();
-  for (const auto& [key, value] : params)
-    object.set(key, value);
-  return object;
+  out += '{';
+  for (auto it = params.begin(); it != params.end(); ++it) {
+    const auto sameKey = [&](const auto& param) {
+      return param.first == it->first;
+    };
+    if (std::any_of(params.begin(), it, sameKey))
+      continue;
+    if (out.back() != '{')
+      out += ',';
+    json::writeString(out, it->first);
+    out += ':';
+    json::writeString(out,
+                      std::find_if(params.rbegin(), params.rend(), sameKey)
+                          ->second);
+  }
+  out += '}';
 }
 
-json::Value stringsToJson(const std::vector<std::string>& strings) {
-  json::Value array = json::Value::array();
-  for (const std::string& s : strings)
-    array.push(s);
-  return array;
+void writeStrings(std::string& out, const std::vector<std::string>& strings) {
+  out += '[';
+  for (std::size_t i = 0; i < strings.size(); ++i) {
+    if (i > 0)
+      out += ',';
+    json::writeString(out, strings[i]);
+  }
+  out += ']';
 }
 
 } // namespace
@@ -70,62 +117,87 @@ const char* requestKindName(RequestKind kind) {
   return "?";
 }
 
-json::Value Request::toJson() const {
-  json::Value object = json::Value::object();
-  object.set(kVersionKey, kProtocolVersion);
-  object.set("id", id);
-  object.set("kind", requestKindName(kind));
-  if (!source.empty())
-    object.set("source", source);
-  if (!params.empty())
-    object.set("params", paramsToJson(params));
-  if (!artifacts.empty())
-    object.set("artifacts", stringsToJson(artifacts));
+std::string Request::encode() const {
+  std::string out;
+  out.reserve(128 + source.size());
+  writeEnvelope(out, id, kind);
+  if (!source.empty()) {
+    writeKey(out, "source");
+    json::writeString(out, source);
+  }
+  if (!params.empty()) {
+    writeKey(out, "params");
+    writeParams(out, params);
+  }
+  if (!artifacts.empty()) {
+    writeKey(out, "artifacts");
+    writeStrings(out, artifacts);
+  }
   if (!axes.empty()) {
-    json::Value array = json::Value::array();
-    for (const AxisSpec& axis : axes) {
-      json::Value entry = json::Value::object();
-      entry.set("key", axis.key);
-      entry.set("values", stringsToJson(axis.values));
-      array.push(std::move(entry));
+    writeKey(out, "axes");
+    out += '[';
+    for (std::size_t i = 0; i < axes.size(); ++i) {
+      out += i > 0 ? ",{\"key\":" : "{\"key\":";
+      json::writeString(out, axes[i].key);
+      out += ",\"values\":";
+      writeStrings(out, axes[i].values);
+      out += '}';
     }
-    object.set("axes", std::move(array));
+    out += ']';
   }
   if (!points.empty()) {
-    json::Value array = json::Value::array();
-    for (const ChunkPoint& point : points) {
-      json::Value entry = json::Value::object();
-      entry.set("index", point.index);
-      entry.set("label", point.label);
-      entry.set("params", paramsToJson(point.params));
-      array.push(std::move(entry));
+    writeKey(out, "points");
+    out += '[';
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      out += i > 0 ? ",{\"index\":" : "{\"index\":";
+      json::writeNumber(out, points[i].index);
+      out += ",\"label\":";
+      json::writeString(out, points[i].label);
+      out += ",\"params\":";
+      writeParams(out, points[i].params);
+      out += '}';
     }
-    object.set("points", std::move(array));
+    out += ']';
   }
   if (kind == RequestKind::Tune) {
-    if (!strategy.empty())
-      object.set("strategy", strategy);
-    if (seed != 1)
-      object.set("seed", static_cast<std::int64_t>(seed));
-    if (samples != 16)
-      object.set("samples", samples);
-    if (maxSteps != 32)
-      object.set("max_steps", maxSteps);
-    if (!objectives.empty())
-      object.set("objectives", stringsToJson(objectives));
+    if (!strategy.empty()) {
+      writeKey(out, "strategy");
+      json::writeString(out, strategy);
+    }
+    if (seed != 1) {
+      writeKey(out, "seed");
+      json::writeNumber(out, static_cast<std::int64_t>(seed));
+    }
+    if (samples != 16) {
+      writeKey(out, "samples");
+      json::writeNumber(out, static_cast<std::int64_t>(samples));
+    }
+    if (maxSteps != 32) {
+      writeKey(out, "max_steps");
+      json::writeNumber(out, static_cast<std::int64_t>(maxSteps));
+    }
+    if (!objectives.empty()) {
+      writeKey(out, "objectives");
+      writeStrings(out, objectives);
+    }
   }
-  if (!priority.empty())
-    object.set("priority", priority);
-  if (deadlineMillis > 0)
-    object.set("deadline_ms", deadlineMillis);
-  if (kind == RequestKind::Cancel)
-    object.set("target", target);
-  return object;
+  if (!priority.empty()) {
+    writeKey(out, "priority");
+    json::writeString(out, priority);
+  }
+  if (deadlineMillis > 0) {
+    writeKey(out, "deadline_ms");
+    json::writeNumber(out, deadlineMillis);
+  }
+  if (kind == RequestKind::Cancel) {
+    writeKey(out, "target");
+    json::writeNumber(out, target);
+  }
+  out += '}';
+  return out;
 }
 
-std::string Request::encode() const { return toJson().dump(-1); }
-
-Expected<Request> Request::parse(const std::string& line,
+Expected<Request> Request::parse(std::string_view line,
                                  std::int64_t* echoId) {
   if (echoId != nullptr)
     *echoId = 0;
@@ -156,7 +228,7 @@ Expected<Request> Request::parse(const std::string& line,
           std::to_string(kProtocolVersion));
 
     Request request;
-    const std::string kindName = stringOr(document, "kind");
+    const std::string kindName = takeString(document, "kind");
     bool known = false;
     for (RequestKind kind : kParsableKinds)
       if (kindName == requestKindName(kind)) {
@@ -171,7 +243,7 @@ Expected<Request> Request::parse(const std::string& line,
       return protocolError<Request>(
           "request needs a positive 'id' to address the response");
 
-    request.source = stringOr(document, "source");
+    request.source = takeString(document, "source");
     const bool needsSource = request.kind == RequestKind::Compile ||
                              request.kind == RequestKind::Sweep ||
                              request.kind == RequestKind::Tune ||
@@ -201,12 +273,12 @@ Expected<Request> Request::parse(const std::string& line,
       }
     }
     if (document.contains("points")) {
-      const json::Value& array = document.at("points");
+      json::Value& array = document.at("points");
       for (std::size_t i = 0; i < array.size(); ++i) {
-        const json::Value& entry = array.at(i);
+        json::Value& entry = array.at(i);
         ChunkPoint point;
         point.index = entry.at("index").asInt();
-        point.label = entry.at("label").asString();
+        point.label = std::move(entry.at("label")).asString();
         if (entry.contains("params"))
           for (const auto& [key, value] : entry.at("params").members())
             point.params.emplace_back(key, value.asString());
@@ -216,7 +288,7 @@ Expected<Request> Request::parse(const std::string& line,
     if (request.kind == RequestKind::SweepChunk && request.points.empty())
       return protocolError<Request>(
           "'sweep_chunk' request has no 'points'");
-    request.strategy = stringOr(document, "strategy");
+    request.strategy = takeString(document, "strategy");
     request.seed =
         static_cast<std::uint64_t>(intOr(document, "seed", 1));
     request.samples =
@@ -228,7 +300,7 @@ Expected<Request> Request::parse(const std::string& line,
       for (std::size_t i = 0; i < array.size(); ++i)
         request.objectives.push_back(array.at(i).asString());
     }
-    request.priority = stringOr(document, "priority");
+    request.priority = takeString(document, "priority");
     if (!request.priority.empty() && request.priority != "low" &&
         request.priority != "normal" && request.priority != "high")
       return protocolError<Request>("unknown priority '" + request.priority +
@@ -248,26 +320,31 @@ Expected<Request> Request::parse(const std::string& line,
   }
 }
 
-json::Value Response::toJson() const {
-  json::Value object = json::Value::object();
-  object.set(kVersionKey, kProtocolVersion);
-  object.set("id", id);
-  object.set("kind", requestKindName(kind));
-  object.set("ok", ok);
-  if (cancelled)
-    object.set("cancelled", true);
-  if (!event.empty())
-    object.set("event", event);
-  if (ok)
-    object.set("result", result);
-  else
-    object.set("diagnostics", diagnostics.toJson());
-  return object;
+std::string Response::encode() const {
+  std::string out;
+  writeEnvelope(out, id, kind);
+  writeKey(out, "ok");
+  out += ok ? "true" : "false";
+  if (cancelled) {
+    writeKey(out, "cancelled");
+    out += "true";
+  }
+  if (!event.empty()) {
+    writeKey(out, "event");
+    json::writeString(out, event);
+  }
+  if (ok) {
+    writeKey(out, "result");
+    result.dumpTo(out, -1);
+  } else {
+    writeKey(out, "diagnostics");
+    diagnostics.toJson().dumpTo(out, -1);
+  }
+  out += '}';
+  return out;
 }
 
-std::string Response::encode() const { return toJson().dump(-1); }
-
-Expected<Response> Response::parse(const std::string& line) {
+Expected<Response> Response::parse(std::string_view line) {
   json::Value document;
   try {
     document = json::Value::parse(line);
@@ -291,7 +368,7 @@ Expected<Response> Response::parse(const std::string& line) {
 
     Response response;
     response.id = intOr(document, "id", 0);
-    const std::string kindName = stringOr(document, "kind");
+    const std::string kindName = takeString(document, "kind");
     response.kind = RequestKind::Invalid;
     for (RequestKind kind : kParsableKinds)
       if (kindName == requestKindName(kind))
@@ -299,20 +376,20 @@ Expected<Response> Response::parse(const std::string& line) {
     response.ok = document.contains("ok") && document.at("ok").asBool();
     response.cancelled =
         document.contains("cancelled") && document.at("cancelled").asBool();
-    response.event = stringOr(document, "event");
+    response.event = takeString(document, "event");
     if (response.ok) {
-      response.result = document.at("result");
+      response.result = std::move(document.at("result"));
     } else if (document.contains("diagnostics")) {
-      const json::Value& array = document.at("diagnostics");
+      json::Value& array = document.at("diagnostics");
       for (std::size_t i = 0; i < array.size(); ++i) {
-        const json::Value& entry = array.at(i);
+        json::Value& entry = array.at(i);
         Diagnostic diagnostic;
-        const std::string severity = stringOr(entry, "severity");
+        const std::string severity = takeString(entry, "severity");
         diagnostic.severity = severity == "warning" ? Severity::Warning
                               : severity == "note" ? Severity::Note
                                                    : Severity::Error;
-        diagnostic.message = stringOr(entry, "message");
-        diagnostic.stage = stringOr(entry, "stage");
+        diagnostic.message = takeString(entry, "message");
+        diagnostic.stage = takeString(entry, "stage");
         if (entry.contains("line")) {
           diagnostic.location.line =
               static_cast<int>(entry.at("line").asInt());

@@ -32,6 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -132,18 +133,18 @@ struct Request {
 
   bool operator==(const Request&) const = default;
 
-  /// The message as a JSON document (insertion-ordered, defaulted
-  /// members omitted).
-  json::Value toJson() const;
-  /// One compact line, no trailing newline (the transport adds it).
+  /// One compact line, no trailing newline (the transport adds it):
+  /// the canonical wire line (DESIGN.md §15), members in a fixed order
+  /// and defaulted ones omitted, written straight into one string.
   std::string encode() const;
 
   /// Parses one received line. On any problem — malformed JSON, a
-  /// version mismatch, an unknown kind, missing required fields — the
-  /// failure carries one stage-"serve" diagnostic, and `echoId` (when
-  /// non-null) receives the request id if one was readable, so the
-  /// server can still address its error response.
-  static Expected<Request> parse(const std::string& line,
+  /// version mismatch, an unknown kind, missing required fields, a
+  /// member of the wrong JSON kind — the failure carries one
+  /// stage-"serve" diagnostic, and `echoId` (when non-null) receives
+  /// the request id if one was readable, so the server can still
+  /// address its error response.
+  static Expected<Request> parse(std::string_view line,
                                  std::int64_t* echoId = nullptr);
 };
 
@@ -167,10 +168,13 @@ struct Response {
   json::Value result;         ///< valid when ok
   DiagnosticList diagnostics; ///< non-empty when !ok
 
-  json::Value toJson() const;
+  /// One compact line, no trailing newline: the envelope, then
+  /// `result` or `diagnostics` appended in place.
   std::string encode() const;
 
-  static Expected<Response> parse(const std::string& line);
+  /// Parses one received line; `result` is moved out of the parsed
+  /// document. Failures carry one stage-"serve" diagnostic.
+  static Expected<Response> parse(std::string_view line);
 };
 
 /// Builds the error response for a failed request: `diagnostics` must

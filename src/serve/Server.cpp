@@ -426,8 +426,9 @@ void Server::readerLoop(const std::shared_ptr<Connection>& connection) {
          newline - lineStart <= kMaxRequestBytes;
          lineStart = scanFrom = newline + 1)
       if (newline > lineStart)
-        handleLine(*connection,
-                   buffer.substr(lineStart, newline - lineStart));
+        handleLine(*connection, std::string_view(buffer).substr(
+                                    lineStart, newline - lineStart));
+    // Only the unterminated tail, if any, stays for the next read.
     buffer.erase(0, lineStart);
     if (buffer.size() > kMaxRequestBytes) {
       // The line is over the bound (whether or not its newline has
@@ -484,7 +485,8 @@ void Server::responderLoop(const std::shared_ptr<Connection>& connection) {
 }
 
 void Server::sendResponse(Connection& connection, const Response& response) {
-  const std::string line = response.encode() + "\n";
+  std::string line = response.encode();
+  line += '\n';
   std::lock_guard<std::mutex> lock(connection.writeMutex);
   if (!sendAll(connection.fd, line.data(), line.size()))
     return; // peer gone; the reader notices and cleans up
@@ -495,7 +497,7 @@ void Server::sendResponse(Connection& connection, const Response& response) {
                                   : &Stats::progressEvents);
 }
 
-void Server::handleLine(Connection& connection, const std::string& line) {
+void Server::handleLine(Connection& connection, std::string_view line) {
   bumpStat(&Stats::requestsReceived);
   std::int64_t echoId = 0;
   const Expected<Request> parsed = Request::parse(line, &echoId);

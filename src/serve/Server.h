@@ -40,6 +40,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -109,7 +110,7 @@ private:
 
   void readerLoop(const std::shared_ptr<Connection>& connection);
   void responderLoop(const std::shared_ptr<Connection>& connection);
-  void handleLine(Connection& connection, const std::string& line);
+  void handleLine(Connection& connection, std::string_view line);
   void sendResponse(Connection& connection, const Response& response);
   /// Resolves one job (blocking) into its wire response.
   Response buildResponse(const PendingJob& pending);

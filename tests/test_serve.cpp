@@ -262,12 +262,217 @@ TEST(ServeProtocolGolden, MalformedAndMismatchedRequestsPinnedErrors) {
             "unknown priority 'urgent' (valid: low, normal, high)");
 }
 
+TEST(ServeProtocolGolden, RepeatedParamKeysKeepTheLastValueInPlace) {
+  // A repeated sweep key (two --sweep=unroll axes) writes one member:
+  // the last value, where the key first appeared.
+  Request request;
+  request.kind = RequestKind::SweepChunk;
+  request.id = 6;
+  request.source = "v = u\n";
+  request.points = {
+      {0, "unroll=1 opt=2 unroll=4",
+       {{"unroll", "1"}, {"opt", "2"}, {"unroll", "4"}}}};
+  EXPECT_EQ(request.encode(),
+            R"({"cfd_serve":1,"id":6,"kind":"sweep_chunk",)"
+            R"("source":"v = u\n","points":[{"index":0,)"
+            R"("label":"unroll=1 opt=2 unroll=4",)"
+            R"("params":{"unroll":"4","opt":"2"}}]})");
+}
+
+TEST(ServeProtocolGolden, MembersOfTheWrongKindAreMalformedRequests) {
+  // Each of these used to leave parse as an InternalError, which
+  // aborted the daemon (a request) or the client (a response).
+  EXPECT_EQ(parseError(R"({"cfd_serve":1,"id":1,"kind":"compile",)"
+                       R"("source":5})"),
+            "malformed request: JSON value is not a string");
+  EXPECT_EQ(parseError(R"({"cfd_serve":"1","id":1,"kind":"status"})"),
+            "malformed request: JSON value is not a number");
+  EXPECT_EQ(parseError(R"({"cfd_serve":1,"id":1,"kind":"sweep_chunk",)"
+                       R"("source":"v = u","points":[{"label":"x"}]})"),
+            "malformed request: JSON object has no member 'index'");
+  const Expected<Response> response = Response::parse(
+      R"({"cfd_serve":1,"id":1,"kind":"compile","ok":"yes"})");
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.diagnostics().all()[0].message,
+            "malformed response: JSON value is not a bool");
+}
+
 TEST(ServeProtocolGolden, ErrorParseStillEchoesTheRequestId) {
   std::int64_t echoId = -1;
   parseError(R"({"cfd_serve":1,"id":41,"kind":"frobnicate"})", &echoId);
   EXPECT_EQ(echoId, 41); // readable id survives a kind error
   parseError("this is not json", &echoId);
   EXPECT_EQ(echoId, 0); // unreadable id resets to the reserved 0
+}
+
+TEST(ServeProtocolGolden, CompileResponseWire) {
+  // The hot message: an artifact text with every byte class the writer
+  // treats differently. The seven two-character escapes, \u00xx for the
+  // other control bytes, and DEL, UTF-8 and '/' written raw.
+  Response hit;
+  hit.id = 21;
+  hit.kind = RequestKind::Compile;
+  hit.ok = true;
+  hit.result = json::Value::object();
+  hit.result.set("cache_hit", true);
+  hit.result.set("compile_ms", 0.125);
+  json::Value artifacts = json::Value::object();
+  artifacts.set("c", "x\"y\\z\n\r\t\b\f\x01\x1f\x7f\xc2\xb5\xe2\x86\x92/end");
+  hit.result.set("artifacts", std::move(artifacts));
+
+  Response miss;
+  miss.id = 22;
+  miss.kind = RequestKind::Compile;
+  miss.ok = true;
+  miss.result = json::Value::object();
+  miss.result.set("cache_hit", false);
+  miss.result.set("compile_ms", 2.0); // an integral double prints as 2
+
+  const std::string hitLine =
+      R"({"cfd_serve":1,"id":21,"kind":"compile","ok":true,)"
+      R"("result":{"cache_hit":true,"compile_ms":0.125,)"
+      R"("artifacts":{"c":"x\"y\\z\n\r\t\b\f\u0001\u001f)"
+      "\x7f\xc2\xb5\xe2\x86\x92"
+      R"(/end"}}})";
+  const std::string missLine =
+      R"({"cfd_serve":1,"id":22,"kind":"compile","ok":true,)"
+      R"("result":{"cache_hit":false,"compile_ms":2}})";
+  EXPECT_EQ(hit.encode(), hitLine);
+  EXPECT_EQ(miss.encode(), missLine);
+  for (const std::string& line : {hitLine, missLine}) {
+    const Expected<Response> parsed = Response::parse(line);
+    ASSERT_TRUE(parsed.ok()) << parsed.errorText();
+    EXPECT_EQ(parsed->encode(), line);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Seeded mutation driver for the wire parsers: hostile bytes end in a
+// parsed message or exactly one stage-"serve" diagnostic, never a
+// crash or a hang. The ASan+UBSan CI job runs it with the rest of the
+// suite.
+// ---------------------------------------------------------------------
+
+/// The golden wire lines pinned above, requests and responses.
+const char* const kGoldenWireLines[] = {
+    R"({"cfd_serve":1,"id":7,"kind":"compile","source":"v = u\n",)"
+    R"("params":{"unroll":"2","opt":"1"},"artifacts":["c","report"],)"
+    R"("priority":"high","deadline_ms":250})",
+    R"({"cfd_serve":1,"id":3,"kind":"status"})",
+    R"({"cfd_serve":1,"id":4,"kind":"shutdown"})",
+    R"({"cfd_serve":1,"id":9,"kind":"cancel","target":4})",
+    R"({"cfd_serve":1,"id":2,"kind":"sweep","source":"v = u\n",)"
+    R"("axes":[{"key":"unroll","values":["1","2"]},)"
+    R"({"key":"opt","values":["0","1"]}]})",
+    R"({"cfd_serve":1,"id":11,"kind":"sweep_chunk","source":"v = u\n",)"
+    R"("params":{"opt":"2"},"points":[{"index":4,"label":"unroll=1 m=2",)"
+    R"("params":{"unroll":"1","m":"2"}},{"index":5,"label":"unroll=1 m=4",)"
+    R"("params":{"unroll":"1","m":"4"}}]})",
+    R"({"cfd_serve":1,"id":11,"kind":"sweep_chunk","ok":true,)"
+    R"("event":"progress","result":{"done":3,"total":8}})",
+    R"({"cfd_serve":1,"id":5,"kind":"tune","source":"v = u\n",)"
+    R"("axes":[{"key":"unroll","values":["1","2"]}],)"
+    R"("strategy":"random","seed":42,"samples":8})",
+    R"({"cfd_serve":1,"id":0,"kind":"error","ok":false,)"
+    R"("diagnostics":[{"severity":"error",)"
+    R"("message":"malformed request: unexpected end of input",)"
+    R"("stage":"serve"}]})",
+    R"({"cfd_serve":1,"id":12,"kind":"compile","ok":false,)"
+    R"("cancelled":true,"diagnostics":[{"severity":"error",)"
+    R"("message":"cancelled: client disconnected","stage":"serve"}]})",
+    R"({"cfd_serve":1,"id":21,"kind":"compile","ok":true,)"
+    R"("result":{"cache_hit":true,"compile_ms":0.125,)"
+    R"("artifacts":{"c":"x\"y\\z\n\r\t\b\f\u0001\u001f)"
+    "\x7f\xc2\xb5\xe2\x86\x92"
+    R"(/end"}}})",
+    R"({"cfd_serve":1,"id":22,"kind":"compile","ok":true,)"
+    R"("result":{"cache_hit":false,"compile_ms":2}})",
+};
+
+/// splitmix64: the same sequence on every platform, which the standard
+/// distributions do not promise.
+std::uint64_t nextRandom(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// One to three edits: a byte flip, a truncation, or an inserted '"',
+/// '\', '{' or '['.
+std::string mutate(std::string line, std::uint64_t& state) {
+  const int edits = 1 + static_cast<int>(nextRandom(state) % 3);
+  for (int edit = 0; edit < edits && !line.empty(); ++edit) {
+    const std::size_t at = nextRandom(state) % line.size();
+    switch (nextRandom(state) % 3) {
+    case 0:
+      line[at] = static_cast<char>(line[at] ^ (1 + nextRandom(state) % 255));
+      break;
+    case 1: line.resize(at); break;
+    default: line.insert(at, 1, "\"\\{["[nextRandom(state) % 4]); break;
+    }
+  }
+  return line;
+}
+
+/// True when `parsed` is a message; otherwise it must carry exactly one
+/// stage-"serve" diagnostic.
+template <typename Message>
+bool parsedOrOneServeDiagnostic(const Expected<Message>& parsed,
+                                const std::string& line) {
+  if (parsed.ok())
+    return true;
+  EXPECT_EQ(parsed.diagnostics().size(), 1u) << line;
+  if (!parsed.diagnostics().all().empty())
+    EXPECT_EQ(parsed.diagnostics().all()[0].stage, "serve") << line;
+  return false;
+}
+
+TEST(ServeProtocolFuzz, SeededMutationsParseOrFailWithOneServeDiagnostic) {
+  // Each string-scanner failure keeps its message and offset.
+  const std::string prefix =
+      R"({"cfd_serve":1,"id":1,"kind":"compile","source":")";
+  const std::pair<std::string, std::string> scannerFailures[] = {
+      {prefix + "v = u", "offset 54: unterminated string"},
+      {prefix + "v\\", "offset 51: unterminated escape"},
+      {prefix + "\\u00", "offset 51: truncated \\u escape"},
+      {prefix + "\\u00g1\"}", "offset 54: invalid \\u escape"},
+      {prefix + "\\q\"}", "offset 51: unknown escape"},
+      {R"({"cfd_serve":1,"id":1,"kind)", "offset 27: unterminated string"},
+  };
+  for (const auto& [line, failure] : scannerFailures)
+    EXPECT_EQ(parseError(line),
+              "malformed request: JSON parse error at " + failure);
+  // And the accepted set: '\/', \u in either case (decoded to UTF-8),
+  // and a raw control byte.
+  const Expected<Request> accepted =
+      Request::parse(prefix + R"(\/\u00e9\u20AC)" + "\x01\"}");
+  ASSERT_TRUE(accepted.ok()) << accepted.errorText();
+  EXPECT_EQ(accepted->source, "/\xc3\xa9\xe2\x82\xac\x01");
+
+  constexpr int kMutantsPerLine = 128;
+  const auto start = std::chrono::steady_clock::now();
+  std::uint64_t state = 22;
+  int parsed = 0;
+  int rejected = 0;
+  for (const char* golden : kGoldenWireLines) {
+    const bool isRequest = Request::parse(golden).ok();
+    ASSERT_TRUE(isRequest || Response::parse(golden).ok()) << golden;
+    for (int i = 0; i < kMutantsPerLine; ++i) {
+      const std::string line = mutate(golden, state);
+      const bool request =
+          parsedOrOneServeDiagnostic(Request::parse(line), line);
+      const bool response =
+          parsedOrOneServeDiagnostic(Response::parse(line), line);
+      (isRequest ? request : response) ? ++parsed : ++rejected;
+    }
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  // Both outcomes occur, so the mutations neither all miss the parser
+  // nor all break the line.
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
 }
 
 // ---------------------------------------------------------------------

@@ -108,6 +108,35 @@ TEST(JsonTest, ParseRejectsMalformedInput) {
   EXPECT_THROW(json::Value::parse(std::string(100000, '[')), FlowError);
 }
 
+TEST(JsonTest, ReadsOfTheWrongShapeAreFlowErrors) {
+  // A parsed document is outside input: a wrong kind, a missing member,
+  // an index past the end or a number outside int64 is bad input.
+  const json::Value doc =
+      json::Value::parse(R"({"s":"x","n":1e300,"a":[1]})");
+  EXPECT_THROW(doc.at("s").asInt(), FlowError);
+  EXPECT_THROW(doc.at("a").asString(), FlowError);
+  EXPECT_THROW(doc.at("missing"), FlowError);
+  EXPECT_THROW(doc.at("a").at(1), FlowError);
+  EXPECT_THROW(doc.at("s").members(), FlowError);
+  EXPECT_THROW(doc.at("n").asInt(), FlowError);
+}
+
+TEST(JsonTest, RepeatedKeysKeepTheLastValueAtTheFirstPlace) {
+  // Value::set's rule holds for parsed objects of any size: past 16
+  // members the parser appends and resolves repeats in one sort.
+  for (int extra : {0, 40}) {
+    std::string text = R"({"a":1,"b":2)";
+    std::string expected = R"({"a":3,"b":5)";
+    for (int i = 0; i < extra; ++i) {
+      text += ",\"k" + std::to_string(i) + "\":" + std::to_string(i);
+      expected += ",\"k" + std::to_string(i) + "\":" + std::to_string(i);
+    }
+    text += R"(,"a":3,"c":4,"b":5})";
+    expected += R"(,"c":4})";
+    EXPECT_EQ(json::Value::parse(text).dump(-1), expected) << extra;
+  }
+}
+
 TEST(JsonTest, Int64RoundTripsAbove2To53) {
   // 2^53 + 1 is not representable as a double; the exact integer value
   // must survive dump/parse (64-bit tuner seeds rely on this).
