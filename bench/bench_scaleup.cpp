@@ -32,8 +32,10 @@ int main() {
                "speedup vs ZCU106 m=16\n";
 
   // One Explorer sweep over the device envelope: the board variants
-  // compile in parallel through the shared FlowCache and each row
-  // carries its platform simulation.
+  // compile in parallel through the session's FlowCache and each row
+  // carries its platform simulation. The auto-tune below shares the
+  // same session.
+  Session session;
   std::vector<FlowOptions> variants;
   for (const Board& board : boards) {
     FlowOptions options;
@@ -43,7 +45,7 @@ int main() {
   ExplorerOptions explorerOptions;
   explorerOptions.simulateElements = kNumElements;
   const ExplorationResult sweep =
-      explore(kInverseHelmholtz, variants, explorerOptions);
+      explore(session, kInverseHelmholtz, variants, explorerOptions);
 
   double reference = 0.0;
   for (std::size_t i = 0; i < sweep.rows.size(); ++i) {
@@ -110,7 +112,7 @@ int main() {
   TunerOptions tunerOptions;
   tunerOptions.simulateElements = kNumElements;
   const TuningReport tuned =
-      tune(kInverseHelmholtz, space, tunerOptions);
+      tune(session, kInverseHelmholtz, space, tunerOptions);
   std::cout << "\n  auto-tuned m x sharing (latency, BRAM), Pareto "
                "frontier:\n";
   for (std::size_t index : tuned.frontier) {

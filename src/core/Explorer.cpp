@@ -146,15 +146,4 @@ ExplorationResult explore(Session& session, const std::string& source,
   return explore(session, jobs, options);
 }
 
-ExplorationResult explore(const std::vector<ExplorationJob>& jobs,
-                          const ExplorerOptions& options) {
-  return explore(Session::global(), jobs, options);
-}
-
-ExplorationResult explore(const std::string& source,
-                          const std::vector<FlowOptions>& variants,
-                          const ExplorerOptions& options) {
-  return explore(Session::global(), source, variants, options);
-}
-
 } // namespace cfd

@@ -9,8 +9,7 @@
 // — so results are deterministic and independent of the worker count.
 //
 // Explorer owns neither caches nor threads (DESIGN.md §10): both come
-// from the Session passed in. The overloads without a Session borrow
-// Session::global().
+// from the Session passed in.
 //
 // Infeasible variants (e.g. an m/k pair violating Eq. 3) do not abort
 // the sweep: their row carries the FlowError message instead of a Flow.
@@ -119,18 +118,6 @@ ExplorationResult explore(Session& session,
 
 /// Explores option variants of a single kernel source.
 ExplorationResult explore(Session& session, const std::string& source,
-                          const std::vector<FlowOptions>& variants,
-                          const ExplorerOptions& options = {});
-
-/// Convenience shims over Session::global(). Note the semantics change
-/// from the pre-Session API: `options.workers` is a cap on the global
-/// session's pool (sized to hardware concurrency), not a spawn count —
-/// a request above the pool size no longer oversubscribes the machine.
-/// Construct a Session with explicit SessionOptions::workers to get a
-/// larger pool.
-ExplorationResult explore(const std::vector<ExplorationJob>& jobs,
-                          const ExplorerOptions& options = {});
-ExplorationResult explore(const std::string& source,
                           const std::vector<FlowOptions>& variants,
                           const ExplorerOptions& options = {});
 

@@ -50,8 +50,7 @@ Objective compileTimeObjective();
 std::vector<Objective> defaultObjectives();
 
 /// Names of the built-in objectives, in objectiveByName lookup order —
-/// the single list behind its error message and the warm-start layer's
-/// objective matching (search/WarmStart.h).
+/// the single list behind its error message.
 const std::vector<std::string>& builtinObjectiveNames();
 
 /// Looks up a built-in objective (latency|bram|dsp|lut|compile_ms) by

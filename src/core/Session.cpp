@@ -13,31 +13,6 @@ namespace cfd {
 
 namespace {
 
-/// Validates every (key, value) of `axes` against a probe, collecting
-/// FlowError messages as diagnostics with stage "options".
-bool validateAxes(const std::vector<TuneAxis>& axes,
-                  DiagnosticList& diagnostics) {
-  bool ok = true;
-  for (const TuneAxis& axis : axes) {
-    if (axis.values.empty()) {
-      diagnostics.error({}, "axis '" + axis.key + "' has no values",
-                        "options");
-      ok = false;
-      continue;
-    }
-    FlowOptions probe;
-    for (const std::string& value : axis.values) {
-      try {
-        applyTuneParam(probe, axis.key, value);
-      } catch (const FlowError& e) {
-        diagnostics.error({}, e.what(), "options");
-        ok = false;
-      }
-    }
-  }
-  return ok;
-}
-
 /// Converts a caught flow failure into the structured list: a
 /// DiagnosedError contributes its diagnostics (stamped by the pipeline
 /// stage wrapper), a plain FlowError becomes one unattributed error.
@@ -224,22 +199,38 @@ Expected<SweepResult> Session::sweepImpl(const SweepRequest& request,
     countFailure();
     return Expected<SweepResult>::failure(std::move(diagnostics));
   }
-  if (!validateAxes(request.axes_, diagnostics)) {
+  // Bound (and validate) the space before anything is expanded.
+  const bool valid =
+      request.axes_.empty()
+          ? checkSpaceBound(
+                std::max(request.points_.size(), request.variants_.size()),
+                diagnostics)
+          : validateTuneAxes(request.axes_, diagnostics);
+  if (!valid) {
     countFailure();
     return Expected<SweepResult>::failure(std::move(diagnostics));
   }
 
   SweepResult result;
   std::vector<FlowOptions> variants;
-  if (!request.points_.empty()) {
-    // Explicit labelled points (the distributed coordinator's chunk
-    // shape): params apply over the base exactly like an axis
-    // assignment, so the compiled FlowOptions match the local cross
-    // product point for point.
+  if (!request.variants_.empty()) {
+    variants = request.variants_;
+    result.labels.reserve(variants.size());
+    for (std::size_t i = 0; i < variants.size(); ++i)
+      result.labels.push_back("variant " + std::to_string(i));
+  } else {
+    // An axis sweep is a sweep over its TuneSpace points, so explicit
+    // points (the distributed coordinator's chunk shape) compile the
+    // same FlowOptions as the local cross product, point for point.
+    std::vector<SweepPoint> expanded;
+    if (request.points_.empty())
+      expanded = TuneSpace{request.axes_}.points();
+    const std::vector<SweepPoint>& points =
+        request.points_.empty() ? expanded : request.points_;
     const FlowOptions base = baseOptionsFor(request.options_);
-    variants.reserve(request.points_.size());
-    result.labels.reserve(request.points_.size());
-    for (const SweepPoint& point : request.points_) {
+    variants.reserve(points.size());
+    result.labels.reserve(points.size());
+    for (const SweepPoint& point : points) {
       FlowOptions options = base;
       for (const auto& [key, value] : point.params) {
         try {
@@ -252,18 +243,6 @@ Expected<SweepResult> Session::sweepImpl(const SweepRequest& request,
       }
       variants.push_back(std::move(options));
       result.labels.push_back(point.label);
-    }
-  } else if (!request.variants_.empty()) {
-    variants = request.variants_;
-    result.labels.reserve(variants.size());
-    for (std::size_t i = 0; i < variants.size(); ++i)
-      result.labels.push_back("variant " + std::to_string(i));
-  } else {
-    // Axes were validated above, so the shared expansion cannot throw.
-    for (AxisVariant& variant :
-         expandAxisVariants(request.axes_, baseOptionsFor(request.options_))) {
-      variants.push_back(std::move(variant.options));
-      result.labels.push_back(std::move(variant.label));
     }
   }
 
@@ -300,20 +279,14 @@ Expected<TuningReport> Session::tuneImpl(const TuneRequest& request,
     std::lock_guard<std::mutex> lock(mutex_);
     ++tuneRequests_;
   }
-  // Axes are not pre-validated here: cfd::tune probes every axis value
-  // eagerly itself, and the catch below attributes that failure to
-  // "options" — one validation implementation, not two.
+  // Axes are not validated here: cfd::tune runs validateTuneAxes
+  // itself and throws its diagnostics, which the catch below returns.
   DiagnosticList diagnostics;
   TunerOptions tunerOptions;
   tunerOptions.strategy = request.strategy_;
   tunerOptions.seed = request.seed_;
   tunerOptions.sampleCount = request.samples_;
   tunerOptions.maxSteps = request.maxSteps_;
-  tunerOptions.halvingRounds = request.halvingRounds_;
-  tunerOptions.keepFraction = request.keepFraction_;
-  tunerOptions.clusterCount = request.clusterCount_;
-  tunerOptions.warmStartPath = request.warmStartPath_;
-  tunerOptions.warmStartJson = request.warmStartJson_;
   tunerOptions.base = baseOptionsFor(request.options_);
   tunerOptions.workers = request.workers_;
   tunerOptions.simulateElements = request.simulateElements_;
@@ -339,10 +312,9 @@ Expected<TuningReport> Session::tuneImpl(const TuneRequest& request,
     return Expected<TuningReport>(
         cfd::tune(*this, request.source_, space, tunerOptions));
   } catch (const FlowError& e) {
-    // The FlowErrors cfd::tune itself throws are request problems —
-    // eager axis validation, a bad keep fraction, or an unreadable /
-    // malformed warm-start document — never per-point compile failures
-    // (those stay in the report).
+    // The FlowErrors cfd::tune itself throws are request problems (a
+    // space validateTuneAxes rejects), never per-point compile
+    // failures (those stay in the report).
     countFailure();
     DiagnosticList failure = diagnosticsFrom(e);
     failure.attributeStage("options");
@@ -553,10 +525,6 @@ std::vector<Job<CompileResult>> Session::submitBatch(
 }
 
 Flow Session::compileFlow(const std::string& source, FlowOptions options) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++legacyCompiles_;
-  }
   // The hermetic path: a fresh pipeline with no stage cache, exactly
   // the pre-Session Flow::compile semantics (every stage runs, nothing
   // is shared or published). The simple path stays simple — and
@@ -566,10 +534,6 @@ Flow Session::compileFlow(const std::string& source, FlowOptions options) {
 
 std::shared_ptr<const Flow> Session::compileShared(const std::string& source,
                                                    FlowOptions options) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++legacyCompiles_;
-  }
   return cache_.compile(source, std::move(options));
 }
 
@@ -580,7 +544,6 @@ Session::Stats Session::stats() const {
     stats.compileRequests = compileRequests_;
     stats.sweepRequests = sweepRequests_;
     stats.tuneRequests = tuneRequests_;
-    stats.legacyCompiles = legacyCompiles_;
     stats.failedRequests = failedRequests_;
   }
   {
@@ -608,8 +571,7 @@ std::string Session::statsReport() const {
   std::ostringstream os;
   os << "  session: " << stats.compileRequests << " compile / "
      << stats.sweepRequests << " sweep / " << stats.tuneRequests
-     << " tune requests (" << stats.failedRequests << " failed, "
-     << stats.legacyCompiles << " legacy compiles), pool "
+     << " tune requests (" << stats.failedRequests << " failed), pool "
      << stats.workerThreads
      << (stats.workersStarted ? " workers (started)\n"
                               : " workers (not started)\n");

@@ -145,18 +145,10 @@ private:
   std::string compatibilityDot_;
 };
 
-/// A design-space sweep request: explicit option variants, declared
-/// axes (cross product, cfdc --sweep style), or both base and axes.
-/// One explicit, pre-labelled design point of a sweep: named option
-/// overrides applied in order over the base options. The distributed
-/// coordinator (dist/Coordinator.h) ships points like these to worker
-/// daemons so every process derives identical FlowOptions and labels
-/// (DESIGN.md §16).
-struct SweepPoint {
-  std::string label;
-  std::vector<std::pair<std::string, std::string>> params;
-};
-
+/// A design-space sweep request over base options: declared axes (a
+/// cross product expanded by TuneSpace, cfdc --sweep style), explicit
+/// labelled points, or explicit option variants — one of the three.
+/// Every form is bounded by kMaxSpacePoints (core/Tuner.h).
 class SweepRequest {
 public:
   explicit SweepRequest(std::string source) : source_(std::move(source)) {}
@@ -176,11 +168,12 @@ public:
     variants_ = std::move(variants);
     return *this;
   }
-  /// Explicit labelled points: each point's params apply over the base
-  /// options exactly like one axis assignment (applyTuneParam order),
-  /// so a sweep over points shipped by the distributed coordinator
-  /// compiles the same FlowOptions as the local cross product. Mutually
-  /// exclusive with axis() and variants().
+  /// Explicit labelled points (TuneSpace::point shape): each point's
+  /// params apply over the base options in order, exactly as an axis
+  /// sweep applies its own points, so a sweep over points shipped by
+  /// the distributed coordinator compiles the same FlowOptions as the
+  /// local cross product. Mutually exclusive with axis() and
+  /// variants().
   SweepRequest& points(std::vector<SweepPoint> points) {
     points_ = std::move(points);
     return *this;
@@ -266,31 +259,6 @@ public:
     maxSteps_ = maxSteps;
     return *this;
   }
-  /// Model strategy (DESIGN.md §14): surrogate-ranked halving rounds.
-  TuneRequest& halvingRounds(std::size_t rounds) {
-    halvingRounds_ = rounds;
-    return *this;
-  }
-  /// Model strategy: fraction in (0, 1] surviving each halving cut.
-  TuneRequest& keepFraction(double fraction) {
-    keepFraction_ = fraction;
-    return *this;
-  }
-  /// Model strategy: seeding clusters (0 = auto).
-  TuneRequest& clusterCount(std::size_t clusters) {
-    clusterCount_ = clusters;
-    return *this;
-  }
-  /// Model strategy: prior tune-report JSON file to pre-fit from.
-  TuneRequest& warmStart(std::string path) {
-    warmStartPath_ = std::move(path);
-    return *this;
-  }
-  /// Model strategy: prior report text (wins over warmStart()).
-  TuneRequest& warmStartJson(std::string text) {
-    warmStartJson_ = std::move(text);
-    return *this;
-  }
   /// Scoring objectives by name (latency|bram|dsp|lut|compile_ms);
   /// empty = defaultObjectives(). Unknown names surface as diagnostics.
   TuneRequest& objectives(std::vector<std::string> names) {
@@ -322,11 +290,6 @@ private:
   std::uint64_t seed_ = 1;
   std::size_t samples_ = 16;
   std::size_t maxSteps_ = 32;
-  std::size_t halvingRounds_ = 2;
-  double keepFraction_ = 1.0 / 3.0;
-  std::size_t clusterCount_ = 0;
-  std::string warmStartPath_;
-  std::string warmStartJson_;
   std::vector<std::string> objectiveNames_;
   std::int64_t simulateElements_ = 0;
   sim::TransferStrategy transferStrategy_ = sim::TransferStrategy::Blocking;
@@ -430,7 +393,6 @@ public:
     std::int64_t compileRequests = 0;
     std::int64_t sweepRequests = 0;
     std::int64_t tuneRequests = 0;
-    std::int64_t legacyCompiles = 0; ///< compileFlow + compileShared
     std::int64_t failedRequests = 0; ///< requests that returned failure
     // Job-queue counters (DESIGN.md §11). At quiescence
     // jobsCompleted + jobsCancelled == jobsSubmitted.
@@ -493,7 +455,6 @@ private:
   std::int64_t compileRequests_ = 0;
   std::int64_t sweepRequests_ = 0;
   std::int64_t tuneRequests_ = 0;
-  std::int64_t legacyCompiles_ = 0;
   std::int64_t failedRequests_ = 0;
   std::uint64_t nextJobId_ = 0;
   std::vector<std::weak_ptr<detail::JobBase>> jobs_;

@@ -2,16 +2,12 @@
 
 #include "core/Pareto.h"
 #include "core/Session.h"
-#include "search/FeatureCluster.h"
-#include "search/Halving.h"
-#include "search/Surrogate.h"
-#include "search/WarmStart.h"
 #include "support/Error.h"
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <limits>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -66,45 +62,35 @@ private:
   std::uint64_t state_;
 };
 
-/// A point of the space as one value index per axis; `flatten` maps it
-/// to its mixed-radix rank in [0, space.size()), used as the dedup key
-/// and as the Random strategy's sample domain.
-using Combo = std::vector<std::size_t>;
-
-std::uint64_t flatten(const TuneSpace& space, const Combo& combo) {
-  std::uint64_t rank = 0;
-  for (std::size_t axis = 0; axis < space.axes.size(); ++axis)
-    rank = rank * space.axes[axis].values.size() + combo[axis];
-  return rank;
+/// Cross-product cardinality of `axes`, saturating at SIZE_MAX.
+std::size_t productSize(const std::vector<TuneAxis>& axes) {
+  std::size_t total = 1;
+  for (const TuneAxis& axis : axes)
+    if (__builtin_mul_overflow(total, axis.values.size(), &total))
+      return std::numeric_limits<std::size_t>::max();
+  return total;
 }
 
-Combo unflatten(const TuneSpace& space, std::uint64_t rank) {
-  Combo combo(space.axes.size(), 0);
-  for (std::size_t axis = space.axes.size(); axis-- > 0;) {
-    const std::size_t radix = space.axes[axis].values.size();
-    combo[axis] = static_cast<std::size_t>(rank % radix);
-    rank /= radix;
+/// "key=value key=value" in param order; "base" when there are none.
+std::string labelFor(
+    const std::vector<std::pair<std::string, std::string>>& params) {
+  if (params.empty())
+    return "base";
+  std::string label;
+  for (const auto& [key, value] : params) {
+    if (!label.empty())
+      label += ' ';
+    label += key + "=" + value;
   }
-  return combo;
+  return label;
 }
 
-FlowOptions buildOptions(const TuneSpace& space, const Combo& combo,
-                         const FlowOptions& base) {
+/// `base` with every param of `point` applied in order.
+FlowOptions optionsFor(const FlowOptions& base, const SweepPoint& point) {
   FlowOptions options = base;
-  for (std::size_t axis = 0; axis < space.axes.size(); ++axis)
-    applyTuneParam(options, space.axes[axis].key,
-                   space.axes[axis].values[combo[axis]]);
+  for (const auto& [key, value] : point.params)
+    applyTuneParam(options, key, value);
   return options;
-}
-
-std::vector<std::pair<std::string, std::string>>
-comboParams(const TuneSpace& space, const Combo& combo) {
-  std::vector<std::pair<std::string, std::string>> params;
-  params.reserve(space.axes.size());
-  for (std::size_t axis = 0; axis < space.axes.size(); ++axis)
-    params.emplace_back(space.axes[axis].key,
-                        space.axes[axis].values[combo[axis]]);
-  return params;
 }
 
 /// Shared state of one tune() run.
@@ -122,57 +108,12 @@ public:
   /// True when the point passed the structural pre-filter (and was
   /// queued or already evaluated); false when it was pruned. Each
   /// distinct pruned point counts once.
-  bool consider(const Combo& combo) {
-    if (!feasible(combo))
+  bool consider(std::size_t rank) {
+    if (!feasible(rank))
       return false;
-    enqueue(combo);
+    if (pointIndex_.count(rank) == 0 && queuedRanks_.insert(rank).second)
+      queue_.push_back(rank);
     return true;
-  }
-
-  /// Structural pre-filter with memoized verdicts. The first time a
-  /// point fails, its params and reason are recorded for the report's
-  /// pruned-point list (each distinct point once, in first-considered
-  /// order).
-  bool feasible(const Combo& combo) {
-    const std::uint64_t rank = flatten(space_, combo);
-    const auto it = feasibleByRank_.find(rank);
-    if (it != feasibleByRank_.end())
-      return it->second;
-    const std::string reason = checkStructuralFeasibility(
-        buildOptions(space_, combo, options_.base));
-    const bool ok = reason.empty();
-    feasibleByRank_.emplace(rank, ok);
-    if (!ok)
-      prunedPoints_.push_back(
-          TuningReport::PrunedPoint{comboParams(space_, combo), reason});
-    return ok;
-  }
-
-  /// Queues a (feasible) point for the next evaluateQueued() batch;
-  /// false when it is already queued or evaluated.
-  bool enqueue(const Combo& combo) {
-    const std::uint64_t rank = flatten(space_, combo);
-    if (pointIndex_.count(rank) != 0 || queuedRanks_.count(rank) != 0)
-      return false;
-    queue_.push_back(combo);
-    queuedRanks_.insert(rank);
-    return true;
-  }
-
-  /// Cheap stage-prefix proxy score of a point (search/Halving.h),
-  /// memoized by rank: the prefix runs once per point even across
-  /// halving rounds, and demoted points leave parse..optimize published
-  /// in the session's stage cache for later adoption.
-  double cheapProxy(const Combo& combo) {
-    const std::uint64_t rank = flatten(space_, combo);
-    const auto it = proxyByRank_.find(rank);
-    if (it != proxyByRank_.end())
-      return it->second;
-    const search::ProxyResult proxy = search::cheapProxyScore(
-        session_, source_, buildOptions(space_, combo, options_.base),
-        options_.cancelToken);
-    proxyByRank_.emplace(rank, proxy.score);
-    return proxy.score;
   }
 
   /// Compiles (through the shared cache) and scores every queued point
@@ -180,10 +121,14 @@ public:
   void evaluateQueued(TuningReport& report) {
     if (queue_.empty())
       return;
+    std::vector<SweepPoint> points;
     std::vector<FlowOptions> variants;
+    points.reserve(queue_.size());
     variants.reserve(queue_.size());
-    for (const Combo& combo : queue_)
-      variants.push_back(buildOptions(space_, combo, options_.base));
+    for (const std::size_t rank : queue_) {
+      points.push_back(space_.point(rank));
+      variants.push_back(optionsFor(options_.base, points.back()));
+    }
 
     ExplorerOptions explorerOptions;
     explorerOptions.workers = options_.workers;
@@ -199,14 +144,14 @@ public:
 
     for (std::size_t i = 0; i < queue_.size(); ++i) {
       TunedPoint point;
-      point.params = comboParams(space_, queue_[i]);
+      point.params = std::move(points[i].params);
       point.row = batch.rows[i];
       if (point.row.ok()) {
         point.scores.reserve(objectives_.size());
         for (const Objective& objective : objectives_)
           point.scores.push_back(objective.score(point.row));
       }
-      pointIndex_[flatten(space_, queue_[i])] = report.points.size();
+      pointIndex_[queue_[i]] = report.points.size();
       report.points.push_back(std::move(point));
     }
     queue_.clear();
@@ -215,15 +160,14 @@ public:
 
   /// Primary-objective score of an already evaluated point; +inf for
   /// infeasible points (never selected by hill-climb).
-  double primaryScore(const TuningReport& report, const Combo& combo) const {
-    const auto it = pointIndex_.find(flatten(space_, combo));
+  double primaryScore(const TuningReport& report, std::size_t rank) const {
+    const auto it = pointIndex_.find(rank);
     CFD_ASSERT(it != pointIndex_.end(), "point was never evaluated");
     const TunedPoint& point = report.points[it->second];
     return point.row.ok() ? point.scores.front()
                           : std::numeric_limits<double>::infinity();
   }
 
-  std::size_t prunedCount() const { return prunedPoints_.size(); }
   std::vector<TuningReport::PrunedPoint> takePrunedPoints() {
     return std::move(prunedPoints_);
   }
@@ -232,24 +176,42 @@ public:
   const std::vector<Objective>& objectives() const { return objectives_; }
 
 private:
+  /// Structural pre-filter with memoized verdicts. The first time a
+  /// point fails, its params and reason are recorded for the report's
+  /// pruned-point list (each distinct point once, in first-considered
+  /// order).
+  bool feasible(std::size_t rank) {
+    const auto it = feasibleByRank_.find(rank);
+    if (it != feasibleByRank_.end())
+      return it->second;
+    SweepPoint point = space_.point(rank);
+    const std::string reason =
+        checkStructuralFeasibility(optionsFor(options_.base, point));
+    const bool ok = reason.empty();
+    feasibleByRank_.emplace(rank, ok);
+    if (!ok)
+      prunedPoints_.push_back(
+          TuningReport::PrunedPoint{std::move(point.params), reason});
+    return ok;
+  }
+
   Session& session_;
   const std::string& source_;
   const TuneSpace& space_;
   const TunerOptions& options_;
   std::vector<Objective> objectives_;
-  std::vector<Combo> queue_;
-  std::unordered_set<std::uint64_t> queuedRanks_;
-  std::unordered_map<std::uint64_t, bool> feasibleByRank_;
-  std::unordered_map<std::uint64_t, double> proxyByRank_;
-  std::unordered_map<std::uint64_t, std::size_t> pointIndex_;
+  std::vector<std::size_t> queue_;
+  std::unordered_set<std::size_t> queuedRanks_;
+  std::unordered_map<std::size_t, bool> feasibleByRank_;
+  std::unordered_map<std::size_t, std::size_t> pointIndex_;
   std::vector<TuningReport::PrunedPoint> prunedPoints_;
 };
 
 void runExhaustive(TuneRun& run, const TuneSpace& space,
                    TuningReport& report) {
   const std::size_t total = space.size();
-  for (std::uint64_t rank = 0; rank < total; ++rank)
-    run.consider(unflatten(space, rank));
+  for (std::size_t rank = 0; rank < total; ++rank)
+    run.consider(rank);
   run.evaluateQueued(report);
 }
 
@@ -262,27 +224,22 @@ void runRandom(TuneRun& run, const TuneSpace& space,
   // pruned points don't count toward the target (consider() dedups),
   // and the attempt bound keeps a space dominated by structurally
   // infeasible points from spinning forever.
-  const std::size_t maxAttempts = 64 * std::max<std::size_t>(total, 1);
+  const std::size_t maxAttempts = 64 * total;
   for (std::size_t attempt = 0;
        run.pendingCount() < target && attempt < maxAttempts; ++attempt)
-    run.consider(unflatten(space, rng.below(total)));
+    run.consider(static_cast<std::size_t>(rng.below(total)));
   run.evaluateQueued(report);
 }
 
 void runHillClimb(TuneRun& run, const TuneSpace& space,
                   const TunerOptions& options, TuningReport& report) {
   const std::size_t total = space.size();
-  // Deterministic start: the lexicographically first point that passes
-  // the structural pre-filter.
-  Combo current;
-  for (std::uint64_t rank = 0; rank < total; ++rank) {
-    Combo candidate = unflatten(space, rank);
-    if (run.consider(candidate)) {
-      current = std::move(candidate);
-      break;
-    }
-  }
-  if (current.empty() && !space.axes.empty())
+  // Deterministic start: the lowest-ranked point that passes the
+  // structural pre-filter.
+  std::size_t current = 0;
+  while (current < total && !run.consider(current))
+    ++current;
+  if (current == total)
     return; // every point structurally infeasible
   run.evaluateQueued(report);
 
@@ -293,225 +250,72 @@ void runHillClimb(TuneRun& run, const TuneSpace& space,
       break;
     // Neighbors differ by one step along one axis. Evaluate the whole
     // neighborhood as one parallel batch, then move greedily.
-    std::vector<Combo> neighbors;
-    for (std::size_t axis = 0; axis < space.axes.size(); ++axis)
-      for (int delta : {-1, +1}) {
-        if (delta < 0 && current[axis] == 0)
-          continue;
-        if (delta > 0 &&
-            current[axis] + 1 >= space.axes[axis].values.size())
-          continue;
-        Combo neighbor = current;
-        neighbor[axis] =
-            current[axis] + static_cast<std::size_t>(delta < 0 ? -1 : 1);
-        if (run.consider(neighbor))
-          neighbors.push_back(std::move(neighbor));
-      }
+    std::vector<std::size_t> neighbors;
+    for (const std::size_t neighbor : space.neighbors(current))
+      if (run.consider(neighbor))
+        neighbors.push_back(neighbor);
     run.evaluateQueued(report);
 
-    const double currentScore = run.primaryScore(report, current);
-    double bestScore = currentScore;
-    const Combo* best = nullptr;
-    for (const Combo& neighbor : neighbors) {
+    double bestScore = run.primaryScore(report, current);
+    std::size_t best = current;
+    for (const std::size_t neighbor : neighbors) {
       const double score = run.primaryScore(report, neighbor);
       // Strict improvement with first-wins tie-breaking keeps the walk
       // deterministic and guarantees termination.
       if (score < bestScore) {
         bestScore = score;
-        best = &neighbor;
+        best = neighbor;
       }
     }
-    if (!best)
+    if (best == current)
       break; // local optimum
-    current = *best;
-  }
-}
-
-/// Model-guided search (DESIGN.md §14): an online surrogate
-/// (search/Surrogate.h) ranks the feasible pool, a cheap stage-prefix
-/// proxy (search/Halving.h) screens the ranked candidates, and only the
-/// survivors pay a full compile. Seeding comes from cluster
-/// representatives (search/FeatureCluster.h) or a warm-start report
-/// (search/WarmStart.h). Deterministic end to end: the pool is built in
-/// rank order, every ranking breaks ties toward the lower pool index,
-/// and the surrogate/proxy/clustering are all deterministic arithmetic
-/// — so a fixed seed evaluates the identical point set on every run and
-/// worker count.
-void runModel(TuneRun& run, const TuneSpace& space,
-              const TunerOptions& options, TuningReport& report) {
-  if (!(options.keepFraction > 0.0 && options.keepFraction <= 1.0))
-    throw FlowError("model keep fraction must be in (0, 1]");
-
-  // The feasible pool, in rank order (the deterministic base order all
-  // tie-breaking falls back to). Infeasible points are recorded by
-  // feasible() for the report's pruned list.
-  const std::size_t total = space.size();
-  std::vector<Combo> pool;
-  std::vector<search::FeatureVector> features;
-  for (std::uint64_t rank = 0; rank < total; ++rank) {
-    Combo combo = unflatten(space, rank);
-    if (!run.feasible(combo))
-      continue;
-    features.push_back(search::encodePoint(
-        space, combo, buildOptions(space, combo, options.base)));
-    pool.push_back(std::move(combo));
-  }
-  if (pool.empty())
-    return;
-
-  search::Surrogate surrogate(search::featureCountFor(space));
-
-  // Warm start: pre-fit from a prior report's evaluated points. Points
-  // are mapped by axis key/value into the *current* space; prior points
-  // off the current grid are skipped (a changed space warm-starts from
-  // the overlap).
-  const std::string& primaryName = run.objectives().front().name;
-  std::vector<search::WarmStartPoint> prior;
-  if (!options.warmStartJson.empty())
-    prior = search::loadWarmStart(options.warmStartJson, primaryName);
-  else if (!options.warmStartPath.empty())
-    prior = search::readWarmStartFile(options.warmStartPath, primaryName);
-  for (const search::WarmStartPoint& point : prior) {
-    Combo combo(space.axes.size(), 0);
-    bool mapped = true;
-    for (std::size_t axis = 0; mapped && axis < space.axes.size(); ++axis) {
-      const TuneAxis& tuneAxis = space.axes[axis];
-      mapped = false;
-      for (const auto& [key, value] : point.params) {
-        if (key != tuneAxis.key)
-          continue;
-        const auto found = std::find(tuneAxis.values.begin(),
-                                     tuneAxis.values.end(), value);
-        if (found != tuneAxis.values.end()) {
-          combo[axis] =
-              static_cast<std::size_t>(found - tuneAxis.values.begin());
-          mapped = true;
-        }
-        break;
-      }
-    }
-    if (!mapped)
-      continue;
-    surrogate.observe(search::encodePoint(
-                          space, combo,
-                          buildOptions(space, combo, options.base)),
-                      point.score);
-    ++report.warmStartPoints;
-  }
-
-  std::vector<char> done(pool.size(), 0);
-
-  // Compiles a set of pool indices (ascending) as one Explorer batch
-  // and feeds every feasible score back into the surrogate. Rows land
-  // in input order, so the observation order — part of the model's
-  // determinism — is independent of the worker count.
-  auto compileAndObserve = [&](const std::vector<std::size_t>& batch) {
-    const std::size_t before = report.points.size();
-    for (std::size_t poolIndex : batch) {
-      run.enqueue(pool[poolIndex]);
-      done[poolIndex] = 1;
-    }
-    run.evaluateQueued(report);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const TunedPoint& point = report.points[before + i];
-      if (point.row.ok())
-        surrogate.observe(features[batch[i]], point.scores.front());
-    }
-  };
-
-  // Seeding round: one compile per feature-space cluster, spread out by
-  // farthest-point selection — unless the warm start already supplied
-  // at least that many observations, in which case repeat tunes skip
-  // straight to the halving rounds.
-  std::size_t clusterCount = options.clusterCount;
-  if (clusterCount == 0) {
-    clusterCount = static_cast<std::size_t>(
-        std::lround(std::sqrt(static_cast<double>(pool.size()))));
-    clusterCount = std::max<std::size_t>(clusterCount, 2);
-  }
-  clusterCount = std::min(clusterCount, pool.size());
-  if (surrogate.observationCount() < clusterCount) {
-    const search::Clustering clustering =
-        search::clusterByFeatures(features, clusterCount, options.seed);
-    std::vector<std::size_t> seeds = clustering.representatives;
-    std::sort(seeds.begin(), seeds.end());
-    compileAndObserve(seeds);
-    TuningReport::ModelRoundStats stats;
-    stats.round = 0;
-    stats.poolRemaining = pool.size();
-    stats.compiled = seeds.size();
-    stats.compilesSkipped = pool.size() - seeds.size();
-    report.modelRounds.push_back(stats);
-  }
-
-  for (std::size_t round = 1; round <= options.halvingRounds; ++round) {
-    if (options.cancelToken.cancelled())
-      break;
-    std::vector<std::size_t> remaining;
-    for (std::size_t i = 0; i < pool.size(); ++i)
-      if (!done[i])
-        remaining.push_back(i);
-    if (remaining.empty())
-      break;
-
-    TuningReport::ModelRoundStats stats;
-    stats.round = round;
-    stats.poolRemaining = remaining.size();
-
-    // Cut 1 — surrogate ranking: predict every remaining point, keep
-    // the most promising keepFraction. selectSmallest breaks score
-    // ties toward the lower pool index.
-    std::vector<double> predicted;
-    predicted.reserve(remaining.size());
-    for (std::size_t poolIndex : remaining)
-      predicted.push_back(surrogate.predict(features[poolIndex]));
-    stats.predictions = remaining.size();
-    const std::size_t candidateCount = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::ceil(
-               static_cast<double>(remaining.size()) * options.keepFraction)));
-    std::vector<std::size_t> candidates;
-    for (std::size_t sel : search::selectSmallest(predicted, candidateCount))
-      candidates.push_back(remaining[sel]);
-
-    // Cut 2 — cheap-prefix screen: run parse..optimize only and demote
-    // by the analytic work estimate. A cancel mid-screen keeps the
-    // points already in the report (the prefix just run stays
-    // adoptable in the stage cache).
-    std::vector<double> proxyScores;
-    proxyScores.reserve(candidates.size());
-    try {
-      for (std::size_t poolIndex : candidates) {
-        if (options.cancelToken.cancelled())
-          return;
-        proxyScores.push_back(run.cheapProxy(pool[poolIndex]));
-      }
-    } catch (const CancelledError&) {
-      return;
-    }
-    stats.proxyEvaluations = candidates.size();
-    const std::size_t surviveCount = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::ceil(
-               static_cast<double>(candidates.size()) *
-               options.keepFraction)));
-    std::vector<std::size_t> survivors;
-    for (std::size_t sel : search::selectSmallest(proxyScores, surviveCount))
-      survivors.push_back(candidates[sel]);
-    stats.proxyDemoted = candidates.size() - survivors.size();
-    stats.compiled = survivors.size();
-    stats.compilesSkipped = remaining.size() - survivors.size();
-
-    compileAndObserve(survivors);
-    report.modelRounds.push_back(stats);
+    current = best;
   }
 }
 
 } // namespace
 
-std::size_t TuneSpace::size() const {
-  std::size_t total = 1;
-  for (const TuneAxis& axis : axes)
-    total *= axis.values.size();
-  return total;
+std::size_t TuneSpace::size() const { return productSize(axes); }
+
+std::size_t TuneSpace::stride(std::size_t axis) const {
+  std::size_t stride = 1;
+  for (std::size_t later = axis + 1; later < axes.size(); ++later)
+    stride *= axes[later].values.size();
+  return stride;
+}
+
+SweepPoint TuneSpace::point(std::size_t rank) const {
+  SweepPoint point;
+  point.params.resize(axes.size());
+  for (std::size_t axis = axes.size(); axis-- > 0;) {
+    const std::size_t radix = axes[axis].values.size();
+    point.params[axis] = {axes[axis].key, axes[axis].values[rank % radix]};
+    rank /= radix;
+  }
+  point.label = labelFor(point.params);
+  return point;
+}
+
+std::vector<SweepPoint> TuneSpace::points() const {
+  const std::size_t total = size();
+  std::vector<SweepPoint> out;
+  out.reserve(total);
+  for (std::size_t rank = 0; rank < total; ++rank)
+    out.push_back(point(rank));
+  return out;
+}
+
+std::vector<std::size_t> TuneSpace::neighbors(std::size_t rank) const {
+  std::vector<std::size_t> out;
+  for (std::size_t axis = 0; axis < axes.size(); ++axis) {
+    const std::size_t step = stride(axis);
+    const std::size_t index = rank / step % axes[axis].values.size();
+    if (index > 0)
+      out.push_back(rank - step);
+    if (index + 1 < axes[axis].values.size())
+      out.push_back(rank + step);
+  }
+  return out;
 }
 
 TuneSpace defaultTuneSpace() {
@@ -563,36 +367,47 @@ void applyTuneParam(FlowOptions& options, const std::string& key,
   }
 }
 
-namespace {
-
-void expandAxisVariantsInto(const std::vector<TuneAxis>& axes,
-                            std::size_t axisIndex, FlowOptions current,
-                            const std::string& label,
-                            std::vector<AxisVariant>& out) {
-  if (axisIndex == axes.size()) {
-    out.push_back(AxisVariant{std::move(current),
-                              label.empty() ? "base" : label});
-    return;
-  }
-  const TuneAxis& axis = axes[axisIndex];
-  for (const std::string& value : axis.values) {
-    FlowOptions next = current;
-    applyTuneParam(next, axis.key, value);
-    expandAxisVariantsInto(axes, axisIndex + 1, std::move(next),
-                           label.empty()
-                               ? axis.key + "=" + value
-                               : label + " " + axis.key + "=" + value,
-                           out);
-  }
+bool checkSpaceBound(std::size_t points, DiagnosticList& diagnostics) {
+  if (points <= kMaxSpacePoints)
+    return true;
+  diagnostics.error({},
+                    "design space of " +
+                        (points == std::numeric_limits<std::size_t>::max()
+                             ? std::string("2^64 or more")
+                             : std::to_string(points)) +
+                        " points exceeds the bound of " +
+                        std::to_string(kMaxSpacePoints) +
+                        " (kMaxSpacePoints)",
+                    "options");
+  return false;
 }
 
-} // namespace
-
-std::vector<AxisVariant> expandAxisVariants(
-    const std::vector<TuneAxis>& axes, const FlowOptions& base) {
-  std::vector<AxisVariant> variants;
-  expandAxisVariantsInto(axes, 0, base, "", variants);
-  return variants;
+bool validateTuneAxes(const std::vector<TuneAxis>& axes,
+                      DiagnosticList& diagnostics) {
+  const std::size_t errorsBefore = diagnostics.errorCount();
+  std::unordered_set<std::string_view> keys;
+  for (const TuneAxis& axis : axes) {
+    if (axis.values.empty())
+      diagnostics.error({}, "axis '" + axis.key + "' has no values",
+                        "options");
+    if (!keys.insert(axis.key).second)
+      diagnostics.error({}, "axis '" + axis.key + "' is declared twice",
+                        "options");
+  }
+  // The bound comes before the per-value probes: an oversized space is
+  // one diagnostic, however many values it lists.
+  if (!checkSpaceBound(productSize(axes), diagnostics))
+    return false;
+  FlowOptions probe;
+  for (const TuneAxis& axis : axes)
+    for (const std::string& value : axis.values) {
+      try {
+        applyTuneParam(probe, axis.key, value);
+      } catch (const FlowError& e) {
+        diagnostics.error({}, e.what(), "options");
+      }
+    }
+  return diagnostics.errorCount() == errorsBefore;
 }
 
 std::string checkStructuralFeasibility(const FlowOptions& options) {
@@ -618,7 +433,6 @@ const char* searchStrategyName(SearchStrategy strategy) {
   case SearchStrategy::Exhaustive: return "exhaustive";
   case SearchStrategy::Random: return "random";
   case SearchStrategy::HillClimb: return "hillclimb";
-  case SearchStrategy::Model: return "model";
   }
   CFD_UNREACHABLE("bad SearchStrategy");
 }
@@ -630,35 +444,19 @@ SearchStrategy searchStrategyByName(const std::string& name) {
     return SearchStrategy::Random;
   if (name == "hillclimb")
     return SearchStrategy::HillClimb;
-  if (name == "model")
-    return SearchStrategy::Model;
   throw FlowError("unknown search strategy '" + name +
-                  "' (valid: exhaustive, random, hillclimb, model)");
+                  "' (valid: exhaustive, random, hillclimb)");
 }
 
-std::string TunedPoint::label() const {
-  if (params.empty())
-    return "base";
-  std::string label;
-  for (const auto& [key, value] : params) {
-    if (!label.empty())
-      label += ' ';
-    label += key + "=" + value;
-  }
-  return label;
-}
+std::string TunedPoint::label() const { return labelFor(params); }
 
 TuningReport tune(Session& session, const std::string& source,
                   const TuneSpace& space, const TunerOptions& options) {
-  // Validate the axes eagerly so a typo fails fast instead of
+  // Validate the axes up front so a typo fails fast instead of
   // surfacing as N identical per-point errors.
-  for (const TuneAxis& axis : space.axes) {
-    if (axis.values.empty())
-      throw FlowError("tune axis '" + axis.key + "' has no values");
-    FlowOptions probe;
-    for (const std::string& value : axis.values)
-      applyTuneParam(probe, axis.key, value);
-  }
+  DiagnosticList diagnostics;
+  if (!validateTuneAxes(space.axes, diagnostics))
+    diagnostics.throwIfErrors("tune space");
 
   TuningReport report;
   report.strategy = options.strategy;
@@ -680,9 +478,6 @@ TuningReport tune(Session& session, const std::string& source,
     break;
   case SearchStrategy::HillClimb:
     runHillClimb(run, space, options, report);
-    break;
-  case SearchStrategy::Model:
-    runModel(run, space, options, report);
     break;
   }
   report.wallMillis = std::chrono::duration<double, std::milli>(
@@ -714,11 +509,6 @@ TuningReport tune(Session& session, const std::string& source,
     report.frontier.push_back(pointIndex);
   }
   return report;
-}
-
-TuningReport tune(const std::string& source, const TuneSpace& space,
-                  const TunerOptions& options) {
-  return tune(Session::global(), source, space, options);
 }
 
 json::Value TuningReport::toJson() const {
@@ -754,28 +544,6 @@ json::Value TuningReport::toJson() const {
   stats.set("feasible", feasibleCount);
   stats.set("cache_hits", cacheHitCount);
   root.set("stats", std::move(stats));
-
-  // Model-strategy provenance (DESIGN.md §14): how many compiles each
-  // round spent and spared. Deterministic for a fixed seed, so the
-  // report-determinism checks cover it like every other field.
-  if (strategy == SearchStrategy::Model) {
-    json::Value model = json::Value::object();
-    model.set("warm_start_points", warmStartPoints);
-    json::Value rounds = json::Value::array();
-    for (const ModelRoundStats& round : modelRounds) {
-      json::Value roundJson = json::Value::object();
-      roundJson.set("round", round.round);
-      roundJson.set("pool_remaining", round.poolRemaining);
-      roundJson.set("predictions", round.predictions);
-      roundJson.set("proxy_evaluations", round.proxyEvaluations);
-      roundJson.set("proxy_demoted", round.proxyDemoted);
-      roundJson.set("compiled", round.compiled);
-      roundJson.set("compiles_skipped", round.compilesSkipped);
-      rounds.push(std::move(roundJson));
-    }
-    model.set("rounds", std::move(rounds));
-    root.set("model", std::move(model));
-  }
 
   json::Value pointsJson = json::Value::array();
   for (const TunedPoint& point : points) {

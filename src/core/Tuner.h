@@ -2,14 +2,16 @@
 //
 // Explorer (DESIGN.md §3) evaluates a *given* list of variants; the
 // Tuner decides *which* variants to evaluate. A TuneSpace declares the
-// parameter axes (named key/value axes mirroring the cfdc sweep keys);
-// a strategy — exhaustive, seeded random sampling, greedy hill-climb,
-// or model-guided successive halving (src/search/, DESIGN.md §14) —
-// walks that space, pruning structurally infeasible m/k
-// combinations before any compile; objectives (core/Objective.h) score
-// every feasible row; and the multi-objective Pareto frontier
-// (core/Pareto.h) plus all evaluated points are returned as a
-// TuningReport that serializes to JSON (support/Json.h, DESIGN.md §8).
+// parameter axes (named key/value axes mirroring the cfdc sweep keys)
+// and is the one expander of their cross product: point(rank) gives the
+// labelled params of any point, and every sweep, tune, async batch and
+// distributed shard enumerates the same ranks. A strategy — exhaustive,
+// seeded random sampling, or greedy hill-climb — walks that space,
+// pruning structurally infeasible m/k combinations before any compile;
+// objectives (core/Objective.h) score every feasible row; and the
+// multi-objective Pareto frontier (core/Pareto.h) plus all evaluated
+// points are returned as a TuningReport that serializes to JSON
+// (support/Json.h, DESIGN.md §8).
 //
 // Determinism contract: for a fixed source, space, strategy, seed, and
 // base options, the set of evaluated points, their scores, and the
@@ -21,8 +23,10 @@
 
 #include "core/Explorer.h"
 #include "core/Objective.h"
+#include "support/Diagnostics.h"
 #include "support/Json.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -33,20 +37,49 @@ namespace cfd {
 class Session;
 
 /// One named parameter axis. Keys mirror the cfdc sweep keys:
-/// unroll|m|k|sharing|decoupled|objective|layout. Value order matters:
-/// hill-climb treats adjacent values as neighbors, so list numeric
-/// axes in increasing order.
+/// unroll|opt|m|k|sharing|decoupled|objective|layout. Value order
+/// matters: hill-climb treats adjacent values as neighbors, so list
+/// numeric axes in increasing order.
 struct TuneAxis {
   std::string key;
   std::vector<std::string> values;
 };
 
-/// The declared search space: the cross product of all axes.
+/// One labelled design point: named option overrides applied in order
+/// over the base options (applyTuneParam). TuneSpace::point() produces
+/// them; the distributed coordinator (dist/Coordinator.h) ships them to
+/// worker daemons so every process derives identical FlowOptions and
+/// labels (DESIGN.md §16).
+struct SweepPoint {
+  /// "key=value key=value" in axis order; "base" for the empty space.
+  std::string label;
+  std::vector<std::pair<std::string, std::string>> params;
+};
+
+/// The most design points one request may describe: an axis cross
+/// product, or an explicit points()/variants() list. Checked before
+/// anything is expanded (validateTuneAxes, checkSpaceBound).
+inline constexpr std::size_t kMaxSpacePoints = 65536;
+
+/// The declared search space: the cross product of all axes. A point's
+/// rank is its mixed-radix index with the last axis varying fastest,
+/// so ranks enumerate the product in declaration order.
 struct TuneSpace {
   std::vector<TuneAxis> axes;
 
-  /// Cross-product cardinality (1 for an empty space: the base point).
+  /// Cross-product cardinality (1 for an empty space: the base point);
+  /// saturates at SIZE_MAX instead of wrapping.
   std::size_t size() const;
+  /// Rank distance between two points one value apart on `axis`: the
+  /// product of the later axes' sizes.
+  std::size_t stride(std::size_t axis) const;
+  /// The point of rank `rank` in [0, size()).
+  SweepPoint point(std::size_t rank) const;
+  /// Every point, index == rank. Callers bound size() first.
+  std::vector<SweepPoint> points() const;
+  /// Ranks one value step away along one axis, in hill-climb order:
+  /// for each axis, the lower neighbor then the upper one.
+  std::vector<std::size_t> neighbors(std::size_t rank) const;
 };
 
 /// The space cfdc --tune searches when no --sweep axes are given:
@@ -60,20 +93,19 @@ TuneSpace defaultTuneSpace();
 void applyTuneParam(FlowOptions& options, const std::string& key,
                     const std::string& value);
 
-/// One point of an axis cross product, with its human-readable
-/// "key=value key=value" label in axis order ("base" for the empty
-/// product).
-struct AxisVariant {
-  FlowOptions options;
-  std::string label;
-};
+/// Appends one "options" diagnostic naming kMaxSpacePoints when a
+/// design space of `points` points exceeds it; true when within.
+bool checkSpaceBound(std::size_t points, DiagnosticList& diagnostics);
 
-/// Expands the cross product of `axes` over `base`, in declaration
-/// order — the single expansion shared by SweepRequest and the cfdc
-/// --async-jobs sweep (labels and variant order must stay in lockstep
-/// between them). Throws FlowError on an invalid key or value.
-std::vector<AxisVariant> expandAxisVariants(
-    const std::vector<TuneAxis>& axes, const FlowOptions& base);
+/// The axis validator behind every sweep and tune (Session, the
+/// distributed coordinator, cfdc): each axis needs values and a key no
+/// other axis uses, the cross product must be within kMaxSpacePoints
+/// (checked before any value is probed, so an oversized space is one
+/// diagnostic however many values it lists), and every value must pass
+/// applyTuneParam (one diagnostic per bad value). Diagnostics carry
+/// stage "options"; true when none was added.
+bool validateTuneAxes(const std::vector<TuneAxis>& axes,
+                      DiagnosticList& diagnostics);
 
 /// Checks the m/k constraints that system generation enforces (paper
 /// §V-B: k <= m, m a power-of-two multiple of k) without compiling.
@@ -85,38 +117,21 @@ enum class SearchStrategy {
   Exhaustive, ///< every point of the space
   Random,     ///< seeded sampling without replacement
   HillClimb,  ///< greedy axis-neighbor descent on the primary objective
-  Model,      ///< surrogate-ranked successive halving (DESIGN.md §14)
 };
 
 const char* searchStrategyName(SearchStrategy strategy);
-/// Parses exhaustive|random|hillclimb|model; throws FlowError otherwise.
+/// Parses exhaustive|random|hillclimb; throws FlowError otherwise.
 SearchStrategy searchStrategyByName(const std::string& name);
 
 struct TunerOptions {
   SearchStrategy strategy = SearchStrategy::Exhaustive;
-  /// Seed of the Random strategy's sampler (and of any future
-  /// stochastic strategy). Same seed => same evaluated set.
+  /// Seed of the Random strategy's sampler. Same seed => same
+  /// evaluated set.
   std::uint64_t seed = 1;
   /// Random: number of distinct points to draw (clamped to the space).
   std::size_t sampleCount = 16;
   /// HillClimb: maximum number of moves before giving up.
   std::size_t maxSteps = 32;
-  /// Model: surrogate-ranked halving rounds after the seeding round
-  /// (DESIGN.md §14). Each round ranks the un-evaluated pool with the
-  /// surrogate, screens the top keepFraction with the cheap stage-prefix
-  /// proxy, and compiles only the top keepFraction of *those*.
-  std::size_t halvingRounds = 2;
-  /// Model: fraction in (0, 1] surviving each cut of a halving round.
-  double keepFraction = 1.0 / 3.0;
-  /// Model: clusters for the seeding round (one compile per cluster
-  /// representative); 0 = auto (~sqrt of the feasible pool, min 2).
-  std::size_t clusterCount = 0;
-  /// Model: path of a prior tune-report JSON to pre-fit the surrogate
-  /// from; enough prior points skip the seeding round entirely.
-  std::string warmStartPath;
-  /// Model: prior report document text; takes precedence over
-  /// warmStartPath (in-process warm starts without file I/O).
-  std::string warmStartJson;
   /// Objectives scoring each feasible point; empty = defaultObjectives().
   /// HillClimb descends on the first objective; the frontier always
   /// uses all of them.
@@ -161,19 +176,6 @@ struct TuningReport {
     std::string reason; // checkStructuralFeasibility's message
   };
 
-  /// Per-round bookkeeping of the Model strategy (DESIGN.md §14).
-  /// Round 0 is cluster seeding (no predictions); rounds >= 1 are the
-  /// surrogate-ranked halving rounds.
-  struct ModelRoundStats {
-    std::size_t round = 0;
-    std::size_t poolRemaining = 0;     // un-evaluated feasible points
-    std::size_t predictions = 0;       // surrogate rankings made
-    std::size_t proxyEvaluations = 0;  // cheap stage-prefix runs
-    std::size_t proxyDemoted = 0;      // cut by the proxy screen
-    std::size_t compiled = 0;          // promoted to a full compile
-    std::size_t compilesSkipped = 0;   // pool points not compiled
-  };
-
   SearchStrategy strategy = SearchStrategy::Exhaustive;
   std::uint64_t seed = 0;
   std::vector<std::string> objectives; // names, in scoring order
@@ -184,10 +186,6 @@ struct TuningReport {
   /// Structurally infeasible points, in first-considered order
   /// (prunedCount == prunedPoints.size()).
   std::vector<PrunedPoint> prunedPoints;
-  /// Model strategy only (empty otherwise): seeding + halving rounds.
-  std::vector<ModelRoundStats> modelRounds;
-  /// Prior points the surrogate was pre-fitted from (Model strategy).
-  std::size_t warmStartPoints = 0;
 
   std::size_t spaceSize = 0;   // full cross-product cardinality
   std::size_t prunedCount = 0; // rejected before compiling
@@ -214,15 +212,9 @@ struct TuningReport {
 /// `session`'s cache and worker pool (the Tuner owns neither,
 /// DESIGN.md §10). Points whose compile fails (Eq. 3 violations that
 /// survive the structural pre-filter, DSL errors) stay in the report
-/// with their error string; only malformed axes (unknown key/value)
-/// throw.
+/// with their error string; only a space validateTuneAxes rejects
+/// throws (a DiagnosedError carrying its diagnostics).
 TuningReport tune(Session& session, const std::string& source,
                   const TuneSpace& space, const TunerOptions& options = {});
-
-/// Convenience shim over Session::global(). As with the explore()
-/// shims, `options.workers` caps the global session's pool rather than
-/// spawning threads, so it cannot exceed hardware concurrency.
-TuningReport tune(const std::string& source, const TuneSpace& space,
-                  const TunerOptions& options = {});
 
 } // namespace cfd

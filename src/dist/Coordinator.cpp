@@ -24,44 +24,12 @@ double millisSince(Clock::time_point start) {
       .count();
 }
 
-/// One expanded design point, already carrying everything a worker
-/// needs (serve::ChunkPoint is the identical wire shape).
-struct Point {
-  std::int64_t index = 0;
-  std::string label;
-  std::vector<std::pair<std::string, std::string>> params;
-};
-
 /// A contiguous range of points plus its dispatch history.
 struct Chunk {
   std::size_t first = 0;
   std::size_t count = 0;
   int attempts = 0; ///< completed dispatch attempts so far
 };
-
-/// Expands the axis cross product in exactly the tuner's order and
-/// label grammar (core/Tuner.cpp expandAxisVariantsInto), but into
-/// (index, label, params) instead of FlowOptions — the wire shape.
-/// Determinism across processes hinges on this mirror staying exact.
-void expandPointsInto(const std::vector<TuneAxis>& axes,
-                      std::size_t axisIndex, const std::string& label,
-                      std::vector<std::pair<std::string, std::string>>& params,
-                      std::vector<Point>& out) {
-  if (axisIndex == axes.size()) {
-    out.push_back(Point{static_cast<std::int64_t>(out.size()),
-                        label.empty() ? "base" : label, params});
-    return;
-  }
-  const TuneAxis& axis = axes[axisIndex];
-  for (const std::string& value : axis.values) {
-    params.emplace_back(axis.key, value);
-    expandPointsInto(axes, axisIndex + 1,
-                     label.empty() ? axis.key + "=" + value
-                                   : label + " " + axis.key + "=" + value,
-                     params, out);
-    params.pop_back();
-  }
-}
 
 /// All coordination state shared by the per-worker threads.
 struct RunState {
@@ -192,7 +160,7 @@ namespace {
 /// Runs one chunk on one worker connection. Merging happens here (under
 /// the state mutex) so a Done return leaves nothing else to do.
 ChunkOutcome runChunk(serve::Client& client, const Chunk& chunk,
-                      const std::vector<Point>& points,
+                      const std::vector<SweepPoint>& points,
                       const DistSweepOptions& options, RunState& state,
                       DiagnosticList* refusal) {
   serve::Request request;
@@ -202,9 +170,8 @@ ChunkOutcome runChunk(serve::Client& client, const Chunk& chunk,
   request.params = options.baseParams;
   request.points.reserve(chunk.count);
   for (std::size_t i = chunk.first; i < chunk.first + chunk.count; ++i)
-    request.points.push_back(
-        serve::ChunkPoint{points[i].index, points[i].label,
-                          points[i].params});
+    request.points.push_back(serve::ChunkPoint{
+        static_cast<std::int64_t>(i), points[i].label, points[i].params});
   if (!client.send(request))
     return ChunkOutcome::Lost;
 
@@ -353,8 +320,9 @@ Expected<DistSweepResult> SweepCoordinator::run() {
   const auto start = Clock::now();
 
   // 1. Validate the request with the same rules a local sweep applies,
-  //    before any socket is touched: bad keys/values must fail fast at
-  //    the coordinator, not as N identical worker refusals.
+  //    before any socket is touched: bad keys/values or an oversized
+  //    space must fail fast at the coordinator, not as N identical
+  //    worker refusals.
   DiagnosticList diagnostics;
   if (options_.workerSockets.empty())
     diagnostics.error({}, "distributed sweep needs at least one worker",
@@ -367,28 +335,13 @@ Expected<DistSweepResult> SweepCoordinator::run() {
       diagnostics.error({}, e.what(), "options");
     }
   }
-  for (const TuneAxis& axis : options_.axes) {
-    if (axis.values.empty())
-      diagnostics.error({}, "axis '" + axis.key + "' has no values",
-                        "options");
-    for (const std::string& value : axis.values) {
-      try {
-        FlowOptions probe = scratch;
-        applyTuneParam(probe, axis.key, value);
-      } catch (const FlowError& e) {
-        diagnostics.error({}, e.what(), "options");
-      }
-    }
-  }
+  validateTuneAxes(options_.axes, diagnostics);
   if (diagnostics.hasErrors())
     return Expected<DistSweepResult>::failure(std::move(diagnostics));
 
-  // 2. Expand the design space (tuner order) and cut it into chunks.
-  std::vector<Point> points;
-  {
-    std::vector<std::pair<std::string, std::string>> scratchParams;
-    expandPointsInto(options_.axes, 0, "", scratchParams, points);
-  }
+  // 2. Expand the design space (TuneSpace rank order, index == rank)
+  //    and cut it into chunks.
+  const std::vector<SweepPoint> points = TuneSpace{options_.axes}.points();
 
   RunState state;
   state.rows.resize(points.size());

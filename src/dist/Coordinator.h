@@ -14,12 +14,12 @@
 // chunk requeued for a live worker.
 //
 // Determinism: the merged result is byte-identical to a single-process
-// sweep. Design points are expanded here with exactly the tuner's
-// axis-product order and labels (core/Tuner.h expandAxisVariants),
-// shipped with explicit (index, label, params), compiled by the worker
-// through the same Explorer path as a local sweep, and merged back by
-// index — so neither chunking, scheduling, worker count, nor failures
-// can reorder or reprice a row. reportJson()/reportText() emit only
+// sweep. Design points come from the same expander a local sweep uses
+// (core/Tuner.h TuneSpace::points), are shipped as slices of explicit
+// (index, label, params), compiled by the worker through the same
+// Explorer path as a local sweep, and merged back by index — so neither
+// chunking, scheduling, worker count, nor failures can reorder or
+// reprice a row. reportJson()/reportText() emit only
 // run-independent fields, and fromSweepResult() renders a local
 // SweepResult into the same canonical report for diffing.
 #pragma once
@@ -44,8 +44,8 @@ struct DistSweepOptions {
   /// applied by each worker over its session defaults, so workers must
   /// run default sessions for cross-process determinism.
   std::vector<std::pair<std::string, std::string>> baseParams;
-  /// The sweep axes; the cross product in tuner order is the design
-  /// space.
+  /// The sweep axes; their TuneSpace, in rank order, is the design
+  /// space (bounded by kMaxSpacePoints).
   std::vector<TuneAxis> axes;
   /// Socket paths of the worker daemons (one connection each).
   std::vector<std::string> workerSockets;
@@ -106,9 +106,11 @@ public:
   explicit SweepCoordinator(DistSweepOptions options);
 
   /// Expands the design space, runs the distributed sweep to
-  /// completion, and merges. Fails (stage-"dist" diagnostics) on bad
-  /// params/axes, no reachable workers, a chunk exhausting its
-  /// attempts, or all workers lost mid-sweep.
+  /// completion, and merges. Fails before touching a socket on bad
+  /// params/axes or an oversized space (stage-"options" diagnostics),
+  /// and with stage-"dist" diagnostics on no workers or no reachable
+  /// ones, a chunk exhausting its attempts, or all workers lost
+  /// mid-sweep.
   Expected<DistSweepResult> run();
 
   /// Renders a locally-computed SweepResult into the same canonical

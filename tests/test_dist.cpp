@@ -25,6 +25,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/time.h>
@@ -312,6 +313,28 @@ TEST_F(DistTest, BadAxisValuesFailBeforeAnySocketIsTouched) {
       SweepCoordinator(options).run();
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.errorText().find("unknown parameter 'warp'"),
+            std::string::npos)
+      << result.errorText();
+}
+
+TEST_F(DistTest, SpaceOverTheBoundFailsBeforeAnySocketIsTouched) {
+  DistSweepOptions options;
+  options.source = test::kInverseHelmholtz;
+  // 257 x 256 = 65,792 points; no daemon behind the socket path.
+  for (const auto& [key, count] : {std::pair{"unroll", 257},
+                                   std::pair{"m", 256}}) {
+    TuneAxis axis{key, {}};
+    for (int i = 1; i <= count; ++i)
+      axis.values.push_back(std::to_string(i));
+    options.axes.push_back(std::move(axis));
+  }
+  options.workerSockets = {root_ + "/nobody.sock"};
+  const Expected<DistSweepResult> result =
+      SweepCoordinator(options).run();
+  ASSERT_FALSE(result.ok());
+  ASSERT_EQ(result.diagnostics().size(), 1u);
+  EXPECT_EQ(result.diagnostics()[0].stage, "options");
+  EXPECT_NE(result.errorText().find("exceeds the bound of 65536"),
             std::string::npos)
       << result.errorText();
 }

@@ -20,6 +20,7 @@
 #include <future>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -724,6 +725,69 @@ TEST_F(ServeTest, CompileErrorsTravelAsDiagnostics) {
   // The compile diagnostics keep their own stage; only protocol
   // failures are attributed to "serve".
   EXPECT_NE(response->diagnostics.all()[0].stage, "serve");
+
+  server.requestStop();
+  server.join();
+}
+
+TEST_F(ServeTest, WireSweepOverTheBoundGetsOneErrorAndTheConnectionServes) {
+  Session session(SessionOptions{.workers = 1});
+  Server server(session, {.socketPath = socketPath_});
+  ASSERT_TRUE(server.start().ok());
+  Expected<Client> client = Client::connect(socketPath_);
+  ASSERT_TRUE(client.ok()) << client.errorText();
+
+  // 257 x 256 = 65,792 points in a ~2-KB line.
+  Request sweep;
+  sweep.kind = RequestKind::Sweep;
+  sweep.source = test::kMatMul2D;
+  for (const auto& [key, count] : {std::pair{"unroll", 257},
+                                   std::pair{"m", 256}}) {
+    AxisSpec axis{key, {}};
+    for (int i = 1; i <= count; ++i)
+      axis.values.push_back(std::to_string(i));
+    sweep.axes.push_back(std::move(axis));
+  }
+  const Expected<Response> refused = client->call(std::move(sweep));
+  ASSERT_TRUE(refused.ok()) << refused.errorText();
+  EXPECT_FALSE(refused->ok);
+  EXPECT_FALSE(refused->cancelled);
+  ASSERT_EQ(refused->diagnostics.size(), 1u);
+  EXPECT_EQ(refused->diagnostics.all()[0].stage, "options");
+  EXPECT_EQ(refused->diagnostics.all()[0].message,
+            "design space of 65792 points exceeds the bound of 65536 "
+            "(kMaxSpacePoints)");
+
+  // The same connection still compiles.
+  const Expected<Response> compiled =
+      client->call(compileRequest(test::kMatMul2D));
+  ASSERT_TRUE(compiled.ok()) << compiled.errorText();
+  EXPECT_TRUE(compiled->ok) << compiled->encode();
+  EXPECT_EQ(session.flowCache().stats().misses, 1);
+
+  server.requestStop();
+  server.join();
+}
+
+TEST_F(ServeTest, WireTuneWithTheModelStrategyIsAServeError) {
+  Session session(SessionOptions{.workers = 1});
+  Server server(session, {.socketPath = socketPath_});
+  ASSERT_TRUE(server.start().ok());
+  Expected<Client> client = Client::connect(socketPath_);
+  ASSERT_TRUE(client.ok()) << client.errorText();
+
+  Request tune;
+  tune.kind = RequestKind::Tune;
+  tune.source = test::kMatMul2D;
+  tune.strategy = "model";
+  const Expected<Response> refused = client->call(std::move(tune));
+  ASSERT_TRUE(refused.ok()) << refused.errorText();
+  EXPECT_FALSE(refused->ok);
+  ASSERT_EQ(refused->diagnostics.size(), 1u);
+  EXPECT_EQ(refused->diagnostics.all()[0].stage, "serve");
+  EXPECT_EQ(refused->diagnostics.all()[0].message,
+            "unknown search strategy 'model' (valid: exhaustive, random, "
+            "hillclimb)");
 
   server.requestStop();
   server.join();

@@ -283,6 +283,35 @@ TEST(SessionTest, SweepRejectsMixedAxesAndVariants) {
   EXPECT_EQ(swept.diagnostics()[0].stage, "options");
 }
 
+/// "1", "2", ..., `count` as axis values.
+std::vector<std::string> numbered(int count) {
+  std::vector<std::string> values;
+  for (int i = 1; i <= count; ++i)
+    values.push_back(std::to_string(i));
+  return values;
+}
+
+TEST(SessionTest, SweepOverTheBoundIsOneDiagnosticBeforeExpanding) {
+  Session session;
+  // 65,537 points as one axis, and as explicit points.
+  const Expected<SweepResult> axis =
+      session.sweep(SweepRequest(test::kMatMul2D).axis("unroll",
+                                                       numbered(65537)));
+  const Expected<SweepResult> points = session.sweep(
+      SweepRequest(test::kMatMul2D)
+          .points(std::vector<SweepPoint>(65537, SweepPoint{"p", {}})));
+  for (const Expected<SweepResult>* swept : {&axis, &points}) {
+    ASSERT_FALSE(swept->ok());
+    ASSERT_EQ(swept->diagnostics().size(), 1u);
+    EXPECT_EQ(swept->diagnostics()[0].stage, "options");
+    EXPECT_EQ(swept->diagnostics()[0].message,
+              "design space of 65537 points exceeds the bound of 65536 "
+              "(kMaxSpacePoints)");
+  }
+  EXPECT_EQ(session.flowCache().stats().misses, 0);
+  EXPECT_EQ(session.stats().failedRequests, 2);
+}
+
 TEST(SessionTest, TuneRunsThroughTheSessionPool) {
   Session session;
   const Expected<TuningReport> report = session.tune(

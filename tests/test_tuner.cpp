@@ -1,6 +1,6 @@
 // Tests for the auto-tuning layer (DESIGN.md §7-§8): Pareto dominance,
-// strategy determinism, hill-climb convergence, the structural
-// pre-filter, and the JSON report round-trip.
+// TuneSpace point order and bounds, strategy determinism, hill-climb
+// convergence, the structural pre-filter, and the JSON report bytes.
 #include "core/Pareto.h"
 #include "core/Session.h"
 #include "core/Tuner.h"
@@ -11,7 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace cfd {
@@ -212,6 +216,131 @@ TEST(TunerTest, PrunesInfeasibleMkPairsBeforeCompiling) {
     EXPECT_TRUE(point.row.ok()) << point.row.error;
 }
 
+// ---- TuneSpace: the one point expander ----
+
+TEST(TuneSpaceTest, EmptySpaceIsTheBasePoint) {
+  const TuneSpace space;
+  EXPECT_EQ(space.size(), 1u);
+  const std::vector<SweepPoint> points = space.points();
+  ASSERT_EQ(points.size(), 1u);
+  EXPECT_EQ(points[0].label, "base");
+  EXPECT_TRUE(points[0].params.empty());
+  EXPECT_TRUE(space.neighbors(0).empty());
+}
+
+TEST(TuneSpaceTest, PointsEnumerateTheCrossProductInRankOrder) {
+  TuneSpace space;
+  space.axes.push_back(TuneAxis{"sharing", {"0", "1"}});
+  space.axes.push_back(TuneAxis{"unroll", {"1", "2", "4"}});
+  space.axes.push_back(TuneAxis{"layout", {"rowmajor", "colmajor"}});
+  ASSERT_EQ(space.size(), 12u);
+  EXPECT_EQ(space.stride(0), 6u);
+  EXPECT_EQ(space.stride(1), 2u);
+  EXPECT_EQ(space.stride(2), 1u);
+
+  const std::vector<std::string> expected = {
+      "sharing=0 unroll=1 layout=rowmajor",
+      "sharing=0 unroll=1 layout=colmajor",
+      "sharing=0 unroll=2 layout=rowmajor",
+      "sharing=0 unroll=2 layout=colmajor",
+      "sharing=0 unroll=4 layout=rowmajor",
+      "sharing=0 unroll=4 layout=colmajor",
+      "sharing=1 unroll=1 layout=rowmajor",
+      "sharing=1 unroll=1 layout=colmajor",
+      "sharing=1 unroll=2 layout=rowmajor",
+      "sharing=1 unroll=2 layout=colmajor",
+      "sharing=1 unroll=4 layout=rowmajor",
+      "sharing=1 unroll=4 layout=colmajor",
+  };
+  const std::vector<SweepPoint> points = space.points();
+  ASSERT_EQ(points.size(), expected.size());
+  for (std::size_t rank = 0; rank < points.size(); ++rank) {
+    EXPECT_EQ(points[rank].label, expected[rank]) << rank;
+    // The params spell the label: one (key, value) per axis, in order.
+    std::vector<std::pair<std::string, std::string>> params;
+    std::istringstream words(expected[rank]);
+    for (std::string word; words >> word;)
+      params.emplace_back(word.substr(0, word.find('=')),
+                          word.substr(word.find('=') + 1));
+    EXPECT_EQ(points[rank].params, params) << rank;
+    const SweepPoint single = space.point(rank);
+    EXPECT_EQ(single.label, points[rank].label) << rank;
+    EXPECT_EQ(single.params, points[rank].params) << rank;
+  }
+}
+
+TEST(TuneSpaceTest, NeighborsAreOneValueStepAlongEachAxis) {
+  TuneSpace space;
+  space.axes.push_back(TuneAxis{"sharing", {"0", "1"}});
+  space.axes.push_back(TuneAxis{"unroll", {"1", "2", "4"}});
+  space.axes.push_back(TuneAxis{"layout", {"rowmajor", "colmajor"}});
+  // Rank 0 (0, 1, rowmajor): only upper neighbors.
+  EXPECT_EQ(space.neighbors(0), (std::vector<std::size_t>{6, 2, 1}));
+  // Rank 9 (1, 2, colmajor): sharing down, unroll down/up, layout down.
+  EXPECT_EQ(space.neighbors(9), (std::vector<std::size_t>{3, 7, 11, 8}));
+  // Rank 11 (1, 4, colmajor): the last point.
+  EXPECT_EQ(space.neighbors(11), (std::vector<std::size_t>{5, 9, 10}));
+}
+
+TEST(TuneSpaceTest, SizeSaturatesInsteadOfWrapping) {
+  // 8 axes of 256 values: 2^64 points, which wrapped to 0 in a plain
+  // size_t product.
+  std::vector<std::string> values;
+  for (int i = 0; i < 256; ++i)
+    values.push_back(std::to_string(i + 1));
+  TuneSpace space;
+  for (const char* key : {"unroll", "opt", "m", "k", "sharing", "decoupled",
+                          "objective", "layout"})
+    space.axes.push_back(TuneAxis{key, values});
+  EXPECT_EQ(space.size(), std::numeric_limits<std::size_t>::max());
+
+  DiagnosticList diagnostics;
+  EXPECT_FALSE(validateTuneAxes(space.axes, diagnostics));
+  ASSERT_EQ(diagnostics.size(), 1u);
+  EXPECT_EQ(diagnostics[0].stage, "options");
+  EXPECT_NE(diagnostics[0].message.find("65536"), std::string::npos)
+      << diagnostics[0].message;
+}
+
+TEST(TuneSpaceTest, ValidatorRejectsRepeatedKeysAndEmptyAxes) {
+  DiagnosticList diagnostics;
+  EXPECT_FALSE(validateTuneAxes(
+      {{"unroll", {"1", "2"}}, {"sharing", {}}, {"unroll", {"4"}}},
+      diagnostics));
+  ASSERT_EQ(diagnostics.size(), 2u);
+  EXPECT_EQ(diagnostics[0].message, "axis 'sharing' has no values");
+  EXPECT_EQ(diagnostics[1].message, "axis 'unroll' is declared twice");
+  DiagnosticList clean;
+  EXPECT_TRUE(validateTuneAxes(
+      {{"unroll", {"1", "2"}}, {"sharing", {"0", "1"}}}, clean));
+  EXPECT_TRUE(clean.empty());
+}
+
+TEST(TuneSpaceTest, TuneOverTheBoundIsOneDiagnosticAndNoCompile) {
+  // 257 x 255 = 65,535 points is within the bound; 257 x 256 = 65,792
+  // and 65,537 points on one axis are not.
+  auto values = [](int count) {
+    std::vector<std::string> out;
+    for (int i = 0; i < count; ++i)
+      out.push_back(std::to_string(i + 1));
+    return out;
+  };
+  DiagnosticList within;
+  EXPECT_TRUE(validateTuneAxes(
+      {{"unroll", values(257)}, {"m", values(255)}}, within));
+
+  Session session;
+  const Expected<TuningReport> tuned = session.tune(
+      TuneRequest(test::kMatMul2D).axis("unroll", values(65537)));
+  ASSERT_FALSE(tuned.ok());
+  ASSERT_EQ(tuned.diagnostics().size(), 1u);
+  EXPECT_EQ(tuned.diagnostics()[0].stage, "options");
+  EXPECT_EQ(tuned.diagnostics()[0].message,
+            "design space of 65537 points exceeds the bound of 65536 "
+            "(kMaxSpacePoints)");
+  EXPECT_EQ(session.flowCache().stats().misses, 0);
+}
+
 // ---- Strategies ----
 
 std::vector<std::string> labels(const TuningReport& report) {
@@ -313,12 +442,14 @@ TEST(TunerTest, EmptySpaceEvaluatesTheBasePoint) {
 }
 
 TEST(TunerTest, RejectsUnknownAxesBeforeEvaluating) {
+  Session session;
   TuneSpace space;
   space.axes.push_back(TuneAxis{"warp", {"1"}});
-  EXPECT_THROW(tune(test::kMatMul2D, space, {}), FlowError);
+  EXPECT_THROW(tune(session, test::kMatMul2D, space, {}), FlowError);
   TuneSpace empty;
   empty.axes.push_back(TuneAxis{"unroll", {}});
-  EXPECT_THROW(tune(test::kMatMul2D, empty, {}), FlowError);
+  EXPECT_THROW(tune(session, test::kMatMul2D, empty, {}), FlowError);
+  EXPECT_EQ(session.flowCache().stats().misses, 0);
 }
 
 // ---- Cache accounting (ExplorationRow::cacheHit satellite) ----
@@ -415,6 +546,66 @@ TEST(TunerTest, JsonReportIsDeterministicModuloTiming) {
       continue;
     }
     EXPECT_EQ(first.at(key).dump(-1), second.at(key).dump(-1)) << key;
+  }
+}
+
+// ---- Report bytes, pinned per strategy ----
+
+/// Byte count and FNV-1a of a report text without its run-dependent
+/// lines ("compile_ms", "cache_hit", "wall_ms", DESIGN.md §8).
+std::pair<std::size_t, std::uint64_t> reportPin(const std::string& text) {
+  std::string kept;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"compile_ms\"") != std::string::npos ||
+        line.find("\"cache_hit\"") != std::string::npos ||
+        line.find("\"wall_ms\"") != std::string::npos)
+      continue;
+    kept += line;
+    kept += '\n';
+  }
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const unsigned char c : kept) {
+    hash ^= c;
+    hash *= 0x100000001b3ull;
+  }
+  return {kept.size(), hash};
+}
+
+TEST(TunerTest, ReportBytesArePinnedForEveryStrategy) {
+  // 3 x 2 x 3 = 18 points: k = 3 with m = 4 or 8 is pruned, k = 0
+  // leaves m/k to system generation. A change to any strategy's point
+  // order, labels, params, pruning or scores moves these bytes.
+  TuneSpace space;
+  space.axes.push_back(TuneAxis{"unroll", {"1", "2", "4"}});
+  space.axes.push_back(TuneAxis{"m", {"4", "8"}});
+  space.axes.push_back(TuneAxis{"k", {"0", "2", "3"}});
+
+  TunerOptions exhaustive;
+  exhaustive.workers = 1;
+  TunerOptions random = exhaustive;
+  random.strategy = SearchStrategy::Random;
+  random.seed = 7;
+  random.sampleCount = 4;
+  TunerOptions climb = exhaustive;
+  climb.strategy = SearchStrategy::HillClimb;
+
+  const struct {
+    const char* name;
+    TunerOptions options;
+    std::size_t size;
+    std::uint64_t fnv;
+  } cases[] = {
+      {"exhaustive", exhaustive, 6397, 2320888018917523347ull},
+      {"random", random, 2152, 13370289483958612589ull},
+      {"hillclimb", climb, 4357, 1469012835673328932ull},
+  };
+  for (const auto& c : cases) {
+    Session session(SessionOptions{.workers = 1});
+    const auto [size, fnv] = reportPin(
+        tune(session, test::kMatMul2D, space, c.options).jsonText());
+    EXPECT_EQ(size, c.size) << c.name;
+    EXPECT_EQ(fnv, c.fnv) << c.name;
   }
 }
 

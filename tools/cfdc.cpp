@@ -12,9 +12,9 @@
 //    through the session cache and print one row per variant
 //    (DESIGN.md §3);
 //  * --tune: search the axes with a strategy (exhaustive, seeded
-//    random, hill-climb, model-guided — DESIGN.md §14), score
-//    pluggable objectives, and report the Pareto frontier as a table
-//    and/or a JSON report (DESIGN.md §7-§8).
+//    random, hill-climb — DESIGN.md §7), score pluggable objectives,
+//    and report the Pareto frontier as a table and/or a JSON report
+//    (DESIGN.md §7-§8).
 //
 // --async-jobs=N drives --sweep/--tune through the session's async job
 // queue (DESIGN.md §11): a sweep becomes one batch of per-variant
@@ -67,11 +67,6 @@ namespace {
 constexpr int kExitIo = 1;
 constexpr int kExitDiagnostics = 3;
 
-struct SweepAxis {
-  std::string key;
-  std::vector<std::string> values;
-};
-
 struct CliOptions {
   std::string inputPath;
   std::string emit = "report";
@@ -82,7 +77,7 @@ struct CliOptions {
   bool printIrBefore = false;
   bool printIrAfter = false;
   bool emitExplicit = false;
-  std::vector<SweepAxis> sweeps;
+  std::vector<cfd::TuneAxis> sweeps;
   bool jobsExplicit = false;
   int jobs = 0;
   bool asyncJobsExplicit = false;
@@ -100,11 +95,6 @@ struct CliOptions {
   std::size_t samples = 16;
   bool maxStepsExplicit = false;
   std::size_t maxSteps = 32;
-  bool halvingRoundsExplicit = false;
-  std::size_t halvingRounds = 2;
-  bool keepFractionExplicit = false;
-  double keepFraction = 1.0 / 3.0;
-  std::string warmStartPath;
   std::vector<std::string> objectiveNames;
   /// Name of the first --tune-only flag seen, for the without---tune
   /// diagnostic (these must never be silently ignored).
@@ -169,8 +159,9 @@ Single-shot compilation:
                            and this process publishes its own
 
 Design-space search:
-  --sweep=key=v1,v2,...    declare one axis (repeatable; axes combine as
-                           a cross product). Keys: unroll|opt|m|k|
+  --sweep=key=v1,v2,...    declare one axis (repeatable, one per key;
+                           axes combine as a cross product of at most
+                           65536 points). Keys: unroll|opt|m|k|
                            sharing|decoupled|objective|layout
   --jobs=N                 worker threads for --sweep/--tune (0 = auto);
                            an error without one of those modes
@@ -199,25 +190,15 @@ Design-space search:
                            unroll x sharing x decoupled space when no
                            --sweep is given) instead of printing every
                            row. STRATEGY: exhaustive (default) | random
-                           | hillclimb | model. Prints evaluated points
-                           and the Pareto frontier; deterministic for a
-                           fixed seed and space (DESIGN.md §7)
+                           | hillclimb. Prints evaluated points and the
+                           Pareto frontier; deterministic for a fixed
+                           seed and space (DESIGN.md §7)
   --strategy=NAME          same as --tune=NAME; requires --tune
-  --seed=N                 random/model strategy seed (default: 1)
+  --seed=N                 random-strategy seed (default: 1)
   --samples=N              random-strategy distinct points (default: 16);
                            requires --strategy=random
   --max-steps=N            hill-climb move cap (default: 32); requires
                            --strategy=hillclimb
-  --warm-start=FILE        model strategy: pre-fit the surrogate from a
-                           prior --tune JSON report (enough prior
-                           points skip the seeding compiles entirely,
-                           DESIGN.md §14); requires --strategy=model
-  --halving-rounds=N       model strategy: surrogate-ranked halving
-                           rounds after seeding (default: 2); requires
-                           --strategy=model
-  --keep-fraction=F        model strategy: fraction in (0,1] surviving
-                           each halving cut (default: 1/3); requires
-                           --strategy=model
   --objectives=a,b,...     scoring objectives, all minimized: latency|
                            bram|dsp|lut|compile_ms (default: latency,bram)
 
@@ -313,27 +294,6 @@ int parseNonNegativeInt(const std::string& value, const std::string& flag) {
   return parsed;
 }
 
-double parseFraction(const std::string& value, const std::string& flag) {
-  // Same strictness as parseInt: std::stod's whitespace/'+'/hex/inf
-  // forms are not fractions. A fraction starts with a digit or with
-  // '.' followed by a digit.
-  const bool digitStart =
-      !value.empty() &&
-      (isDigit(value[0]) ||
-       (value[0] == '.' && value.size() > 1 && isDigit(value[1])));
-  if (!digitStart)
-    usage(flag + " expects a fraction in (0, 1] (got '" + value + "')");
-  try {
-    std::size_t consumed = 0;
-    const double parsed = std::stod(value, &consumed);
-    if (consumed != value.size() || !(parsed > 0.0) || parsed > 1.0)
-      usage(flag + " expects a fraction in (0, 1] (got '" + value + "')");
-    return parsed;
-  } catch (const std::exception&) {
-    usage(flag + " expects a fraction in (0, 1] (got '" + value + "')");
-  }
-}
-
 std::vector<std::string> splitCsv(const std::string& csv) {
   std::vector<std::string> parts;
   std::string part;
@@ -355,19 +315,15 @@ void applySweepValue(cfd::FlowOptions& options, const std::string& key,
   }
 }
 
-SweepAxis parseSweepAxis(const std::string& spec) {
+/// Splits one --sweep=key=v1,v2,... spec; the keys and values are
+/// validated together once every axis is known (parseArgs).
+cfd::TuneAxis parseSweepAxis(const std::string& spec) {
   const std::size_t eq = spec.find('=');
   if (eq == std::string::npos || eq == 0 || eq + 1 >= spec.size())
     usage("--sweep expects key=v1,v2,... (got '" + spec + "')");
-  SweepAxis axis;
-  axis.key = spec.substr(0, eq);
-  axis.values = splitCsv(spec.substr(eq + 1));
+  cfd::TuneAxis axis{spec.substr(0, eq), splitCsv(spec.substr(eq + 1))};
   if (axis.values.empty())
     usage("--sweep=" + axis.key + " has no values");
-  // Validate the key (and value syntax) eagerly for a friendly error.
-  cfd::FlowOptions probe;
-  for (const std::string& value : axis.values)
-    applySweepValue(probe, axis.key, value);
   return axis;
 }
 
@@ -465,20 +421,6 @@ CliOptions parseArgs(const std::vector<std::string>& args) {
           parseNonNegativeInt(value, "--max-steps"));
       options.maxStepsExplicit = true;
       options.tuneOnlyFlag = "--max-steps";
-    } else if (consumeValue(arg, "--warm-start=", value)) {
-      if (value.empty())
-        usage("--warm-start expects a report file path");
-      options.warmStartPath = value;
-      options.tuneOnlyFlag = "--warm-start";
-    } else if (consumeValue(arg, "--halving-rounds=", value)) {
-      options.halvingRounds = static_cast<std::size_t>(
-          parseNonNegativeInt(value, "--halving-rounds"));
-      options.halvingRoundsExplicit = true;
-      options.tuneOnlyFlag = "--halving-rounds";
-    } else if (consumeValue(arg, "--keep-fraction=", value)) {
-      options.keepFraction = parseFraction(value, "--keep-fraction");
-      options.keepFractionExplicit = true;
-      options.tuneOnlyFlag = "--keep-fraction";
     } else if (consumeValue(arg, "--objectives=", value)) {
       options.objectiveNames = splitCsv(value);
       if (options.objectiveNames.empty())
@@ -525,6 +467,14 @@ CliOptions parseArgs(const std::vector<std::string>& args) {
     } else {
       usage("multiple input files");
     }
+  }
+  // Every mode's axes pass the one validator before anything expands
+  // them: a bad key or value, a repeated key, or a space over
+  // cfd::kMaxSpacePoints is a usage error.
+  {
+    cfd::DiagnosticList diagnostics;
+    if (!cfd::validateTuneAxes(options.sweeps, diagnostics))
+      usage(diagnostics[0].message);
   }
   // Daemon modes first (DESIGN.md §15): --serve and --connect reject
   // every flag they would otherwise silently ignore, exactly like the
@@ -580,8 +530,8 @@ CliOptions parseArgs(const std::vector<std::string>& args) {
     if (options.tune || !options.sweeps.empty() ||
         !options.tuneOnlyFlag.empty())
       usage("--connect only submits single compiles (run sweeps/tunes "
-            "in-process, or point --warm-start at reports produced "
-            "against the daemon's shared cache dir)");
+            "in-process; --cache-dir at the daemon's store shares its "
+            "compiles)");
     if (options.jobsExplicit || options.asyncJobsExplicit ||
         options.explainCache || options.stageCacheMbExplicit ||
         !options.cacheDir.empty())
@@ -661,18 +611,6 @@ CliOptions parseArgs(const std::vector<std::string>& args) {
         options.strategy != cfd::SearchStrategy::HillClimb)
       usage("--max-steps requires --strategy=hillclimb (only the "
             "hill-climb strategy takes steps)");
-    if (!options.warmStartPath.empty() &&
-        options.strategy != cfd::SearchStrategy::Model)
-      usage("--warm-start requires --strategy=model (only the model "
-            "strategy pre-fits a surrogate)");
-    if (options.halvingRoundsExplicit &&
-        options.strategy != cfd::SearchStrategy::Model)
-      usage("--halving-rounds requires --strategy=model (only the model "
-            "strategy runs halving rounds)");
-    if (options.keepFractionExplicit &&
-        options.strategy != cfd::SearchStrategy::Model)
-      usage("--keep-fraction requires --strategy=model (only the model "
-            "strategy cuts the candidate pool)");
   } else {
     if (!options.tuneOnlyFlag.empty())
       usage(options.tuneOnlyFlag + " requires --tune");
@@ -837,7 +775,7 @@ int runSweep(const CliOptions& options, cfd::Session& session,
   request.options(options.flow)
       .workers(options.jobs)
       .simulateElements(options.simulateElements);
-  for (const SweepAxis& axis : options.sweeps)
+  for (const cfd::TuneAxis& axis : options.sweeps)
     request.axis(axis.key, axis.values);
 
   const cfd::Expected<cfd::SweepResult> swept = session.sweep(request);
@@ -878,17 +816,6 @@ int runSweep(const CliOptions& options, cfd::Session& session,
   return 0;
 }
 
-/// The declared --sweep axes as core TuneAxis values, for the shared
-/// cross-product expansion (cfd::expandAxisVariants) that keeps async
-/// job labels in lockstep with SweepRequest's ordering.
-std::vector<cfd::TuneAxis> tuneAxesFrom(const std::vector<SweepAxis>& axes) {
-  std::vector<cfd::TuneAxis> tuneAxes;
-  tuneAxes.reserve(axes.size());
-  for (const SweepAxis& axis : axes)
-    tuneAxes.push_back(cfd::TuneAxis{axis.key, axis.values});
-  return tuneAxes;
-}
-
 /// --sweep with --async-jobs: one prioritized compile job per variant,
 /// submitted as a coalesced batch (DESIGN.md §11) and awaited in
 /// submission order. Per-variant failures print like runSweep's
@@ -901,15 +828,20 @@ int runAsyncSweep(const CliOptions& options, cfd::Session& session,
   using cfd::padRight;
 
   applyStageCacheBound(options, session);
-  // Axes were validated at flag-parse time, so the expansion cannot
-  // throw.
-  const std::vector<cfd::AxisVariant> variants =
-      cfd::expandAxisVariants(tuneAxesFrom(options.sweeps), options.flow);
+  // The same points, labels and order as SweepRequest's axis sweep.
+  // Axes were validated (and bounded) at flag-parse time.
+  const std::vector<cfd::SweepPoint> points =
+      cfd::TuneSpace{options.sweeps}.points();
 
   std::vector<cfd::CompileRequest> requests;
-  requests.reserve(variants.size());
-  for (const cfd::AxisVariant& variant : variants)
-    requests.push_back(cfd::CompileRequest(source).options(variant.options));
+  requests.reserve(points.size());
+  for (const cfd::SweepPoint& point : points) {
+    cfd::CompileRequest request(source);
+    request.options(options.flow);
+    for (const auto& [key, value] : point.params)
+      request.set(key, value);
+    requests.push_back(std::move(request));
+  }
 
   cfd::JobConfig config;
   config.deadlineMillis = options.deadlineMs;
@@ -918,8 +850,8 @@ int runAsyncSweep(const CliOptions& options, cfd::Session& session,
       session.submitBatch(std::move(requests), config);
 
   std::size_t labelWidth = 12;
-  for (const cfd::AxisVariant& variant : variants)
-    labelWidth = std::max(labelWidth, variant.label.size() + 2);
+  for (const cfd::SweepPoint& point : points)
+    labelWidth = std::max(labelWidth, point.label.size() + 2);
   printSweepTableHeader(labelWidth, options);
 
   std::size_t feasible = 0;
@@ -928,7 +860,7 @@ int runAsyncSweep(const CliOptions& options, cfd::Session& session,
   std::int64_t stagesAdopted = 0;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const cfd::Expected<cfd::CompileResult>& result = jobs[i].wait();
-    std::cout << "  " << padRight(variants[i].label, labelWidth);
+    std::cout << "  " << padRight(points[i].label, labelWidth);
     if (!result.ok()) {
       if (jobs[i].state() == cfd::JobState::Cancelled) {
         ++cancelled;
@@ -985,13 +917,10 @@ int runTune(const CliOptions& options, cfd::Session& session,
       .seed(options.seed)
       .samples(options.samples)
       .maxSteps(options.maxSteps)
-      .halvingRounds(options.halvingRounds)
-      .keepFraction(options.keepFraction)
-      .warmStart(options.warmStartPath)
       .objectives(options.objectiveNames)
       .workers(options.jobs)
       .simulateElements(options.simulateElements);
-  for (const SweepAxis& axis : options.sweeps)
+  for (const cfd::TuneAxis& axis : options.sweeps)
     request.axis(axis.key, axis.values);
 
   bool cancelled = false;
@@ -1066,18 +995,6 @@ int runTune(const CliOptions& options, cfd::Session& session,
             << " from cache) on " << report.workers
             << (report.workers == 1 ? " worker in " : " workers in ")
             << formatFixed(report.wallMillis, 1) << " ms\n";
-  if (report.strategy == cfd::SearchStrategy::Model) {
-    std::size_t proxyEvals = 0;
-    std::size_t skipped = 0;
-    for (const auto& round : report.modelRounds) {
-      proxyEvals += round.proxyEvaluations;
-      skipped += round.compilesSkipped;
-    }
-    std::cout << "  model: " << report.warmStartPoints
-              << " warm-start points, " << report.modelRounds.size()
-              << " rounds, " << proxyEvals << " proxy evaluations, "
-              << skipped << " compiles skipped\n";
-  }
   printSessionSummary(session, report.stagesAdoptedTotal);
   std::cout << "  Pareto frontier: " << report.frontier.size()
             << (report.frontier.size() == 1 ? " point" : " points");
@@ -1309,7 +1226,7 @@ int runDistribute(const CliOptions& options, const std::string& source) {
   cfd::dist::DistSweepOptions dist;
   dist.source = source;
   dist.baseParams = options.paramSpecs;
-  dist.axes = tuneAxesFrom(options.sweeps);
+  dist.axes = options.sweeps;
   dist.chunkDeadlineMillis = options.deadlineMs;
   dist.workerSockets = options.workerSockets;
 
