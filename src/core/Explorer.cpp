@@ -32,6 +32,13 @@ std::int64_t ExplorationResult::stagesAdoptedTotal() const {
   return total;
 }
 
+namespace {
+
+/// Cache provenance of one compiled flow (the ExplorationRow::
+/// resumedFrom string): "flow-cache" when the whole Flow was reused,
+/// "stage-cache" when a recompile adopted every stage artifact (e.g.
+/// the Flow entry was evicted while the stage prefix survived),
+/// otherwise the first pipeline stage that actually ran.
 std::string resumedFromStage(const Flow& flow, bool cacheHit) {
   if (cacheHit)
     return "flow-cache";
@@ -43,8 +50,6 @@ std::string resumedFromStage(const Flow& flow, bool cacheHit) {
       return stageName(static_cast<Stage>(i));
   return "stage-cache";
 }
-
-namespace {
 
 ExplorationRow runJob(std::size_t index, const ExplorationJob& job,
                       const ExplorerOptions& options, FlowCache& cache) {

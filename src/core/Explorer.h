@@ -102,14 +102,6 @@ struct ExplorationResult {
   std::int64_t stagesAdoptedTotal() const;
 };
 
-/// Cache provenance of one compiled flow (the ExplorationRow::
-/// resumedFrom string): "flow-cache" when the whole Flow was reused,
-/// "stage-cache" when a recompile adopted every stage artifact (e.g.
-/// the Flow entry was evicted while the stage prefix survived),
-/// otherwise the first pipeline stage that actually ran. Shared by the
-/// Explorer rows and cfdc's --async-jobs --explain-cache column.
-std::string resumedFromStage(const Flow& flow, bool cacheHit);
-
 /// Explores arbitrary (source, options) jobs through `session`'s cache
 /// and worker pool.
 ExplorationResult explore(Session& session,

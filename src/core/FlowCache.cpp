@@ -2,8 +2,6 @@
 
 #include "support/Hash.h"
 
-#include <chrono>
-
 namespace cfd {
 
 std::uint64_t hashValue(const FlowOptions& options) {
@@ -14,21 +12,15 @@ bool equalOptions(const FlowOptions& a, const FlowOptions& b) {
   return a == b;
 }
 
-namespace {
-
-/// Builds one pipeline with cancellation armed and runs it to
-/// completion behind a Flow (raises CancelledError at the first
-/// checkpoint after `cancel` fires).
-std::shared_ptr<const Flow> compileFresh(const std::string& source,
-                                         const FlowOptions& options,
-                                         StageCache* stageCache,
-                                         const CancelToken& cancel) {
-  auto pipeline = std::make_shared<Pipeline>(source, options, stageCache);
-  pipeline->setCancelToken(cancel);
-  return std::make_shared<const Flow>(Flow(std::move(pipeline)));
+std::shared_ptr<const Flow>
+FlowCache::findLocked(std::uint64_t key, const std::string& source,
+                      const FlowOptions& options) const {
+  if (const auto bucket = entries_.find(key); bucket != entries_.end())
+    for (const Entry& entry : bucket->second)
+      if (entry.source == source && equalOptions(entry.options, options))
+        return entry.flow;
+  return nullptr;
 }
-
-} // namespace
 
 std::shared_ptr<const Flow> FlowCache::compile(const std::string& source,
                                                FlowOptions options,
@@ -42,110 +34,51 @@ std::shared_ptr<const Flow> FlowCache::compile(const std::string& source,
   keyHasher.mix(hashValue(options));
   const std::uint64_t key = keyHasher.value();
 
-  // The loop only repeats when a joined in-flight compile was cancelled
-  // by ITS owner (see below) — each iteration then re-resolves against
-  // the cache from scratch.
-  for (;;) {
-    if (cacheHit)
-      *cacheHit = false;
-    std::shared_future<std::shared_ptr<const Flow>> pending;
-    std::promise<std::shared_ptr<const Flow>> promise;
-    bool owner = false;
-    StageCache* stageCache = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (const auto bucket = entries_.find(key); bucket != entries_.end())
-        for (const Entry& entry : bucket->second)
-          if (entry.source == source &&
-              equalOptions(entry.options, options)) {
-            ++hits_;
-            if (cacheHit)
-              *cacheHit = true;
-            return entry.flow;
-          }
-      if (const auto it = inFlight_.find(key); it != inFlight_.end()) {
-        ++hits_;
-        ++inFlightJoins_;
-        if (cacheHit)
-          *cacheHit = true;
-        pending = it->second;
-      } else {
-        ++misses_;
-        owner = true;
-        pending = promise.get_future().share();
-        inFlight_[key] = pending;
-      }
-      stageCache = stageCache_;
-    }
-
-    if (!owner) {
-      // A joiner's own cancellation must not wait out the owner's whole
-      // compile: poll the token while the owner works, and bail with
-      // OUR CancelledError (outside the try below, whose catch handles
-      // the owner's cancellation, not ours).
-      if (cancel.valid())
-        while (pending.wait_for(std::chrono::milliseconds(10)) !=
-               std::future_status::ready)
-          if (cancel.cancelled()) {
-            {
-              std::lock_guard<std::mutex> lock(mutex_);
-              --hits_;
-              --inFlightJoins_;
-            }
-            throw cancel.error("while joining an in-flight compile");
-          }
-      std::shared_ptr<const Flow> flow;
-      try {
-        flow = pending.get(); // rethrows the owner's FlowError, if any
-      } catch (const CancelledError&) {
-        // The OWNER's job was cancelled — that is its failure, not
-        // ours. Un-count the speculative hit and retry: by now the
-        // in-flight entry is gone, so the next iteration compiles (or
-        // joins a newer owner). Our own token still cancels us through
-        // the compile we then perform ourselves.
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          --hits_;
-          --inFlightJoins_;
-        }
-        continue;
-      }
-      // The in-flight map is keyed by the 64-bit hash alone; verify we
-      // actually waited on our own configuration so a key collision
-      // degrades to an extra compile, never a wrong result (the same
-      // invariant the entries_ buckets enforce).
-      if (flow->pipeline().source() == source &&
-          equalOptions(flow->options(), options))
-        return flow;
+  if (cacheHit)
+    *cacheHit = false;
+  StageCache* stageCache = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (auto flow = findLocked(key, source, options)) {
+      ++hits_;
       if (cacheHit)
-        *cacheHit = false;
-      return compileFresh(source, options, stageCache, cancel);
-    }
-
-    try {
-      // Even this whole-flow *miss* compiles incrementally: the
-      // pipeline adopts the longest stage prefix already in the stage
-      // cache and publishes whatever it had to run (DESIGN.md §9).
-      auto flow = compileFresh(source, options, stageCache, cancel);
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        entries_[key].push_back(Entry{source, options, flow});
-        insertionOrder_.push_back(key);
-        ++totalEntries_;
-        evictOverflowLocked();
-        inFlight_.erase(key);
-      }
-      promise.set_value(flow);
+        *cacheHit = true;
       return flow;
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        inFlight_.erase(key);
-      }
-      promise.set_exception(std::current_exception());
-      throw;
     }
+    stageCache = stageCache_;
   }
+
+  // Even this whole-flow *miss* compiles incrementally: the pipeline
+  // adopts the longest stage prefix already in the stage cache, and an
+  // identical request compiling at the same time computes each stage
+  // once through the stage cache's claims (DESIGN.md §9).
+  std::shared_ptr<const Flow> flow;
+  try {
+    auto pipeline = std::make_shared<Pipeline>(source, options, stageCache);
+    pipeline->setCancelToken(std::move(cancel));
+    flow = std::make_shared<const Flow>(Flow(std::move(pipeline)));
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++misses_; // compiled here, and failed: never cached
+    throw;
+  }
+
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (auto published = findLocked(key, source, options)) {
+    // An identical request raced this one and published first: converge
+    // on its Flow, as a hit that joined an in-flight compile.
+    ++hits_;
+    ++inFlightJoins_;
+    if (cacheHit)
+      *cacheHit = true;
+    return published;
+  }
+  ++misses_;
+  entries_[key].push_back(Entry{source, options, flow});
+  insertionOrder_.push_back(key);
+  ++totalEntries_;
+  evictOverflowLocked();
+  return flow;
 }
 
 FlowCache::Stats FlowCache::stats() const {

@@ -6,17 +6,21 @@
 // out shared immutable instances, so repeated compiles of the same
 // configuration are O(hash) instead of O(pipeline).
 //
-// The cache is safe for concurrent use (Explorer workers share one):
-// concurrent requests for the *same* key are deduplicated — one thread
-// compiles while the others join the in-flight result — and requests
-// for different keys compile in parallel outside the lock.
+// The cache is safe for concurrent use (Explorer workers share one) and
+// compiles outside its lock. It keeps no in-flight state of its own:
+// concurrent requests are deduplicated one level down, where a pipeline
+// claims each stage key in the StageCache (StageCache.h). Identical
+// requests that race therefore compute every stage once, and the later
+// ones find the first one's Flow when they publish. With
+// setStageCache(nullptr) nothing deduplicates concurrent misses: each
+// compiles cold, and the first to publish wins.
 //
-// Below the whole-flow map sits a StageCache (StageCache.h): every
-// Pipeline this FlowCache builds adopts the longest cached stage prefix
-// and publishes its own artifacts back, so even a *miss* here only
-// compiles the stages whose options actually changed (incremental
-// compilation, DESIGN.md §9). setStageCache(nullptr) turns that off and
-// restores cold whole-pipeline compiles.
+// Below the whole-flow map sits that StageCache: every Pipeline this
+// FlowCache builds adopts the longest cached stage prefix and publishes
+// its own artifacts back, so even a *miss* here only compiles the
+// stages whose options actually changed (incremental compilation,
+// DESIGN.md §9). setStageCache(nullptr) turns that off and restores
+// cold whole-pipeline compiles.
 #pragma once
 
 #include "core/Flow.h"
@@ -25,7 +29,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -45,27 +48,24 @@ class FlowCache {
 public:
   struct Stats {
     std::int64_t hits = 0;   // served from cache or an in-flight compile
-    std::int64_t misses = 0; // compiled by the requesting thread
-    /// Of `hits`, how many joined a compile that was still in flight
-    /// (thread-dedup) rather than finding a finished entry.
+    std::int64_t misses = 0; // compiled (or failed) by the requesting thread
+    /// Of `hits`, how many compiled alongside an identical request and
+    /// found its Flow already published when they finished.
     std::int64_t inFlightJoins = 0;
     std::int64_t evictions = 0; // entries dropped by the capacity bound
     std::int64_t entries = 0;
   };
 
   /// Returns the memoized Flow for (source, options), compiling it on
-  /// the first request. Compilation errors propagate to every waiter.
-  /// When `cacheHit` is non-null it is set to true iff the request was
-  /// served from the cache or an in-flight compile (the per-call view
-  /// of Stats::hits, which only aggregates).
+  /// the first request. Compilation errors propagate to the caller and
+  /// are never cached. When `cacheHit` is non-null it is set to true iff
+  /// the request was served from the cache or an in-flight compile (the
+  /// per-call view of Stats::hits, which only aggregates).
   ///
   /// `cancel` arms cooperative cancellation of the compile this call
-  /// performs (checked between pipeline stages, and polled every ~10ms
-  /// while joining another thread's in-flight compile; raises
-  /// CancelledError). A cancelled compile is never cached, and its
-  /// cancellation never poisons other threads: a waiter that joined
-  /// the cancelled owner's in-flight compile retries with its own
-  /// token instead of inheriting the owner's CancelledError.
+  /// performs (checked between pipeline stages; raises CancelledError).
+  /// A cancelled compile is never cached, and it never affects another
+  /// request: each request checks only its own token.
   std::shared_ptr<const Flow> compile(const std::string& source,
                                       FlowOptions options = {},
                                       bool* cacheHit = nullptr,
@@ -101,6 +101,9 @@ private:
   };
 
   void evictOverflowLocked();
+  std::shared_ptr<const Flow> findLocked(std::uint64_t key,
+                                         const std::string& source,
+                                         const FlowOptions& options) const;
 
   mutable std::mutex mutex_;
   // Buckets keyed by the 64-bit key; entries verify full equality so a
@@ -109,9 +112,6 @@ private:
   std::deque<std::uint64_t> insertionOrder_; // oldest first, for eviction
   std::size_t totalEntries_ = 0;
   std::size_t capacity_ = kDefaultCapacity;
-  std::unordered_map<std::uint64_t,
-                     std::shared_future<std::shared_ptr<const Flow>>>
-      inFlight_;
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;
   std::int64_t inFlightJoins_ = 0;

@@ -178,13 +178,6 @@ public:
     resolvedCv_.wait(lock, [this] { return resolvedLocked(); });
   }
 
-  /// Bounded wait: true once the job resolved within `timeout`.
-  bool waitResolvedFor(std::chrono::milliseconds timeout) const {
-    std::unique_lock<std::mutex> lock(mutex_);
-    return resolvedCv_.wait_for(lock, timeout,
-                                [this] { return resolvedLocked(); });
-  }
-
 protected:
   /// Derived classes store Expected<T>::failure(message, "job-queue").
   virtual void storeCancelledLocked(const std::string& message) = 0;
@@ -279,15 +272,6 @@ public:
   /// job yields a failed Expected whose diagnostic (stage "job-queue")
   /// says "job cancelled ..." or "deadline exceeded ...".
   const Expected<T>& wait() const { return shared_->waitResult(); }
-
-  /// Bounded wait: true once the job resolved within `millis` (then
-  /// wait() returns without blocking). Lets a waiter interleave its
-  /// own cancellation checks — batch followers wait on their leader
-  /// this way.
-  bool waitFor(double millis) const {
-    return shared_->waitResolvedFor(std::chrono::milliseconds(
-        static_cast<std::int64_t>(millis < 1 ? 1 : millis)));
-  }
 
   /// Requests cooperative cancellation (see the file comment). Returns
   /// false when the job had already resolved.

@@ -105,14 +105,31 @@ void Pipeline::require(Stage stage) {
     // Cancellation checkpoint (DESIGN.md §11): observed strictly
     // between stages, so every stage that ran was already published to
     // the cache above — the StageCache stays consistent and a later
-    // identical compile adopts the completed prefix.
+    // identical compile adopts the completed prefix. A claim is only
+    // taken after this check, and a wait on another pipeline's claim
+    // lasts one stage, so a cancel still lands within one stage.
     if (cancelToken_.cancelled())
       throw cancelToken_.error(std::string("before stage '") +
                                stageName(current) + "'");
-    runStage(current);
-    if (stageCache_ != nullptr)
+    if (stageCache_ == nullptr) {
+      runStage(current);
+      continue;
+    }
+    const StageCache::Claim claim =
+        stageCache_->claim(keys_[i], current, source_, options_);
+    if (claim.entry != nullptr) {
+      adoptEntry(claim.entry, i);
+      continue;
+    }
+    try {
+      runStage(current);
       stageCache_->insert(keys_[i], current, snapshotPrefix(current),
                           source_, options_);
+    } catch (...) {
+      if (claim.owned)
+        stageCache_->abandon(keys_[i]);
+      throw;
+    }
   }
 }
 
@@ -122,48 +139,55 @@ void Pipeline::adoptPrefix(Stage goal) {
     ++have;
   if (have > indexOf(goal))
     return;
-  const auto entry =
-      stageCache_->adoptLongestPrefix(keys_, goal, have, source_, options_);
-  if (entry == nullptr)
-    return;
-  // Copy every slot the entry covers that we have not materialized
-  // ourselves; the retained entry pins upstream artifacts (e.g. the
-  // ir::Program a Schedule points into) across cache eviction.
+  if (const auto entry = stageCache_->adoptLongestPrefix(keys_, goal, have,
+                                                         source_, options_))
+    adoptEntry(entry, have);
+}
+
+namespace {
+
+/// Calls f(stage, mine, theirs) for each stage's slot of two artifact
+/// sets, in stage order.
+template <typename F>
+void forEachSlot(StageArtifacts& mine, const StageArtifacts& theirs, F&& f) {
+  f(Stage::Parse, mine.ast, theirs.ast);
+  f(Stage::Lower, mine.program, theirs.program);
+  f(Stage::Optimize, mine.optimized, theirs.optimized);
+  f(Stage::Schedule, mine.referenceSchedule, theirs.referenceSchedule);
+  f(Stage::Reschedule, mine.schedule, theirs.schedule);
+  f(Stage::Liveness, mine.liveness, theirs.liveness);
+  f(Stage::MemoryPlan, mine.memory, theirs.memory);
+  f(Stage::Hls, mine.kernel, theirs.kernel);
+  f(Stage::SysGen, mine.system, theirs.system);
+}
+
+} // namespace
+
+void Pipeline::adoptEntry(const std::shared_ptr<const StageCacheEntry>& entry,
+                          int first) {
+  // The entry's slots form one consistent prefix: its schedules point
+  // into its own optimized program. So every slot up to the entry's
+  // stage is taken from it — also the ones this pipeline materialized
+  // itself (equal in content, but other objects), or a prefix published
+  // from here could hold a schedule whose program it does not pin.
+  // Replaced artifacts stay alive for references already handed out;
+  // the retained entry pins what its artifacts point into across cache
+  // eviction.
   adopted_.push_back(entry);
-  for (int i = have; i <= indexOf(entry->stage); ++i) {
-    const Stage stage = static_cast<Stage>(i);
-    switch (stage) {
-    case Stage::Parse:
-      artifacts_.ast = entry->artifacts.ast;
-      break;
-    case Stage::Lower:
-      artifacts_.program = entry->artifacts.program;
-      break;
-    case Stage::Optimize:
-      artifacts_.optimized = entry->artifacts.optimized;
-      break;
-    case Stage::Schedule:
-      artifacts_.referenceSchedule = entry->artifacts.referenceSchedule;
-      break;
-    case Stage::Reschedule:
-      artifacts_.schedule = entry->artifacts.schedule;
-      break;
-    case Stage::Liveness:
-      artifacts_.liveness = entry->artifacts.liveness;
-      break;
-    case Stage::MemoryPlan:
-      artifacts_.memory = entry->artifacts.memory;
-      break;
-    case Stage::Hls:
-      artifacts_.kernel = entry->artifacts.kernel;
-      break;
-    case Stage::SysGen:
-      artifacts_.system = entry->artifacts.system;
-      break;
-    }
-    provenance_[i] = StageProvenance::Cached;
-    millis_[i] = 0.0;
-  }
+  const int last = indexOf(entry->stage);
+  forEachSlot(artifacts_, entry->artifacts,
+              [&](Stage stage, auto& mine, const auto& theirs) {
+                const int i = indexOf(stage);
+                if (i > last || mine == theirs)
+                  return;
+                if (i < first) {
+                  superseded_.push_back(std::move(mine));
+                } else {
+                  provenance_[i] = StageProvenance::Cached;
+                  millis_[i] = 0.0;
+                }
+                mine = theirs;
+              });
 }
 
 StageArtifacts Pipeline::snapshotPrefix(Stage stage) const {

@@ -22,11 +22,12 @@
 // *incremental compilation*: before running anything it adopts the
 // longest cached prefix whose per-stage keys (source + the option
 // fingerprints the prefix consumes) match, records those stages as
-// adopted, and runs only the remainder — publishing each newly computed
-// artifact back into the cache. A fully run Pipeline is immutable and
+// adopted, and runs only the remainder — claiming each stage key before
+// it runs and publishing the artifact back into the cache, so pipelines
+// that need the same stage at once compute it once (the others wait for
+// that one stage and adopt it). A fully run Pipeline is immutable and
 // safe to share across threads; a Pipeline that is still executing
-// stages is single-threaded (FlowCache provides the concurrent entry
-// point).
+// stages is single-threaded (many pipelines may share one StageCache).
 #pragma once
 
 #include "core/StageCache.h"
@@ -113,6 +114,9 @@ public:
 private:
   bool materialized(Stage stage) const;
   void adoptPrefix(Stage goal);
+  /// Takes every slot of `entry`; those from `first` on become Cached.
+  void adoptEntry(const std::shared_ptr<const StageCacheEntry>& entry,
+                  int first);
   /// Runs `stage`, recording provenance/timing; FlowErrors escape as
   /// DiagnosedError with the stage of origin stamped on every
   /// diagnostic (same what() text — the Session boundary unwraps the
@@ -135,6 +139,8 @@ private:
   /// downstream one points into (e.g. Schedule::program) across
   /// eviction.
   std::vector<std::shared_ptr<const StageCacheEntry>> adopted_;
+  /// Own artifacts an adopted entry replaced (see adoptEntry).
+  std::vector<std::shared_ptr<const void>> superseded_;
 
   StageArtifacts artifacts_;
 };

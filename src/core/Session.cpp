@@ -7,7 +7,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <sstream>
-#include <unordered_map>
 
 namespace cfd {
 
@@ -441,86 +440,10 @@ Job<TuningReport> Session::submitTune(TuneRequest request,
 
 std::vector<Job<CompileResult>> Session::submitBatch(
     std::vector<CompileRequest> requests, JobConfig config) {
-  // Plan the batch: resolve every request's effective options and group
-  // by the parse..liveness stage-prefix key (Merkle-chained, so equal
-  // keys imply the whole prefix matches, DESIGN.md §9). Requests whose
-  // overrides do not even parse get a unique group each — they fail
-  // with the proper "options" diagnostics once their job runs.
-  std::vector<std::size_t> groupIndex(requests.size(), 0);
-  std::unordered_map<std::uint64_t, std::size_t> groupOf;
-  std::vector<std::vector<std::size_t>> groups;
-  StageCache* stages = stageCache();
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    FlowOptions options = baseOptionsFor(requests[i].options_);
-    bool valid = true;
-    for (const auto& [key, value] : requests[i].params_) {
-      try {
-        applyTuneParam(options, key, value);
-      } catch (const FlowError&) {
-        valid = false;
-        break;
-      }
-    }
-    bool grouped = false;
-    if (valid && stages != nullptr) {
-      normalizeOptions(options);
-      const auto keys = computeStageKeys(requests[i].source_, options);
-      const std::uint64_t prefixKey =
-          keys[static_cast<std::size_t>(Stage::Liveness)];
-      if (!stages->contains(prefixKey)) {
-        const auto [it, inserted] =
-            groupOf.emplace(prefixKey, groups.size());
-        if (inserted)
-          groups.emplace_back();
-        groupIndex[i] = it->second;
-        groups[it->second].push_back(i);
-        grouped = true;
-      }
-    }
-    if (!grouped) {
-      // Warm prefix (or ungroupable): no coalescing needed.
-      groupIndex[i] = groups.size();
-      groups.emplace_back();
-      groups.back().push_back(i);
-    }
-  }
-
-  std::vector<Job<CompileResult>> jobs(requests.size());
-  // Leaders first: strict queue order (same priority, earlier sequence)
-  // guarantees a leader is dequeued before any of its followers, so a
-  // follower blocking on leader.wait() always waits on a job that is
-  // already running or done — never on one stuck behind it in the queue.
-  std::vector<Job<CompileResult>> leaderOf(groups.size());
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    if (groups[g].size() < 2)
-      continue;
-    const std::size_t leaderIndex = groups[g].front();
-    jobs[leaderIndex] = submitCompile(requests[leaderIndex], config);
-    leaderOf[g] = jobs[leaderIndex];
-  }
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (jobs[i].valid())
-      continue; // a leader, already submitted
-    const Job<CompileResult> leader = leaderOf[groupIndex[i]];
-    if (!leader.valid()) {
-      jobs[i] = submitCompile(std::move(requests[i]), config);
-      continue;
-    }
-    jobs[i] = submitJob<CompileResult>(
-        config, [this, request = std::move(requests[i]), leader](
-                    const CancelToken& token, std::uint64_t) {
-          // Warm-prefix ordering: let the leader publish the shared
-          // parse..liveness prefix before compiling (its failure or
-          // cancellation just means we compile cold — correctness never
-          // depends on the leader). The wait polls OUR token, so
-          // cancelling this follower is not deferred until the leader
-          // finishes.
-          while (!leader.waitFor(10))
-            if (token.cancelled())
-              throw token.error("while waiting for the batch leader");
-          return compileImpl(request, token);
-        });
-  }
+  std::vector<Job<CompileResult>> jobs;
+  jobs.reserve(requests.size());
+  for (CompileRequest& request : requests)
+    jobs.push_back(submitCompile(std::move(request), config));
   return jobs;
 }
 

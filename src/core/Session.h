@@ -350,13 +350,9 @@ public:
   Job<SweepResult> submitSweep(SweepRequest request, JobConfig config = {});
   Job<TuningReport> submitTune(TuneRequest request, JobConfig config = {});
 
-  /// Batch submission with stage-prefix coalescing: requests whose
-  /// parse..liveness stage keys match form a group, and when that
-  /// prefix is not already cached, the group's first request (the
-  /// "leader") is enqueued ahead of the others, which wait for it — so
-  /// the shared prefix is computed once and the StageCache is warmed in
-  /// dependency order instead of every worker racing through the same
-  /// cold stages. Returned jobs align with `requests` by index.
+  /// Submits every request as its own compile job, in order; returned
+  /// jobs align with `requests` by index. Shared stage prefixes are
+  /// computed once by whichever job claims them first (StageCache.h).
   std::vector<Job<CompileResult>> submitBatch(
       std::vector<CompileRequest> requests, JobConfig config = {});
 

@@ -61,6 +61,20 @@ std::size_t approxArtifactBytes(Stage stage,
   return 0;
 }
 
+namespace {
+
+/// Trust a 64-bit key only after full structural verification of
+/// everything the prefix reads (the producing stage, the source, and the
+/// consumed option subsets): a collision degrades to a recompile, never
+/// a wrong adoption.
+bool verifies(const StageCacheEntry& entry, Stage stage,
+              const std::string& source, const FlowOptions& options) {
+  return entry.stage == stage && entry.source == source &&
+         prefixOptionsEqual(stage, entry.options, options);
+}
+
+} // namespace
+
 std::shared_ptr<const StageCacheEntry> StageCache::adoptLongestPrefix(
     const std::array<std::uint64_t, kStageCount>& keys, Stage goal,
     int skipStages, const std::string& source, const FlowOptions& options) {
@@ -69,18 +83,11 @@ std::shared_ptr<const StageCacheEntry> StageCache::adoptLongestPrefix(
       std::lock_guard<std::mutex> lock(mutex_);
       const auto it = entries_.find(keys[i]);
       if (it != entries_.end()) {
-        const auto& entry = it->second.entry;
-        // Trust the 64-bit key only after full structural verification
-        // of everything the prefix reads (the producing stage, the
-        // source, and the consumed option subsets) — a collision
-        // degrades to a recompile, never a wrong adoption.
-        if (entry->stage == static_cast<Stage>(i) &&
-            entry->source == source &&
-            prefixOptionsEqual(static_cast<Stage>(i), entry->options,
-                               options)) {
+        if (verifies(*it->second.entry, static_cast<Stage>(i), source,
+                     options)) {
           lruOrder_.splice(lruOrder_.end(), lruOrder_, it->second.lruPosition);
           hits_ += i + 1 - skipStages;
-          return entry;
+          return it->second.entry;
         }
         continue;
       }
@@ -114,10 +121,57 @@ StageCache::adoptFromStore(std::uint64_t key,
   }
   std::shared_ptr<const StageCacheEntry> adopted = std::move(entry);
   lruOrder_.push_back(key);
-  entries_[key] = Node{adopted, std::prev(lruOrder_.end())};
+  entries_[key] = Node{adopted, std::prev(lruOrder_.end()), nullptr};
   totalBytes_ += adopted->approxBytes;
   evictOverflowLocked(); // may evict the adoption itself under a tiny bound
   return adopted;
+}
+
+StageCache::Claim StageCache::claim(std::uint64_t key, Stage stage,
+                                    const std::string& source,
+                                    const FlowOptions& options) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (const auto it = entries_.find(key); it != entries_.end()) {
+    if (!verifies(*it->second.entry, stage, source, options))
+      return Claim{};
+    lruOrder_.splice(lruOrder_.end(), lruOrder_, it->second.lruPosition);
+    ++hits_;
+    return Claim{it->second.entry, false};
+  }
+  const auto [claimed, owned] = claims_.try_emplace(key);
+  if (owned)
+    return Claim{nullptr, true};
+  // Another pipeline is computing this key: wait out its one stage. The
+  // entry arrives through the wait itself, so a publish the byte bound
+  // evicts at once still reaches every waiter.
+  if (claimed->second.wait == nullptr)
+    claimed->second.wait = std::make_shared<ClaimWait>();
+  const std::shared_ptr<ClaimWait> wait = claimed->second.wait;
+  ++waits_;
+  claimResolved_.wait(lock, [&wait] { return wait->resolved; });
+  if (wait->entry == nullptr || !verifies(*wait->entry, stage, source, options))
+    return Claim{};
+  ++hits_;
+  return Claim{wait->entry, false};
+}
+
+void StageCache::resolveLocked(Node& claim,
+                               std::shared_ptr<const StageCacheEntry> entry) {
+  if (claim.wait == nullptr)
+    return;
+  claim.wait->resolved = true;
+  claim.wait->entry = std::move(entry);
+  claim.wait.reset();
+  claimResolved_.notify_all();
+}
+
+void StageCache::abandon(std::uint64_t key) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = claims_.find(key);
+  if (it == claims_.end())
+    return;
+  resolveLocked(it->second, nullptr);
+  claims_.erase(it);
 }
 
 void StageCache::insert(std::uint64_t key, Stage stage,
@@ -137,14 +191,24 @@ void StageCache::insert(std::uint64_t key, Stage stage,
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++misses_;
+    auto claim = claims_.extract(key);
     const auto it = entries_.find(key);
     if (it != entries_.end()) {
       // First writer wins: concurrent compiles of one prefix converge
       // on the already-published artifact set.
       lruOrder_.splice(lruOrder_.end(), lruOrder_, it->second.lruPosition);
+      if (claim)
+        resolveLocked(claim.mapped(), it->second.entry);
     } else {
       lruOrder_.push_back(key);
-      entries_[key] = Node{entry, std::prev(lruOrder_.end())};
+      Node node{entry, std::prev(lruOrder_.end()), nullptr};
+      if (claim) {
+        resolveLocked(claim.mapped(), entry);
+        claim.mapped() = std::move(node);
+        entries_.insert(std::move(claim));
+      } else {
+        entries_.emplace(key, std::move(node));
+      }
       totalBytes_ += entry->approxBytes;
       evictOverflowLocked();
       isNew = true;
@@ -182,6 +246,7 @@ StageCache::Stats StageCache::stats() const {
   Stats stats;
   stats.hits = hits_;
   stats.misses = misses_;
+  stats.waits = waits_;
   stats.evictions = evictions_;
   stats.entries = static_cast<std::int64_t>(entries_.size());
   stats.approxBytes = static_cast<std::int64_t>(totalBytes_);
@@ -193,18 +258,15 @@ std::size_t StageCache::size() const {
   return entries_.size();
 }
 
-bool StageCache::contains(std::uint64_t key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.find(key) != entries_.end();
-}
-
 void StageCache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
+  // Claims stay: their owners still publish or abandon them.
   entries_.clear();
   lruOrder_.clear();
   totalBytes_ = 0;
   hits_ = 0;
   misses_ = 0;
+  waits_ = 0;
   evictions_ = 0;
 }
 

@@ -8,6 +8,13 @@
 // schedules exactly once, and every later point resumes from the first
 // stage whose options actually changed.
 //
+// It is also the one place concurrent requests are deduplicated: a
+// pipeline *claims* each stage key it has to compute, and a second
+// requester of a claimed key blocks until the owner publishes that one
+// stage (then adopts it) or fails (then computes the stage itself). So
+// each distinct key is computed once per cache, whichever path — sync,
+// job, Explorer, daemon — the requests came in on.
+//
 // Entries store the artifact set of the whole prefix (all slots up to
 // the entry's stage), so adopting an entry can never orphan an upstream
 // artifact a downstream one points into (e.g. Schedule::program).
@@ -26,6 +33,7 @@
 #include "dsl/AST.h"
 #include "mem/Liveness.h"
 
+#include <condition_variable>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -91,6 +99,8 @@ public:
   struct Stats {
     std::int64_t hits = 0;      // stage artifacts served from the cache
     std::int64_t misses = 0;    // stage artifacts computed and inserted
+    /// Claims that blocked on another pipeline computing the same key.
+    std::int64_t waits = 0;
     std::int64_t evictions = 0; // entries dropped by the byte bound
     std::int64_t entries = 0;
     std::int64_t approxBytes = 0;
@@ -106,9 +116,36 @@ public:
                      Stage goal, int skipStages, const std::string& source,
                      const FlowOptions& options);
 
-  /// Publishes the prefix up to `stage`. Counts one miss (the stage was
-  /// computed). First writer wins: an existing entry for `key` is kept,
-  /// so concurrent compiles converge on one shared artifact set.
+  /// What claim() resolved one stage key to.
+  struct Claim {
+    /// The verified entry to adopt (counted as one hit), or null.
+    std::shared_ptr<const StageCacheEntry> entry;
+    /// With a null entry: true when the caller now owns the key and must
+    /// end the claim with insert() or abandon(); false when the caller
+    /// computes the stage unclaimed (the owner it waited on failed, or
+    /// the cached entry is a key collision), and may still insert() it.
+    bool owned = false;
+  };
+
+  /// Resolves `key` for a pipeline about to run `stage`: a published,
+  /// verified entry is returned to adopt; an unclaimed key is claimed
+  /// for the caller; a key another pipeline has claimed blocks the
+  /// caller until that owner publishes the one stage it is computing
+  /// (then its entry is returned) or abandons it. A claim nobody waits
+  /// on allocates no more than the entry it becomes: its map node is
+  /// moved into the entry map on publish.
+  Claim claim(std::uint64_t key, Stage stage, const std::string& source,
+              const FlowOptions& options);
+
+  /// Ends the caller's claim on `key` without an entry (its stage
+  /// failed). Waiters wake and compute the stage themselves, so each
+  /// ends with its own stage-attributed diagnostics.
+  void abandon(std::uint64_t key);
+
+  /// Publishes the prefix up to `stage` and resolves the claim on `key`,
+  /// if any. Counts one miss (the stage was computed). First writer
+  /// wins: an existing entry for `key` is kept, so concurrent compiles
+  /// converge on one shared artifact set.
   void insert(std::uint64_t key, Stage stage, StageArtifacts artifacts,
               const std::string& source, const FlowOptions& options);
 
@@ -121,12 +158,6 @@ public:
   std::size_t size() const;
   void clear();
 
-  /// Side-effect-free probe: true when an entry for `key` is cached
-  /// right now (no hit/miss accounting, no LRU touch). Session batch
-  /// submission uses this to skip leader/follower ordering for groups
-  /// whose shared prefix is already warm (DESIGN.md §11).
-  bool contains(std::uint64_t key) const;
-
   /// Attaches the persistent second tier (DESIGN.md §13). Not owned and
   /// must outlive the cache; set once before concurrent use. With a
   /// store attached, adoptLongestPrefix falls back to a disk probe on a
@@ -138,7 +169,22 @@ public:
   store::ArtifactStore* artifactStore() const { return store_; }
 
 private:
+  /// The pipelines blocked on one claimed key; made by the first of
+  /// them, so an uncontended claim never makes one. Resolved with the
+  /// published entry, or with none when the owner abandoned the key.
+  struct ClaimWait {
+    bool resolved = false;
+    std::shared_ptr<const StageCacheEntry> entry;
+  };
+  struct Node {
+    std::shared_ptr<const StageCacheEntry> entry;
+    std::list<std::uint64_t>::iterator lruPosition;
+    std::shared_ptr<ClaimWait> wait; // claims_ only; null until contended
+  };
+
   void evictOverflowLocked();
+  /// Wakes the waiters of `claim` (if any) with `entry`.
+  void resolveLocked(Node& claim, std::shared_ptr<const StageCacheEntry> entry);
   /// Caches a disk-loaded entry in the memory tier (no miss counted;
   /// the stage was not recomputed) and credits the adoption hits.
   std::shared_ptr<const StageCacheEntry>
@@ -146,17 +192,18 @@ private:
                  std::shared_ptr<const StageCacheEntry> entry, int hitStages);
 
   mutable std::mutex mutex_;
-  struct Node {
-    std::shared_ptr<const StageCacheEntry> entry;
-    std::list<std::uint64_t>::iterator lruPosition;
-  };
   std::unordered_map<std::uint64_t, Node> entries_;
+  /// Keys a pipeline is computing right now. Publishing moves the node
+  /// into entries_ (extract/insert: the node is reused, not reallocated).
+  std::unordered_map<std::uint64_t, Node> claims_;
+  std::condition_variable claimResolved_;
   std::list<std::uint64_t> lruOrder_; // front = least recently used
   store::ArtifactStore* store_ = nullptr;
   std::size_t capacityBytes_ = kDefaultCapacityBytes;
   std::size_t totalBytes_ = 0;
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;
+  std::int64_t waits_ = 0;
   std::int64_t evictions_ = 0;
 };
 

@@ -1,7 +1,7 @@
 // Tests for the asynchronous job layer of cfd::Session (DESIGN.md
 // §11): future resolution, cancel-before-start vs cancel-mid-pipeline,
 // deterministic priority ordering under a 1-worker pool, deadline
-// expiry as a DiagnosticList entry, batch coalescing, and clean drain
+// expiry as a DiagnosticList entry, batch stage work, and clean drain
 // on destruction while jobs are pending (the TSan CI job runs this
 // suite).
 #include "core/Session.h"
@@ -260,10 +260,10 @@ TEST(AsyncJobTest, DestructionWhileJobsPendingDrainsCleanly) {
 TEST(AsyncJobTest, SubmitBatchWarmsTheSharedPrefixInDependencyOrder) {
   // The 64-point HLS-only sweep (shared prefix), each time on a fresh
   // session: as a blocking compile() loop, and as one batch on 1 and on
-  // 4 workers. The batch leader compiles cold and every follower waits
-  // for it, so all three do the same stage work: 63 points adopt
-  // parse..memory-plan, and the first point's 9 stages plus every other
-  // point's hls and sysgen miss.
+  // 4 workers. Whichever job claims a stage first computes it and every
+  // other job adopts it, so all three do the same stage work: 63 points
+  // adopt parse..memory-plan, and the first point's 9 stages plus every
+  // other point's hls and sysgen miss.
   const auto requests = [] {
     std::vector<CompileRequest> out;
     for (const FlowOptions& options : test::hlsOnlySweep(64))

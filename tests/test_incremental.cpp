@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
@@ -408,10 +411,160 @@ TEST(StageCacheTest, SharedAcrossExplorerWorkersWithoutDivergence) {
     EXPECT_EQ(a.rows[i].stagesAdopted, 7);
   }
   // 63 rows adopt parse..memory-plan; the first row's 9 stages and
-  // every other row's hls and sysgen miss.
-  EXPECT_EQ(a.stageStats.hits, 441);
-  EXPECT_EQ(a.stageStats.misses, 135);
-  EXPECT_EQ(a.stagesAdoptedTotal(), 441);
+  // every other row's hls and sysgen miss. The 4-worker sweep does the
+  // same stage work: its workers claim the cold prefix once between
+  // them instead of racing through it.
+  for (const ExplorationResult* sweep : {&a, &b}) {
+    EXPECT_EQ(sweep->stageStats.hits, 441);
+    EXPECT_EQ(sweep->stageStats.misses, 135);
+    EXPECT_EQ(sweep->stagesAdoptedTotal(), 441);
+  }
+}
+
+// ---- Stage claims: concurrent requesters compute each key once ----
+
+/// Runs `body(t)` on `threads` threads released together.
+template <typename Body> void runTogether(int threads, const Body& body) {
+  std::atomic<int> ready{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t)
+    pool.emplace_back([&, t] {
+      ++ready;
+      while (ready.load() < threads)
+        std::this_thread::yield();
+      body(t);
+    });
+  for (std::thread& thread : pool)
+    thread.join();
+}
+
+constexpr int kRequesters = 8;
+
+TEST(StageClaimTest, ConcurrentRequirersComputeEachStageOnce) {
+  StageCache cache;
+  std::vector<std::unique_ptr<Pipeline>> pipelines;
+  for (int t = 0; t < kRequesters; ++t)
+    pipelines.push_back(
+        std::make_unique<Pipeline>(test::kInverseHelmholtz, FlowOptions{},
+                                   &cache));
+  runTogether(kRequesters,
+              [&](int t) { pipelines[t]->require(Stage::SysGen); });
+
+  const StageCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.misses, kStageCount);
+  EXPECT_EQ(stats.hits, kStageCount * (kRequesters - 1));
+  // One artifact per stage, shared by every requester.
+  const StageArtifacts& first = pipelines[0]->artifacts();
+  int ran = 0;
+  for (const auto& pipeline : pipelines) {
+    const StageArtifacts& mine = pipeline->artifacts();
+    EXPECT_EQ(mine.ast, first.ast);
+    EXPECT_EQ(mine.program, first.program);
+    EXPECT_EQ(mine.optimized, first.optimized);
+    EXPECT_EQ(mine.referenceSchedule, first.referenceSchedule);
+    EXPECT_EQ(mine.schedule, first.schedule);
+    EXPECT_EQ(mine.liveness, first.liveness);
+    EXPECT_EQ(mine.memory, first.memory);
+    EXPECT_EQ(mine.kernel, first.kernel);
+    EXPECT_EQ(mine.system, first.system);
+    ran += kStageCount - pipeline->adoptedStageCount();
+  }
+  EXPECT_EQ(ran, kStageCount);
+}
+
+TEST(StageClaimTest, InfeasibleConfigGivesEveryRequesterTheSysgenDiagnostic) {
+  // m = 3, k = 2 fails system generation (§V-B). Parse..hls are claimed
+  // and computed once; every requester then fails sysgen with its own
+  // stage-attributed error, and no failure is cached.
+  StageCache cache;
+  FlowOptions options;
+  options.system.memories = 3;
+  options.system.kernels = 2;
+  std::vector<std::string> stages(kRequesters), messages(kRequesters);
+  runTogether(kRequesters, [&](int t) {
+    Pipeline pipeline(test::kMatMul2D, options, &cache);
+    try {
+      pipeline.require(Stage::SysGen);
+    } catch (const DiagnosedError& e) {
+      ASSERT_GE(e.diagnostics().size(), 1u);
+      stages[t] = e.diagnostics()[0].stage;
+      messages[t] = e.what();
+    }
+  });
+  for (int t = 0; t < kRequesters; ++t) {
+    EXPECT_EQ(stages[t], "sysgen") << "requester " << t;
+    EXPECT_EQ(messages[t], messages[0]);
+  }
+  EXPECT_FALSE(messages[0].empty());
+  const StageCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.misses, kStageCount - 1);
+  EXPECT_EQ(stats.hits, (kStageCount - 1) * (kRequesters - 1));
+  EXPECT_EQ(stats.entries, kStageCount - 1);
+}
+
+TEST(StageClaimTest, CancelledWaiterStopsBeforeItsNextStage) {
+  // The test owns the parse claim; the waiter blocks on it, its token
+  // is cancelled meanwhile, and the publish wakes it: it adopts parse
+  // and stops at the next checkpoint instead of running lower.
+  StageCache cache;
+  const FlowOptions options;
+  Pipeline cold(test::kInverseHelmholtz, options);
+  cold.require(Stage::Parse);
+  const std::uint64_t parseKey = cold.stageKey(Stage::Parse);
+  ASSERT_TRUE(cache.claim(parseKey, Stage::Parse, test::kInverseHelmholtz,
+                          cold.options())
+                  .owned);
+
+  CancelSource cancel;
+  Pipeline waiter(test::kInverseHelmholtz, options, &cache);
+  waiter.setCancelToken(cancel.token());
+  std::string error;
+  std::thread thread([&] {
+    try {
+      waiter.require(Stage::SysGen);
+    } catch (const CancelledError& e) {
+      error = e.what();
+    }
+  });
+  const auto giveUp =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (cache.stats().waits == 0 &&
+         std::chrono::steady_clock::now() < giveUp)
+    std::this_thread::yield();
+  cancel.cancel();
+  cache.insert(parseKey, Stage::Parse, cold.artifacts(),
+               test::kInverseHelmholtz, cold.options());
+  thread.join();
+
+  EXPECT_NE(error.find("before stage 'lower'"), std::string::npos) << error;
+  EXPECT_EQ(waiter.provenance(Stage::Parse), StageProvenance::Cached);
+  EXPECT_FALSE(waiter.hasRun(Stage::Lower));
+  const StageCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1);
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.waits, 1);
+}
+
+TEST(StageClaimTest, ByteBoundThatEvictsOnPublishKeepsLookupsExact) {
+  // Every publish is evicted at once, so a requester either adopts a
+  // stage through the claim it waited on or computes it again; each
+  // stage is still one lookup, a hit or a miss.
+  StageCache cache;
+  cache.setCapacityBytes(1);
+  std::vector<std::string> systems(kRequesters);
+  runTogether(kRequesters, [&](int t) {
+    Pipeline pipeline(test::kInverseHelmholtz, FlowOptions{}, &cache);
+    systems[t] = pipeline.systemDesign().str();
+  });
+  const std::string expected =
+      Flow::compile(test::kInverseHelmholtz).systemDesign().str();
+  for (const std::string& system : systems)
+    EXPECT_EQ(system, expected);
+  const StageCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, kStageCount * kRequesters);
+  EXPECT_GE(stats.misses, kStageCount);
+  EXPECT_EQ(stats.evictions, stats.misses);
+  EXPECT_EQ(stats.entries, 0);
 }
 
 } // namespace

@@ -83,6 +83,13 @@ TEST(SessionTest, ConcurrentIdenticalCompilesDeduplicate) {
   // in-flight compile.
   EXPECT_EQ(stats.flowCache.misses, 1);
   EXPECT_EQ(stats.flowCache.hits, kThreads - 1);
+  // Each stage was computed once, by whichever thread claimed it, and
+  // every thread that compiled (the miss and each in-flight join)
+  // looked up all nine stages.
+  EXPECT_EQ(stats.stageCache.misses, kStageCount);
+  EXPECT_EQ(stats.stageCache.hits + stats.stageCache.misses,
+            kStageCount *
+                (stats.flowCache.misses + stats.flowCache.inFlightJoins));
 }
 
 TEST(SessionTest, MalformedSourceReturnsParseDiagnosticsWithoutThrowing) {

@@ -16,10 +16,8 @@
 //    and report the Pareto frontier as a table and/or a JSON report
 //    (DESIGN.md §7-§8).
 //
-// --async-jobs=N drives --sweep/--tune through the session's async job
-// queue (DESIGN.md §11): a sweep becomes one batch of per-variant
-// compile jobs (stage-prefix coalesced), a tune becomes one tune job,
-// and --deadline-ms bounds each job's wall clock.
+// A --sweep or --tune runs as one job on the session's queue
+// (DESIGN.md §11), and --deadline-ms bounds that job's wall clock.
 //
 // Two service modes turn the session into a shared daemon
 // (DESIGN.md §15):
@@ -35,10 +33,11 @@
 //
 // Exit codes: 0 success, 1 I/O or validation failure, 2 usage error,
 // 3 compile diagnostics (malformed DSL, infeasible constraints) — a
-// cancelled or deadline-expired async run also exits 3, with the
+// sweep or tune cut off by --deadline-ms also exits 3, with the
 // "job-queue" diagnostic reported the same way.
 //
-// Run `cfdc --help` for the full flag reference.
+// Run `cfdc --help` for the full flag reference; a usage error prints
+// one line and a pointer to it.
 #include "core/Session.h"
 #include "dist/Coordinator.h"
 #include "dist/WorkerPoolSpawner.h"
@@ -49,7 +48,6 @@
 #include "support/Json.h"
 
 #include <algorithm>
-#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
@@ -80,8 +78,6 @@ struct CliOptions {
   std::vector<cfd::TuneAxis> sweeps;
   bool jobsExplicit = false;
   int jobs = 0;
-  bool asyncJobsExplicit = false;
-  int asyncJobs = 0;
   bool deadlineMsExplicit = false;
   int deadlineMs = 0;
   bool explainCache = false;
@@ -117,10 +113,9 @@ struct CliOptions {
   std::vector<std::pair<std::string, std::string>> paramSpecs;
 };
 
-[[noreturn]] void usage(const std::string& error = {}) {
-  if (!error.empty())
-    std::cerr << "cfdc: " << error << "\n";
-  std::cerr <<
+/// --help: the flag reference on stdout, exit 0.
+[[noreturn]] void help() {
+  std::cout <<
       R"(usage: cfdc [options] kernel.cfd
 
 Single-shot compilation:
@@ -165,17 +160,13 @@ Design-space search:
                            sharing|decoupled|objective|layout
   --jobs=N                 worker threads for --sweep/--tune (0 = auto);
                            an error without one of those modes
-  --async-jobs=N           drive --sweep/--tune through the session's
-                           async job queue (DESIGN.md §11) with an
-                           N-worker pool (0 = auto): a sweep submits
-                           one prioritized compile job per variant
-                           (batch-coalesced so shared stage prefixes
-                           are warmed once), a tune runs as one job.
-                           Mutually exclusive with --jobs
-  --deadline-ms=N          per-job deadline for --async-jobs runs; an
-                           expired job is cancelled cooperatively and
-                           reported as a "job-queue" diagnostic (the
-                           run exits 3)
+  --deadline-ms=N          deadline of the --sweep/--tune run, which is
+                           one job on the session's queue (DESIGN.md
+                           §11): at expiry the job is cancelled at the
+                           next stage boundary, reported as a
+                           "job-queue" diagnostic, and the run exits 3
+                           without a table. An error on a single-shot
+                           compile
   --explain-cache          add a per-row "resumed" column to --sweep/
                            --tune tables: the first pipeline stage that
                            actually ran for that point ("flow-cache" =
@@ -248,14 +239,21 @@ stdout and -o writes it to a file; --simulate=Ne makes the latency
 objective include AXI transfer costs. With --sweep, --emit=json prints
 the canonical sweep report ({schema, points, rows, frontier}) instead
 of the table — the byte-identity surface distributed runs are diffed
-against — and excludes --simulate/--explain-cache/--async-jobs, whose
-columns the report deliberately omits.
+against — and excludes --simulate/--explain-cache, whose columns the
+report deliberately omits.
 
 Exit codes: 0 success; 1 I/O or validation failure; 2 usage error;
 3 compile diagnostics (malformed DSL, infeasible constraints; also a
-cancelled or deadline-expired --async-jobs run).
+--sweep/--tune cut off by --deadline-ms).
 )";
-  std::exit(error.empty() ? 0 : 2);
+  std::exit(0);
+}
+
+/// A usage error: one line naming it and a pointer to --help, exit 2.
+[[noreturn]] void usage(const std::string& error) {
+  std::cerr << "cfdc: " << error << "\n"
+            << "run 'cfdc --help' for the flag reference\n";
+  std::exit(2);
 }
 
 bool consumeValue(const std::string& arg, const std::string& prefix,
@@ -333,7 +331,7 @@ CliOptions parseArgs(const std::vector<std::string>& args) {
     const std::string& arg = args[i];
     std::string value;
     if (arg == "--help" || arg == "-h") {
-      usage();
+      help();
     } else if (consumeValue(arg, "--emit=", value)) {
       options.emit = value;
       options.emitExplicit = true;
@@ -376,9 +374,6 @@ CliOptions parseArgs(const std::vector<std::string>& args) {
     } else if (consumeValue(arg, "--jobs=", value)) {
       options.jobs = parseNonNegativeInt(value, "--jobs");
       options.jobsExplicit = true;
-    } else if (consumeValue(arg, "--async-jobs=", value)) {
-      options.asyncJobs = parseNonNegativeInt(value, "--async-jobs");
-      options.asyncJobsExplicit = true;
     } else if (consumeValue(arg, "--deadline-ms=", value)) {
       options.deadlineMs = parseNonNegativeInt(value, "--deadline-ms");
       options.deadlineMsExplicit = true;
@@ -499,11 +494,10 @@ CliOptions parseArgs(const std::vector<std::string>& args) {
       usage("--serve cannot be combined with single-shot flags (--emit, -o, "
             "--validate, --simulate, --print-ir-*, --diagnostics; daemon "
             "clients choose per request)");
-    if (options.asyncJobsExplicit || options.deadlineMsExplicit ||
-        options.explainCache)
-      usage("--serve cannot be combined with --async-jobs, --deadline-ms, "
-            "or --explain-cache (every daemon request is already an async "
-            "job; clients set priorities and deadlines per request)");
+    if (options.deadlineMsExplicit || options.explainCache)
+      usage("--serve cannot be combined with --deadline-ms or "
+            "--explain-cache (every daemon request is already a job; "
+            "clients set priorities and deadlines per request)");
     if (options.statusRequest || options.shutdownRequest ||
         !options.priority.empty())
       usage("--status/--shutdown/--priority are client flags and require "
@@ -532,12 +526,11 @@ CliOptions parseArgs(const std::vector<std::string>& args) {
       usage("--connect only submits single compiles (run sweeps/tunes "
             "in-process; --cache-dir at the daemon's store shares its "
             "compiles)");
-    if (options.jobsExplicit || options.asyncJobsExplicit ||
-        options.explainCache || options.stageCacheMbExplicit ||
-        !options.cacheDir.empty())
-      usage("--jobs/--async-jobs/--explain-cache/--stage-cache-mb/"
-            "--cache-dir configure a session and belong to the daemon "
-            "(--serve), not to --connect clients");
+    if (options.jobsExplicit || options.explainCache ||
+        options.stageCacheMbExplicit || !options.cacheDir.empty())
+      usage("--jobs/--explain-cache/--stage-cache-mb/--cache-dir configure "
+            "a session and belong to the daemon (--serve), not to "
+            "--connect clients");
     if (options.validate || options.simulateElements > 0 ||
         options.printIrBefore || options.printIrAfter)
       usage("--validate/--simulate/--print-ir-* need the flow in-process "
@@ -576,9 +569,6 @@ CliOptions parseArgs(const std::vector<std::string>& args) {
     if (options.tune)
       usage("--distribute/--workers cannot be combined with --tune "
             "(only sweeps shard into independent points)");
-    if (options.asyncJobsExplicit)
-      usage("--distribute/--workers schedule across processes; "
-            "--async-jobs schedules inside one session — pick one");
     if (options.validate || options.simulateElements > 0 ||
         options.explainCache)
       usage("--validate/--simulate/--explain-cache need the flows "
@@ -633,15 +623,9 @@ CliOptions parseArgs(const std::vector<std::string>& args) {
     if (sweepJson && options.explainCache)
       usage("--emit=json sweep reports carry no cache provenance; drop "
             "--explain-cache or the json emit");
-    if (sweepJson && options.asyncJobsExplicit)
-      usage("--emit=json sweeps run the synchronous explorer; drop "
-            "--async-jobs or the json emit");
     if (options.jobsExplicit && options.sweeps.empty())
       usage("--jobs only applies to --sweep/--tune (single-shot compiles "
             "run on one thread)");
-    if (options.asyncJobsExplicit && options.sweeps.empty())
-      usage("--async-jobs only applies to --sweep/--tune (a single-shot "
-            "compile has nothing to queue)");
     if (options.explainCache && options.sweeps.empty())
       usage("--explain-cache only applies to --sweep/--tune (a single-shot "
             "compile has no cache to explain)");
@@ -656,13 +640,10 @@ CliOptions parseArgs(const std::vector<std::string>& args) {
       (options.tune || !options.sweeps.empty()))
     usage("--print-ir-before/--print-ir-after only apply to single-shot "
           "compiles (a sweep/tune has one IR dump per variant)");
-  if (options.jobsExplicit && options.asyncJobsExplicit)
-    usage("--jobs and --async-jobs are mutually exclusive (both size the "
-          "worker pool)");
-  if (options.deadlineMsExplicit && !options.asyncJobsExplicit && !distMode)
-    usage("--deadline-ms requires --async-jobs, --connect, or a "
-          "distributed sweep (it is the per-chunk straggler deadline "
-          "with --distribute/--workers)");
+  if (options.deadlineMsExplicit && !options.tune && options.sweeps.empty())
+    usage("--deadline-ms applies to --sweep/--tune (the run's deadline), "
+          "--connect (the request's), or a distributed sweep (the "
+          "per-chunk straggler deadline)");
   return options;
 }
 
@@ -702,47 +683,17 @@ int reportDiagnostics(const cfd::DiagnosticList& diagnostics,
   return kExitDiagnostics;
 }
 
-/// Shared --sweep table pieces for the synchronous Explorer path and
-/// the --async-jobs path — one flag apart, their tables must never
-/// drift.
-void printSweepTableHeader(std::size_t labelWidth,
-                           const CliOptions& options) {
-  std::cout << "  " << cfd::padRight("variant", labelWidth)
-            << cfd::padLeft("m", 5) << cfd::padLeft("k", 5)
-            << cfd::padLeft("BRAM/PLM", 10) << cfd::padLeft("kernel us", 11);
-  if (options.simulateElements > 0)
-    std::cout << cfd::padLeft("total ms", 10)
-              << cfd::padLeft("elements/s", 12);
-  std::cout << cfd::padLeft("cache", 7);
-  if (options.explainCache)
-    std::cout << cfd::padLeft("resumed", 12);
-  std::cout << "\n";
-}
-
-/// Everything after the label of one feasible row; `sim` is read only
-/// when `simulated`.
-void printSweepRowBody(const CliOptions& options, const cfd::Flow& flow,
-                       bool simulated, const cfd::sim::SimResult& sim,
-                       bool cacheHit, const std::string& resumed) {
-  using cfd::formatFixed;
-  using cfd::padLeft;
-
-  const auto& design = flow.systemDesign();
-  std::cout << padLeft(std::to_string(design.m), 5)
-            << padLeft(std::to_string(design.k), 5)
-            << padLeft(std::to_string(design.plmBram36PerUnit), 10)
-            << padLeft(formatFixed(flow.kernelReport().timeUs(), 1), 11);
-  if (simulated) {
-    const double elementsPerSecond =
-        static_cast<double>(options.simulateElements) /
-        (sim.totalTimeUs() / 1e6);
-    std::cout << padLeft(formatFixed(sim.totalTimeUs() / 1e3, 1), 10)
-              << padLeft(formatFixed(elementsPerSecond, 0), 12);
-  }
-  std::cout << padLeft(cacheHit ? "hit" : "miss", 7);
-  if (options.explainCache)
-    std::cout << padLeft(resumed, 12);
-  std::cout << "\n";
+/// Waits for the one job a --sweep/--tune run submits. A failure prints
+/// its diagnostics and returns the exit code: 3 when --deadline-ms
+/// cancelled the job, 2 when the session rejected the request (e.g. an
+/// unknown objective name). Returns 0 on success.
+template <typename T> int awaitJob(const cfd::Job<T>& job) {
+  const cfd::Expected<T>& result = job.wait();
+  if (result)
+    return 0;
+  for (const cfd::Diagnostic& diagnostic : result.diagnostics())
+    std::cerr << "cfdc: " << diagnostic.str() << "\n";
+  return job.state() == cfd::JobState::Cancelled ? kExitDiagnostics : 2;
 }
 
 /// Writes the canonical sweep report (--emit=json) to -o or stdout;
@@ -778,25 +729,31 @@ int runSweep(const CliOptions& options, cfd::Session& session,
   for (const cfd::TuneAxis& axis : options.sweeps)
     request.axis(axis.key, axis.values);
 
-  const cfd::Expected<cfd::SweepResult> swept = session.sweep(request);
-  if (!swept) {
-    // Axes were validated at flag-parse time, so this is unreachable in
-    // practice — but a request API failure must never pass silently.
-    for (const cfd::Diagnostic& diagnostic : swept.diagnostics())
-      std::cerr << "cfdc: " << diagnostic.str() << "\n";
-    return 2;
-  }
+  const cfd::Job<cfd::SweepResult> job = session.submitSweep(
+      std::move(request),
+      {.deadlineMillis = static_cast<double>(options.deadlineMs)});
+  if (const int status = awaitJob(job))
+    return status;
+  const cfd::SweepResult& swept = *job.wait();
   if (options.emitExplicit && options.emit == "json")
     return writeSweepReport(
-        options, cfd::dist::SweepCoordinator::fromSweepResult(*swept));
-  const cfd::ExplorationResult& result = swept->exploration;
-  const std::vector<std::string>& labels = swept->labels;
+        options, cfd::dist::SweepCoordinator::fromSweepResult(swept));
+  const cfd::ExplorationResult& result = swept.exploration;
+  const std::vector<std::string>& labels = swept.labels;
 
   std::size_t labelWidth = 12;
   for (const std::string& label : labels)
     labelWidth = std::max(labelWidth, label.size() + 2);
 
-  printSweepTableHeader(labelWidth, options);
+  std::cout << "  " << padRight("variant", labelWidth) << padLeft("m", 5)
+            << padLeft("k", 5) << padLeft("BRAM/PLM", 10)
+            << padLeft("kernel us", 11);
+  if (options.simulateElements > 0)
+    std::cout << padLeft("total ms", 10) << padLeft("elements/s", 12);
+  std::cout << padLeft("cache", 7);
+  if (options.explainCache)
+    std::cout << padLeft("resumed", 12);
+  std::cout << "\n";
   for (std::size_t i = 0; i < result.rows.size(); ++i) {
     const cfd::ExplorationRow& row = result.rows[i];
     std::cout << "  " << padRight(labels[i], labelWidth);
@@ -804,8 +761,23 @@ int runSweep(const CliOptions& options, cfd::Session& session,
       std::cout << "infeasible: " << row.error << "\n";
       continue;
     }
-    printSweepRowBody(options, *row.flow, row.simulated, row.sim,
-                      row.cacheHit, row.resumedFrom);
+    const auto& design = row.flow->systemDesign();
+    std::cout << padLeft(std::to_string(design.m), 5)
+              << padLeft(std::to_string(design.k), 5)
+              << padLeft(std::to_string(design.plmBram36PerUnit), 10)
+              << padLeft(formatFixed(row.flow->kernelReport().timeUs(), 1),
+                         11);
+    if (row.simulated) {
+      const double elementsPerSecond =
+          static_cast<double>(options.simulateElements) /
+          (row.sim.totalTimeUs() / 1e6);
+      std::cout << padLeft(formatFixed(row.sim.totalTimeUs() / 1e3, 1), 10)
+                << padLeft(formatFixed(elementsPerSecond, 0), 12);
+    }
+    std::cout << padLeft(row.cacheHit ? "hit" : "miss", 7);
+    if (options.explainCache)
+      std::cout << padLeft(row.resumedFrom, 12);
+    std::cout << "\n";
   }
   std::cout << "  " << result.rows.size() << " variants ("
             << result.feasibleCount() << " feasible, "
@@ -814,94 +786,6 @@ int runSweep(const CliOptions& options, cfd::Session& session,
             << formatFixed(result.wallMillis, 1) << " ms\n";
   printSessionSummary(session, result.stagesAdoptedTotal());
   return 0;
-}
-
-/// --sweep with --async-jobs: one prioritized compile job per variant,
-/// submitted as a coalesced batch (DESIGN.md §11) and awaited in
-/// submission order. Per-variant failures print like runSweep's
-/// infeasible rows; a cancelled/deadline-expired job makes the whole
-/// run exit 3 after the table.
-int runAsyncSweep(const CliOptions& options, cfd::Session& session,
-                  const std::string& source) {
-  using cfd::formatFixed;
-  using cfd::padLeft;
-  using cfd::padRight;
-
-  applyStageCacheBound(options, session);
-  // The same points, labels and order as SweepRequest's axis sweep.
-  // Axes were validated (and bounded) at flag-parse time.
-  const std::vector<cfd::SweepPoint> points =
-      cfd::TuneSpace{options.sweeps}.points();
-
-  std::vector<cfd::CompileRequest> requests;
-  requests.reserve(points.size());
-  for (const cfd::SweepPoint& point : points) {
-    cfd::CompileRequest request(source);
-    request.options(options.flow);
-    for (const auto& [key, value] : point.params)
-      request.set(key, value);
-    requests.push_back(std::move(request));
-  }
-
-  cfd::JobConfig config;
-  config.deadlineMillis = options.deadlineMs;
-  const auto start = std::chrono::steady_clock::now();
-  const std::vector<cfd::Job<cfd::CompileResult>> jobs =
-      session.submitBatch(std::move(requests), config);
-
-  std::size_t labelWidth = 12;
-  for (const cfd::SweepPoint& point : points)
-    labelWidth = std::max(labelWidth, point.label.size() + 2);
-  printSweepTableHeader(labelWidth, options);
-
-  std::size_t feasible = 0;
-  std::size_t cacheHits = 0;
-  std::size_t cancelled = 0;
-  std::int64_t stagesAdopted = 0;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const cfd::Expected<cfd::CompileResult>& result = jobs[i].wait();
-    std::cout << "  " << padRight(points[i].label, labelWidth);
-    if (!result.ok()) {
-      if (jobs[i].state() == cfd::JobState::Cancelled) {
-        ++cancelled;
-        std::cout << "cancelled: " << result.diagnostics()[0].message
-                  << "\n";
-      } else {
-        std::cout << "infeasible: " << result.errorText() << "\n";
-      }
-      continue;
-    }
-    cfd::sim::SimResult sim;
-    const bool simulated = options.simulateElements > 0;
-    if (simulated) {
-      try {
-        sim = result->flow().simulate(
-            {.numElements = options.simulateElements});
-      } catch (const cfd::FlowError& e) {
-        // Same per-row tolerance as the synchronous path (Explorer
-        // catches this inside the worker): report, keep sweeping.
-        std::cout << "infeasible: " << e.what() << "\n";
-        continue;
-      }
-    }
-    ++feasible;
-    if (result->cacheHit())
-      ++cacheHits;
-    stagesAdopted += result->flow().pipeline().adoptedStageCount();
-    printSweepRowBody(options, result->flow(), simulated, sim,
-                      result->cacheHit(),
-                      cfd::resumedFromStage(result->flow(),
-                                            result->cacheHit()));
-  }
-  const double wallMillis = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
-  std::cout << "  " << jobs.size() << " jobs (" << feasible << " feasible, "
-            << cacheHits << " from cache, " << cancelled
-            << " cancelled) through the async queue in "
-            << formatFixed(wallMillis, 1) << " ms\n";
-  printSessionSummary(session, stagesAdopted);
-  return cancelled > 0 ? kExitDiagnostics : 0;
 }
 
 int runTune(const CliOptions& options, cfd::Session& session,
@@ -923,30 +807,12 @@ int runTune(const CliOptions& options, cfd::Session& session,
   for (const cfd::TuneAxis& axis : options.sweeps)
     request.axis(axis.key, axis.values);
 
-  bool cancelled = false;
-  const cfd::Expected<cfd::TuningReport> tuned =
-      [&]() -> cfd::Expected<cfd::TuningReport> {
-    if (!options.asyncJobsExplicit)
-      return session.tune(request);
-    // --async-jobs: the whole tune runs as one queued job whose
-    // per-point batches inherit its priority; --deadline-ms cancels it
-    // cooperatively at the next stage boundary.
-    cfd::JobConfig config;
-    config.deadlineMillis = options.deadlineMs;
-    const cfd::Job<cfd::TuningReport> job =
-        session.submitTune(request, config);
-    cfd::Expected<cfd::TuningReport> result = job.wait();
-    cancelled = job.state() == cfd::JobState::Cancelled;
-    return result;
-  }();
-  if (!tuned) {
-    // Bad objective names land here: a flag problem, so exit 2 — while
-    // a cancelled/deadline-expired job is a compile-side outcome: 3.
-    for (const cfd::Diagnostic& diagnostic : tuned.diagnostics())
-      std::cerr << "cfdc: " << diagnostic.str() << "\n";
-    return cancelled ? kExitDiagnostics : 2;
-  }
-  const cfd::TuningReport& report = *tuned;
+  const cfd::Job<cfd::TuningReport> job = session.submitTune(
+      std::move(request),
+      {.deadlineMillis = static_cast<double>(options.deadlineMs)});
+  if (const int status = awaitJob(job))
+    return status;
+  const cfd::TuningReport& report = *job.wait();
   const std::string json = report.jsonText();
 
   if (!options.outputPath.empty()) {
@@ -1333,21 +1199,16 @@ int main(int argc, char** argv) {
 
   // One session per invocation (DESIGN.md §10): --sweep/--tune and the
   // single-shot path all compile through the same caches and pool.
-  // --jobs / --async-jobs size the pool itself (0 = auto), so an
-  // explicit request above hardware_concurrency is honored, not
-  // clamped.
-  cfd::Session session(cfd::SessionOptions{
-      .workers =
-          options.asyncJobsExplicit ? options.asyncJobs : options.jobs,
-      .cacheDir = options.cacheDir});
+  // --jobs sizes the pool itself (0 = auto), so an explicit request
+  // above hardware_concurrency is honored, not clamped.
+  cfd::Session session(cfd::SessionOptions{.workers = options.jobs,
+                                           .cacheDir = options.cacheDir});
 
   try {
     if (options.tune)
       return runTune(options, session, source.str());
     if (!options.sweeps.empty())
-      return options.asyncJobsExplicit
-                 ? runAsyncSweep(options, session, source.str())
-                 : runSweep(options, session, source.str());
+      return runSweep(options, session, source.str());
     return runSingleShot(options, session, source.str());
   } catch (const cfd::FlowError& e) {
     // Post-compile failures (--validate / --simulate assertions).
