@@ -52,16 +52,26 @@ std::shared_ptr<const Flow> FlowCache::compile(const std::string& source,
   // adopts the longest stage prefix already in the stage cache, and an
   // identical request compiling at the same time computes each stage
   // once through the stage cache's claims (DESIGN.md §9).
-  std::shared_ptr<const Flow> flow;
-  try {
-    auto pipeline = std::make_shared<Pipeline>(source, options, stageCache);
-    pipeline->setCancelToken(std::move(cancel));
-    flow = std::make_shared<const Flow>(Flow(std::move(pipeline)));
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++misses_; // compiled here, and failed: never cached
-    throw;
-  }
+  // A compile that throws was still a miss here, and is never cached.
+  // It is counted on the way out, so the exception unwinds through this
+  // frame once, with no catch and rethrow.
+  struct CountFailedMiss {
+    FlowCache& cache;
+    bool compiled = false;
+    ~CountFailedMiss() {
+      if (compiled)
+        return;
+      std::lock_guard<std::mutex> lock(cache.mutex_);
+      ++cache.misses_;
+    }
+  } failedMiss{*this};
+  auto pipeline = std::make_shared<Pipeline>(source, options, stageCache);
+  pipeline->setCancelToken(std::move(cancel));
+  // Run here, not in Flow's constructor (then a no-op), so a failure
+  // unwinds through one frame fewer.
+  pipeline->runAll();
+  auto flow = std::make_shared<const Flow>(Flow(std::move(pipeline)));
+  failedMiss.compiled = true;
 
   std::lock_guard<std::mutex> lock(mutex_);
   if (auto published = findLocked(key, source, options)) {

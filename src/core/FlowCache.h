@@ -58,9 +58,12 @@ public:
 
   /// Returns the memoized Flow for (source, options), compiling it on
   /// the first request. Compilation errors propagate to the caller and
-  /// are never cached. When `cacheHit` is non-null it is set to true iff
-  /// the request was served from the cache or an in-flight compile (the
-  /// per-call view of Stats::hits, which only aggregates).
+  /// are never cached here; each failed request counts a miss. (The
+  /// StageCache below keeps a stage's deterministic failure, so a
+  /// repeated failing request reruns no stage.) When `cacheHit` is
+  /// non-null it is set to true iff the request was served from the
+  /// cache or an in-flight compile (the per-call view of Stats::hits,
+  /// which only aggregates).
   ///
   /// `cancel` arms cooperative cancellation of the compile this call
   /// performs (checked between pipeline stages; raises CancelledError).

@@ -19,10 +19,11 @@ int indexOf(Stage stage) { return static_cast<int>(stage); }
 
 Pipeline::Pipeline(std::string source, FlowOptions options,
                    StageCache* stageCache)
-    : source_(std::move(source)), options_(std::move(options)),
+    : source_(std::make_shared<const std::string>(std::move(source))),
+      cacheSource_(source_), options_(std::move(options)),
       stageCache_(stageCache) {
   normalizeOptions(options_);
-  keys_ = computeStageKeys(source_, options_);
+  keys_ = computeStageKeys(*source_, options_);
 }
 
 bool Pipeline::hasRun(Stage stage) const { return materialized(stage); }
@@ -116,21 +117,46 @@ void Pipeline::require(Stage stage) {
       continue;
     }
     const StageCache::Claim claim =
-        stageCache_->claim(keys_[i], current, source_, options_);
+        stageCache_->claim(keys_[i], current, *cacheSource_, options_);
     if (claim.entry != nullptr) {
-      adoptEntry(claim.entry, i);
+      adopted_.push_back(claim.entry);
+      adoptRetained(i);
       continue;
     }
-    try {
-      runStage(current);
-      stageCache_->insert(keys_[i], current, snapshotPrefix(current),
-                          source_, options_);
-    } catch (...) {
-      if (claim.owned)
-        stageCache_->abandon(keys_[i]);
-      throw;
-    }
+    runAndPublish(current, claim.owned);
   }
+}
+
+void Pipeline::runAndPublish(Stage stage, bool owned) {
+  const std::uint64_t key = keys_[indexOf(stage)];
+  // Any exit that publishes nothing ends an owned claim without an
+  // entry, and its waiters compute the stage themselves. Cancellation is
+  // checked before the claim, so that exit is an internal error,
+  // bad_alloc or the like: nothing a later lookup should be handed.
+  struct AbandonUnlessPublished {
+    StageCache* cache;
+    std::uint64_t key;
+    bool armed;
+    ~AbandonUnlessPublished() {
+      if (armed)
+        cache->abandon(key);
+    }
+  } claim{stageCache_, key, owned};
+  try {
+    runStage(stage);
+  } catch (const DiagnosedError& e) {
+    // The stage's own diagnostics: a pure function of what the stage
+    // reads, so every later lookup of this key is one hit that throws
+    // them again.
+    stageCache_->insert(
+        key, makeFailureEntry(stage, {e.what(), e.diagnostics()},
+                              cacheSource_, options_));
+    claim.armed = false;
+    throw;
+  }
+  stageCache_->insert(key, makeStageCacheEntry(stage, snapshotPrefix(stage),
+                                               cacheSource_, options_));
+  claim.armed = false;
 }
 
 void Pipeline::adoptPrefix(Stage goal) {
@@ -139,9 +165,17 @@ void Pipeline::adoptPrefix(Stage goal) {
     ++have;
   if (have > indexOf(goal))
     return;
-  if (const auto entry = stageCache_->adoptLongestPrefix(keys_, goal, have,
-                                                         source_, options_))
-    adoptEntry(entry, have);
+  // Retained before it is adopted, so no local owns the entry while a
+  // failure entry's exception unwinds through here: a cleanup in this
+  // frame would add about 1 us to a repeated infeasible compile's 5.
+  {
+    auto entry = stageCache_->adoptLongestPrefix(keys_, goal, have,
+                                                 *cacheSource_, options_);
+    if (entry == nullptr)
+      return;
+    adopted_.push_back(std::move(entry));
+  }
+  adoptRetained(have);
 }
 
 namespace {
@@ -163,8 +197,10 @@ void forEachSlot(StageArtifacts& mine, const StageArtifacts& theirs, F&& f) {
 
 } // namespace
 
-void Pipeline::adoptEntry(const std::shared_ptr<const StageCacheEntry>& entry,
-                          int first) {
+void Pipeline::adoptRetained(int first) {
+  const StageCacheEntry& entry = *adopted_.back();
+  if (entry.failure != nullptr)
+    throw DiagnosedError(entry.failure->what, entry.failure->diagnostics);
   // The entry's slots form one consistent prefix: its schedules point
   // into its own optimized program. So every slot up to the entry's
   // stage is taken from it — also the ones this pipeline materialized
@@ -173,9 +209,12 @@ void Pipeline::adoptEntry(const std::shared_ptr<const StageCacheEntry>& entry,
   // Replaced artifacts stay alive for references already handed out;
   // the retained entry pins what its artifacts point into across cache
   // eviction.
-  adopted_.push_back(entry);
-  const int last = indexOf(entry->stage);
-  forEachSlot(artifacts_, entry->artifacts,
+  //
+  // Publish from here on with the entry's copy of the (equal) source, so
+  // one cache holds one copy.
+  cacheSource_ = entry.source;
+  const int last = indexOf(entry.stage);
+  forEachSlot(artifacts_, entry.artifacts,
               [&](Stage stage, auto& mine, const auto& theirs) {
                 const int i = indexOf(stage);
                 if (i > last || mine == theirs)
@@ -244,7 +283,7 @@ void Pipeline::executeStage(Stage stage) {
   switch (stage) {
   case Stage::Parse:
     artifacts_.ast =
-        std::make_shared<const dsl::Program>(dsl::parseAndCheck(source_));
+        std::make_shared<const dsl::Program>(dsl::parseAndCheck(*source_));
     break;
   case Stage::Lower:
     // Step i: lowering into pseudo-SSA with contraction splitting. The

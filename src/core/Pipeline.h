@@ -25,9 +25,12 @@
 // adopted, and runs only the remainder — claiming each stage key before
 // it runs and publishing the artifact back into the cache, so pipelines
 // that need the same stage at once compute it once (the others wait for
-// that one stage and adopt it). A fully run Pipeline is immutable and
-// safe to share across threads; a Pipeline that is still executing
-// stages is single-threaded (many pipelines may share one StageCache).
+// that one stage and adopt it). A stage that fails with its diagnostics
+// publishes them as a failure entry, so a later pipeline that reaches
+// the same key throws the same DiagnosedError without running the stage.
+// A fully run Pipeline is immutable and safe to share across threads; a
+// Pipeline that is still executing stages is single-threaded (many
+// pipelines may share one StageCache).
 #pragma once
 
 #include "core/StageCache.h"
@@ -57,9 +60,11 @@ public:
                     StageCache* stageCache = nullptr);
 
   /// Materializes `stage` and its dependence closure, adopting the
-  /// longest cached prefix first. Throws FlowError on invalid input or
-  /// infeasible constraints, and CancelledError when the cancel token
-  /// fires (see setCancelToken).
+  /// longest cached prefix first. Throws DiagnosedError (a FlowError) on
+  /// invalid input or infeasible constraints — computed, or rethrown
+  /// from a cached failure entry with the same what() and diagnostics —
+  /// and CancelledError when the cancel token fires (see
+  /// setCancelToken).
   void require(Stage stage);
   void runAll() { require(Stage::SysGen); }
 
@@ -89,7 +94,7 @@ public:
   /// time, declared outputs. Never-run stages are omitted.
   std::string timingReport() const;
 
-  const std::string& source() const { return source_; }
+  const std::string& source() const { return *source_; }
   const FlowOptions& options() const { return options_; }
 
   // ---- Stage artifacts (running their producing stage on demand) ----
@@ -114,9 +119,14 @@ public:
 private:
   bool materialized(Stage stage) const;
   void adoptPrefix(Stage goal);
-  /// Takes every slot of `entry`; those from `first` on become Cached.
-  void adoptEntry(const std::shared_ptr<const StageCacheEntry>& entry,
-                  int first);
+  /// Takes every slot of the entry last retained in adopted_; those from
+  /// `first` on become Cached. A failure entry throws its DiagnosedError
+  /// instead.
+  void adoptRetained(int first);
+  /// Runs `stage` and publishes its artifact, or its stage diagnostics
+  /// as a failure entry, resolving the caller's claim on its key
+  /// (`owned`); any other failure abandons that claim.
+  void runAndPublish(Stage stage, bool owned);
   /// Runs `stage`, recording provenance/timing; FlowErrors escape as
   /// DiagnosedError with the stage of origin stamped on every
   /// diagnostic (same what() text — the Session boundary unwraps the
@@ -127,7 +137,11 @@ private:
   /// publication).
   StageArtifacts snapshotPrefix(Stage stage) const;
 
-  std::string source_;
+  std::shared_ptr<const std::string> source_;
+  /// The equal copy this pipeline verifies and publishes cache entries
+  /// with: its own until it adopts an entry, then that entry's, so the
+  /// entries of one cache share one copy.
+  std::shared_ptr<const std::string> cacheSource_;
   FlowOptions options_;
   std::array<std::uint64_t, kStageCount> keys_{};
   std::array<StageProvenance, kStageCount> provenance_{};
@@ -135,11 +149,11 @@ private:
 
   StageCache* stageCache_ = nullptr;
   CancelToken cancelToken_;
-  /// Entries adopted from the cache: pins every upstream artifact a
-  /// downstream one points into (e.g. Schedule::program) across
-  /// eviction.
+  /// Entries adopted from the cache (a failure entry too, once thrown):
+  /// pins every upstream artifact a downstream one points into (e.g.
+  /// Schedule::program) across eviction.
   std::vector<std::shared_ptr<const StageCacheEntry>> adopted_;
-  /// Own artifacts an adopted entry replaced (see adoptEntry).
+  /// Own artifacts an adopted entry replaced (see adoptRetained).
   std::vector<std::shared_ptr<const void>> superseded_;
 
   StageArtifacts artifacts_;

@@ -61,15 +61,43 @@ std::size_t approxArtifactBytes(Stage stage,
   return 0;
 }
 
+std::shared_ptr<StageCacheEntry>
+makeStageCacheEntry(Stage stage, StageArtifacts artifacts,
+                    std::shared_ptr<const std::string> source,
+                    const FlowOptions& options) {
+  auto entry = std::make_shared<StageCacheEntry>();
+  entry->stage = stage;
+  entry->artifacts = std::move(artifacts);
+  entry->approxBytes = approxArtifactBytes(stage, entry->artifacts) +
+                       source->size() + sizeof(StageCacheEntry);
+  entry->source = std::move(source);
+  entry->options = options;
+  return entry;
+}
+
+std::shared_ptr<StageCacheEntry>
+makeFailureEntry(Stage stage, StageFailure failure,
+                 std::shared_ptr<const std::string> source,
+                 const FlowOptions& options) {
+  auto entry = makeStageCacheEntry(stage, {}, std::move(source), options);
+  entry->approxBytes += sizeof(StageFailure) + failure.what.size();
+  for (const Diagnostic& diagnostic : failure.diagnostics)
+    entry->approxBytes += sizeof(Diagnostic) + diagnostic.message.size();
+  entry->failure = std::make_shared<const StageFailure>(std::move(failure));
+  return entry;
+}
+
 namespace {
 
 /// Trust a 64-bit key only after full structural verification of
 /// everything the prefix reads (the producing stage, the source, and the
 /// consumed option subsets): a collision degrades to a recompile, never
-/// a wrong adoption.
+/// a wrong adoption. A caller passing the entry's own shared source
+/// skips the text comparison.
 bool verifies(const StageCacheEntry& entry, Stage stage,
               const std::string& source, const FlowOptions& options) {
-  return entry.stage == stage && entry.source == source &&
+  return entry.stage == stage &&
+         (entry.source.get() == &source || *entry.source == source) &&
          prefixOptionsEqual(stage, entry.options, options);
 }
 
@@ -177,16 +205,13 @@ void StageCache::abandon(std::uint64_t key) {
 void StageCache::insert(std::uint64_t key, Stage stage,
                         StageArtifacts artifacts, const std::string& source,
                         const FlowOptions& options) {
-  auto entry = std::make_shared<StageCacheEntry>();
-  entry->stage = stage;
-  entry->artifacts = std::move(artifacts);
-  entry->source = source;
-  entry->options = options;
-  // Charge the verification payload too (each entry keeps its own
-  // source copy), not just the stage's marginal artifact.
-  entry->approxBytes = approxArtifactBytes(stage, entry->artifacts) +
-                       source.size() + sizeof(StageCacheEntry);
+  insert(key, makeStageCacheEntry(stage, std::move(artifacts),
+                                  std::make_shared<const std::string>(source),
+                                  options));
+}
 
+void StageCache::insert(std::uint64_t key,
+                        std::shared_ptr<const StageCacheEntry> entry) {
   bool isNew = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -217,8 +242,10 @@ void StageCache::insert(std::uint64_t key, Stage stage,
   // Persist newly computed prefixes outside the lock. A prefix is only
   // computed after the disk probe for its key missed, so a publish
   // either adds the entry or replaces one that failed verification.
-  if (isNew && store_)
-    store_->publish(key, stage, entry->artifacts, source, options);
+  // Failures stay in memory: a restart recomputes the failing stage.
+  if (isNew && store_ && entry->failure == nullptr)
+    store_->publish(key, entry->stage, entry->artifacts, *entry->source,
+                    entry->options);
 }
 
 void StageCache::setCapacityBytes(std::size_t bytes) {

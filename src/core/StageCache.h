@@ -11,9 +11,19 @@
 // It is also the one place concurrent requests are deduplicated: a
 // pipeline *claims* each stage key it has to compute, and a second
 // requester of a claimed key blocks until the owner publishes that one
-// stage (then adopts it) or fails (then computes the stage itself). So
-// each distinct key is computed once per cache, whichever path — sync,
-// job, Explorer, daemon — the requests came in on.
+// stage, then adopts it. So each distinct key is computed once per
+// cache, whichever path — sync, job, Explorer, daemon — the requests
+// came in on.
+//
+// A stage's deterministic failure (its stage-attributed DiagnosedError:
+// infeasible constraints, a parse or sema error) is published too, as a
+// *failure entry*: the diagnostics and the message, no artifacts. Every
+// later lookup of that key is one hit that rethrows them, so a repeated
+// infeasible compile costs one lookup. Failure entries stay in memory;
+// the disk tier never sees them. Anything else that escapes a stage (an
+// internal error, bad_alloc) abandons the claim, and its waiters compute
+// the stage themselves. A cancellation is never cached either: it is
+// observed between stages, so it never ends a claim.
 //
 // Entries store the artifact set of the whole prefix (all slots up to
 // the entry's stage), so adopting an entry can never orphan an upstream
@@ -32,6 +42,7 @@
 #include "core/StageGraph.h"
 #include "dsl/AST.h"
 #include "mem/Liveness.h"
+#include "support/Diagnostics.h"
 
 #include <condition_variable>
 #include <cstdint>
@@ -82,17 +93,45 @@ struct StageArtifacts {
 /// accounting estimate for the cache bound, not an exact measure).
 std::size_t approxArtifactBytes(Stage stage, const StageArtifacts& artifacts);
 
+/// What a stage's deterministic failure threw: the DiagnosedError's
+/// what() text and its stage-attributed diagnostics. Immutable once
+/// published; each requester throws its own DiagnosedError built from
+/// it, so no exception object crosses threads.
+struct StageFailure {
+  std::string what;
+  DiagnosticList diagnostics;
+};
+
 struct StageCacheEntry {
   Stage stage = Stage::Parse; // deepest stage this entry covers
-  /// Slots filled for the linear prefix up to and including `stage`.
+  /// Slots filled for the linear prefix up to and including `stage`;
+  /// all null in a failure entry.
   StageArtifacts artifacts;
   /// Verification payload: equal 64-bit keys are only trusted when the
   /// source and the prefix-consumed options compare equal, so a key
-  /// collision degrades to a recompile, never a wrong adoption.
-  std::string source;
+  /// collision degrades to a recompile, never a wrong adoption. The
+  /// source is shared: the entries one pipeline publishes hold its copy.
+  std::shared_ptr<const std::string> source;
+  /// Non-null in a failure entry: `stage` failed for this source and
+  /// these options, and would fail again the same way.
+  std::shared_ptr<const StageFailure> failure;
   FlowOptions options; // normalized
   std::size_t approxBytes = 0;
 };
+
+/// An entry for the prefix up to `stage`, charged its stage's marginal
+/// artifact plus its verification payload (the source counts once per
+/// entry, although entries share it).
+std::shared_ptr<StageCacheEntry>
+makeStageCacheEntry(Stage stage, StageArtifacts artifacts,
+                    std::shared_ptr<const std::string> source,
+                    const FlowOptions& options);
+/// A failure entry for `stage`: no artifacts, charged like an entry
+/// plus the failure's text.
+std::shared_ptr<StageCacheEntry>
+makeFailureEntry(Stage stage, StageFailure failure,
+                 std::shared_ptr<const std::string> source,
+                 const FlowOptions& options);
 
 class StageCache {
 public:
@@ -110,7 +149,8 @@ public:
   /// returns the entry of the deepest cached (and verified) stage, or
   /// null. `skipStages` is the caller's already-materialized prefix
   /// length — those stages are neither probed nor counted. Counts one
-  /// hit per newly covered stage of the returned entry.
+  /// hit per newly covered stage of the returned entry, which may be a
+  /// failure entry: the caller then rethrows its failure.
   std::shared_ptr<const StageCacheEntry>
   adoptLongestPrefix(const std::array<std::uint64_t, kStageCount>& keys,
                      Stage goal, int skipStages, const std::string& source,
@@ -118,7 +158,8 @@ public:
 
   /// What claim() resolved one stage key to.
   struct Claim {
-    /// The verified entry to adopt (counted as one hit), or null.
+    /// The verified entry to adopt (counted as one hit; a failure entry
+    /// when the stage failed), or null.
     std::shared_ptr<const StageCacheEntry> entry;
     /// With a null entry: true when the caller now owns the key and must
     /// end the claim with insert() or abandon(); false when the caller
@@ -131,21 +172,24 @@ public:
   /// verified entry is returned to adopt; an unclaimed key is claimed
   /// for the caller; a key another pipeline has claimed blocks the
   /// caller until that owner publishes the one stage it is computing
-  /// (then its entry is returned) or abandons it. A claim nobody waits
-  /// on allocates no more than the entry it becomes: its map node is
-  /// moved into the entry map on publish.
+  /// (then its entry, or failure entry, is returned) or abandons it. A
+  /// claim nobody waits on allocates no more than the entry it becomes:
+  /// its map node is moved into the entry map on publish.
   Claim claim(std::uint64_t key, Stage stage, const std::string& source,
               const FlowOptions& options);
 
-  /// Ends the caller's claim on `key` without an entry (its stage
-  /// failed). Waiters wake and compute the stage themselves, so each
-  /// ends with its own stage-attributed diagnostics.
+  /// Ends the caller's claim on `key` without an entry: the stage threw
+  /// something other than its stage diagnostics (an internal error,
+  /// bad_alloc). Waiters wake and compute the stage themselves.
   void abandon(std::uint64_t key);
 
-  /// Publishes the prefix up to `stage` and resolves the claim on `key`,
-  /// if any. Counts one miss (the stage was computed). First writer
-  /// wins: an existing entry for `key` is kept, so concurrent compiles
-  /// converge on one shared artifact set.
+  /// Publishes `entry` (the prefix up to its stage, or a failure entry)
+  /// and resolves the claim on `key`, if any. Counts one miss (the stage
+  /// was computed). First writer wins: an existing entry for `key` is
+  /// kept, so concurrent compiles converge on one shared artifact set.
+  /// Only artifact entries go to the disk tier.
+  void insert(std::uint64_t key, std::shared_ptr<const StageCacheEntry> entry);
+  /// Publishes the prefix up to `stage` with its own copy of `source`.
   void insert(std::uint64_t key, Stage stage, StageArtifacts artifacts,
               const std::string& source, const FlowOptions& options);
 

@@ -1,6 +1,7 @@
 #include "dsl/Lexer.h"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 
 namespace cfd::dsl {
@@ -69,9 +70,11 @@ char Lexer::peek(int ahead) const {
 }
 
 char Lexer::advance() {
-  const char c = peek();
-  if (c == '\0')
-    return c;
+  // A NUL byte inside the source is a character like any other: only
+  // the end of the source stops the cursor.
+  if (atEnd())
+    return '\0';
+  const char c = source_[cursor_];
   ++cursor_;
   if (c == '\n') {
     ++line_;
@@ -198,9 +201,19 @@ Token Lexer::lex() {
     return makeToken(TokenKind::Hash, "#", start);
   case '.':
     return makeToken(TokenKind::Dot, ".", start);
-  default:
-    diagnostics_.error(start, std::string("unexpected character '") + c + "'");
+  default: {
+    // A control byte (NUL included) is named by its value, so the
+    // message stays printable.
+    std::string shown(1, c);
+    if (std::iscntrl(static_cast<unsigned char>(c))) {
+      char hex[8];
+      std::snprintf(hex, sizeof hex, "\\x%02x",
+                    static_cast<unsigned char>(c));
+      shown = hex;
+    }
+    diagnostics_.error(start, "unexpected character '" + shown + "'");
     return makeToken(TokenKind::Invalid, std::string(1, c), start);
+  }
   }
 }
 

@@ -3,6 +3,7 @@
 #include "support/Error.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 namespace cfd::eval {
@@ -297,64 +298,110 @@ DenseTensor evaluateEntryWise(const dsl::Expr& expr,
   return out;
 }
 
+/// One loop of the contraction odometer: its extent, and the flat
+/// offset each step adds in the factors it indexes (one factor for an
+/// output dim; the two pair ends, maybe of one factor, for a reduction).
+struct ContractionAxis {
+  std::int64_t extent = 0;
+  int steps = 0;
+  std::array<std::size_t, 2> factor{};
+  std::array<std::int64_t, 2> stride{};
+};
+
+/// Steps `index` to the next point of `axes` in lexicographic order
+/// (last axis fastest) and keeps `offsets`, one flat offset per factor,
+/// in step. Returns false, with every index back at 0, after the last
+/// point.
+bool advance(const std::vector<ContractionAxis>& axes,
+             std::vector<std::int64_t>& index,
+             std::vector<std::int64_t>& offsets) {
+  for (std::size_t a = axes.size(); a-- > 0;) {
+    const ContractionAxis& axis = axes[a];
+    if (++index[a] < axis.extent) {
+      for (int s = 0; s < axis.steps; ++s)
+        offsets[axis.factor[s]] += axis.stride[s];
+      return true;
+    }
+    for (int s = 0; s < axis.steps; ++s)
+      offsets[axis.factor[s]] -= (axis.extent - 1) * axis.stride[s];
+    index[a] = 0;
+  }
+  return false;
+}
+
 /// Direct contraction semantics: iterate output dims x reduced dims,
-/// evaluating the factor product at each point (no factorization).
+/// evaluating the factor product at each point (no factorization). A
+/// strided odometer walks both in lexicographic order, multiplying the
+/// factors in operand order and summing the reduction points in order.
 DenseTensor evaluateContraction(const dsl::Expr& product,
                                 const std::vector<dsl::IndexPair>& pairs,
                                 std::map<std::string, DenseTensor>& values) {
   std::vector<DenseTensor> factors;
-  std::vector<std::int64_t> globalShape;
+  // Per global dim: its extent, the factor it indexes, and its
+  // row-major stride in that factor.
+  std::vector<std::int64_t> globalShape, strideOf;
+  std::vector<std::size_t> factorOf;
   for (const auto& operand : product.operands) {
     factors.push_back(evaluateExpr(*operand, values));
-    globalShape.insert(globalShape.end(), factors.back().shape.begin(),
-                       factors.back().shape.end());
+    const std::vector<std::int64_t>& shape = factors.back().shape;
+    const std::size_t first = globalShape.size();
+    globalShape.insert(globalShape.end(), shape.begin(), shape.end());
+    strideOf.resize(globalShape.size());
+    factorOf.resize(globalShape.size(), factors.size() - 1);
+    std::int64_t stride = 1;
+    for (std::size_t i = shape.size(); i-- > 0;) {
+      strideOf[first + i] = stride;
+      stride *= shape[i];
+    }
   }
-  const int globalRank = static_cast<int>(globalShape.size());
+  const std::size_t globalRank = globalShape.size();
 
-  std::vector<bool> reduced(static_cast<std::size_t>(globalRank), false);
+  std::vector<bool> reduced(globalRank, false);
   for (const auto& pair : pairs) {
     reduced[static_cast<std::size_t>(pair.first)] = true;
     reduced[static_cast<std::size_t>(pair.second)] = true;
   }
-  std::vector<int> freeDims, redDims;
-  for (int d = 0; d < globalRank; ++d)
-    (reduced[static_cast<std::size_t>(d)] ? redDims : freeDims).push_back(d);
-
-  std::vector<std::int64_t> outShape, redShape;
-  for (int d : freeDims)
-    outShape.push_back(globalShape[static_cast<std::size_t>(d)]);
+  std::vector<std::int64_t> outShape;
+  std::vector<ContractionAxis> outAxes, redAxes;
+  for (std::size_t d = 0; d < globalRank; ++d) {
+    if (reduced[d])
+      continue;
+    outShape.push_back(globalShape[d]);
+    outAxes.push_back({globalShape[d], 1, {factorOf[d], 0}, {strideOf[d], 0}});
+  }
   // One reduction index per *pair*; both pair ends share it.
-  for (const auto& pair : pairs)
-    redShape.push_back(globalShape[static_cast<std::size_t>(pair.first)]);
+  bool emptyReduction = false;
+  for (const auto& pair : pairs) {
+    const auto a = static_cast<std::size_t>(pair.first);
+    const auto b = static_cast<std::size_t>(pair.second);
+    redAxes.push_back({globalShape[a],
+                       2,
+                       {factorOf[a], factorOf[b]},
+                       {strideOf[a], strideOf[b]}});
+    emptyReduction = emptyReduction || globalShape[a] <= 0;
+  }
 
   DenseTensor out = DenseTensor::zeros(outShape);
-
-  std::vector<std::int64_t> globalIndex(
-      static_cast<std::size_t>(globalRank), 0);
-  poly::Box::fromShape(outShape).forEachPoint(
-      [&](std::span<const std::int64_t> freeIndex) {
-        for (std::size_t p = 0; p < freeDims.size(); ++p)
-          globalIndex[static_cast<std::size_t>(freeDims[p])] = freeIndex[p];
-        double sum = 0.0;
-        poly::Box::fromShape(redShape).forEachPoint(
-            [&](std::span<const std::int64_t> redIndex) {
-              for (std::size_t q = 0; q < pairs.size(); ++q) {
-                globalIndex[static_cast<std::size_t>(pairs[q].first)] =
-                    redIndex[q];
-                globalIndex[static_cast<std::size_t>(pairs[q].second)] =
-                    redIndex[q];
-              }
-              double term = 1.0;
-              std::size_t base = 0;
-              for (const auto& factor : factors) {
-                term *= factor.at(std::span<const std::int64_t>(
-                    globalIndex.data() + base, factor.shape.size()));
-                base += factor.shape.size();
-              }
-              sum += term;
-            });
-        out.at(freeIndex) = sum;
-      });
+  std::vector<std::int64_t> outIndex(outAxes.size(), 0);
+  std::vector<std::int64_t> redIndex(redAxes.size(), 0);
+  std::vector<std::int64_t> outOffsets(factors.size(), 0);
+  std::vector<std::int64_t> offsets(factors.size(), 0);
+  // out.data is row-major over outShape, so its elements come in the
+  // output odometer's order.
+  for (double& result : out.data) {
+    double sum = 0.0;
+    if (!emptyReduction) {
+      offsets = outOffsets;
+      do {
+        double term = 1.0;
+        for (std::size_t f = 0; f < factors.size(); ++f)
+          term *= factors[f].data[static_cast<std::size_t>(offsets[f])];
+        sum += term;
+      } while (advance(redAxes, redIndex, offsets));
+    }
+    result = sum;
+    advance(outAxes, outIndex, outOffsets);
+  }
   return out;
 }
 

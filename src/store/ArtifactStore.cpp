@@ -206,13 +206,10 @@ ArtifactStore::load(std::uint64_t key, Stage stage,
     if (!r.atEnd() || payloadChecksum(payload) != expectedChecksum)
       return reject();
 
-    auto entry = std::make_shared<StageCacheEntry>();
-    entry->stage = stage;
-    entry->artifacts = decodePrefix(stage, payload, options);
-    entry->source = source;
-    entry->options = options;
-    entry->approxBytes = approxArtifactBytes(stage, entry->artifacts) +
-                         source.size() + sizeof(StageCacheEntry);
+    auto entry =
+        makeStageCacheEntry(stage, decodePrefix(stage, payload, options),
+                            std::make_shared<const std::string>(source),
+                            options);
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.hits;
     return entry;

@@ -1,9 +1,12 @@
+#include "core/Session.h"
 #include "dsl/Parser.h"
 #include "dsl/Sema.h"
 #include "support/Error.h"
 #include "TestPrograms.h"
 
 #include <gtest/gtest.h>
+
+#include <string_view>
 
 namespace cfd::dsl {
 namespace {
@@ -319,9 +322,114 @@ TEST(SemaTest, RankBoundIsInclusive) {
   EXPECT_TRUE(analyze(helmholtz, helmholtzDiags)) << helmholtzDiags.str();
 }
 
+TEST(LexerTest, NulByteIsOneUnexpectedCharacter) {
+  // A NUL inside the source (in code or in a comment) once stopped the
+  // cursor without ending the input, so lexing never finished.
+  using namespace std::string_literals;
+  const std::string code =
+      "var input u : [2]\nvar output v : [2]\nv = u\0\n"s;
+  Diagnostics diags;
+  Lexer lexer(code, diags);
+  const auto tokens = lexer.lexAll();
+  EXPECT_EQ(tokens.back().kind, TokenKind::EndOfFile);
+  EXPECT_EQ(diags.errorCount(), 1u);
+  EXPECT_NE(diags.str().find("3:6: error: unexpected character '\\x00'"),
+            std::string::npos)
+      << diags.str();
+
+  const std::string comment =
+      "% a\0b\nvar input u : [2]\nvar output v : [2]\nv = u\n"s;
+  EXPECT_NO_THROW(parseAndCheck(comment));
+}
+
 TEST(SemaTest, ParseAndCheckThrowsOnBadInput) {
   EXPECT_THROW(parseAndCheck("var output z : [3]\nz = q"), FlowError);
   EXPECT_NO_THROW(parseAndCheck(test::kInverseHelmholtz));
+}
+
+// ---- Fuzz: seeded mutations of every test kernel ----
+
+/// splitmix64: the same sequence on every platform, which the standard
+/// distributions do not promise.
+std::uint64_t nextRandom(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// One to three edits: a byte flip, a truncation, or an inserted
+/// bracket, parenthesis, '#', '.', '=' or digit.
+std::string mutate(std::string source, std::uint64_t& state) {
+  constexpr std::string_view kInserted = "[]()#.=0123456789";
+  const int edits = 1 + static_cast<int>(nextRandom(state) % 3);
+  for (int edit = 0; edit < edits && !source.empty(); ++edit) {
+    const std::size_t at = nextRandom(state) % source.size();
+    switch (nextRandom(state) % 3) {
+    case 0:
+      source[at] =
+          static_cast<char>(source[at] ^ (1 + nextRandom(state) % 255));
+      break;
+    case 1: source.resize(at); break;
+    default:
+      source.insert(at, 1, kInserted[nextRandom(state) % kInserted.size()]);
+      break;
+    }
+  }
+  return source;
+}
+
+TEST(DslParserFuzz, SeededMutationsCompileOrFailWithStableDiagnostics) {
+  // Every mutant ends in a result or in diagnostics. A failing one is
+  // compiled twice by one Session, and the second answer — rethrown from
+  // the stage cache's failure entry, with no stage recomputed — is byte
+  // for byte the first one's and a fresh Session's.
+  constexpr int kMutantsPerKernel = 64;
+  const std::string kernels[] = {
+      test::kInverseHelmholtz, test::kInterpolation,
+      test::kMatMul2D,         test::kEntryWiseChain,
+      test::kRedundantSem,     test::contractionChainSource(2)};
+  std::uint64_t state = 26;
+  Session session;
+  int compiled = 0;
+  int failed = 0;
+  for (const std::string& kernel : kernels) {
+    for (int i = 0; i < kMutantsPerKernel; ++i) {
+      const std::string source = mutate(kernel, state);
+      SCOPED_TRACE("mutant:\n" + source);
+      bool parsed = true;
+      try {
+        parseAndCheck(source);
+      } catch (const FlowError&) {
+        parsed = false;
+      }
+      const auto first = session.compile(CompileRequest(source));
+      const std::int64_t misses = session.stats().stageCache.misses;
+      const auto second = session.compile(CompileRequest(source));
+      EXPECT_EQ(session.stats().stageCache.misses, misses);
+      ASSERT_EQ(second.ok(), first.ok());
+      if (first.ok()) {
+        EXPECT_TRUE(parsed);
+        ++compiled;
+        continue;
+      }
+      ++failed;
+      EXPECT_TRUE(first.diagnostics().hasErrors());
+      Session fresh;
+      const auto cold = fresh.compile(CompileRequest(source));
+      ASSERT_FALSE(cold.ok());
+      EXPECT_EQ(second.errorText(), first.errorText());
+      EXPECT_EQ(cold.errorText(), first.errorText());
+      EXPECT_EQ(second.diagnostics().toJson().dump(),
+                first.diagnostics().toJson().dump());
+      EXPECT_EQ(cold.diagnostics().toJson().dump(),
+                first.diagnostics().toJson().dump());
+    }
+  }
+  // Both outcomes occur, so the mutations neither all miss the parser
+  // nor all break the source.
+  EXPECT_GT(compiled, 0);
+  EXPECT_GT(failed, 0);
 }
 
 } // namespace

@@ -473,9 +473,10 @@ TEST(StageClaimTest, ConcurrentRequirersComputeEachStageOnce) {
 }
 
 TEST(StageClaimTest, InfeasibleConfigGivesEveryRequesterTheSysgenDiagnostic) {
-  // m = 3, k = 2 fails system generation (§V-B). Parse..hls are claimed
-  // and computed once; every requester then fails sysgen with its own
-  // stage-attributed error, and no failure is cached.
+  // m = 3, k = 2 fails system generation (§V-B). Every stage key is
+  // claimed and computed once, the failing sysgen included: its owner
+  // publishes the failure, and every other requester throws its own
+  // DiagnosedError built from that one entry.
   StageCache cache;
   FlowOptions options;
   options.system.memories = 3;
@@ -497,9 +498,9 @@ TEST(StageClaimTest, InfeasibleConfigGivesEveryRequesterTheSysgenDiagnostic) {
   }
   EXPECT_FALSE(messages[0].empty());
   const StageCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.misses, kStageCount - 1);
-  EXPECT_EQ(stats.hits, (kStageCount - 1) * (kRequesters - 1));
-  EXPECT_EQ(stats.entries, kStageCount - 1);
+  EXPECT_EQ(stats.misses, kStageCount);
+  EXPECT_EQ(stats.hits, kStageCount * (kRequesters - 1));
+  EXPECT_EQ(stats.entries, kStageCount);
 }
 
 TEST(StageClaimTest, CancelledWaiterStopsBeforeItsNextStage) {
@@ -545,26 +546,227 @@ TEST(StageClaimTest, CancelledWaiterStopsBeforeItsNextStage) {
   EXPECT_EQ(stats.waits, 1);
 }
 
+/// The system design `pipeline` compiles to, or the what() of the
+/// DiagnosedError it fails with.
+std::string outcomeOf(Pipeline& pipeline) {
+  try {
+    return pipeline.systemDesign().str();
+  } catch (const DiagnosedError& e) {
+    return std::string("error: ") + e.what();
+  }
+}
+
 TEST(StageClaimTest, ByteBoundThatEvictsOnPublishKeepsLookupsExact) {
   // Every publish is evicted at once, so a requester either adopts a
   // stage through the claim it waited on or computes it again; each
-  // stage is still one lookup, a hit or a miss.
+  // stage is still one lookup, a hit or a miss. The second input fails
+  // sysgen (m = 3, k = 2): its failure entry, too, reaches the waiters
+  // through the claim although the bound evicts it on publish.
+  FlowOptions infeasible;
+  infeasible.system.memories = 3;
+  infeasible.system.kernels = 2;
+  const std::pair<const char*, FlowOptions> inputs[] = {
+      {test::kInverseHelmholtz, FlowOptions{}}, {test::kMatMul2D, infeasible}};
+  for (const auto& input : inputs) {
+    const char* source = input.first;
+    const FlowOptions& options = input.second;
+    StageCache cache;
+    cache.setCapacityBytes(1);
+    std::vector<std::string> outcomes(kRequesters);
+    runTogether(kRequesters, [&](int t) {
+      Pipeline pipeline(source, options, &cache);
+      outcomes[t] = outcomeOf(pipeline);
+    });
+    Pipeline cold(source, options);
+    const std::string expected = outcomeOf(cold);
+    EXPECT_EQ(expected.rfind("error: ", 0) == 0, &input == &inputs[1])
+        << expected;
+    for (const std::string& outcome : outcomes)
+      EXPECT_EQ(outcome, expected);
+    const StageCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.hits + stats.misses, kStageCount * kRequesters);
+    EXPECT_GE(stats.misses, kStageCount);
+    EXPECT_EQ(stats.evictions, stats.misses);
+    EXPECT_EQ(stats.entries, 0);
+  }
+}
+
+// ---- Failure entries: a stage's deterministic failure is one lookup ----
+
+/// The Fig. 1 kernel at m = 64 violates Eq. 3 in sysgen.
+FlowOptions eq3Violation() {
+  FlowOptions options;
+  options.system.memories = 64;
+  return options;
+}
+
+/// What a FlowCache-backed compile of `source` throws (empty if none).
+std::string whatOf(FlowCache& cache, const std::string& source,
+                   const FlowOptions& options) {
+  try {
+    cache.compile(source, options);
+  } catch (const DiagnosedError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(FailureEntryTest, RepeatedInfeasibleCompileIsOneLookupPerStage) {
+  const CompileRequest request =
+      CompileRequest(test::kInverseHelmholtz).set("m", "64");
+  Session session;
+  const auto first = session.compile(request);
+  ASSERT_FALSE(first.ok());
+  const Session::Stats before = session.stats();
+  EXPECT_EQ(before.stageCache.misses, kStageCount); // sysgen's failure too
+  EXPECT_EQ(before.stageCache.entries, kStageCount);
+
+  const auto repeat = session.compile(request);
+  ASSERT_FALSE(repeat.ok());
+  const Session::Stats after = session.stats();
+  // One sysgen failure entry answers all nine stages.
+  EXPECT_EQ(after.stageCache.hits - before.stageCache.hits, kStageCount);
+  EXPECT_EQ(after.stageCache.misses, before.stageCache.misses);
+  // FlowCache still caches no failure and counts each one a miss.
+  EXPECT_EQ(after.flowCache.misses - before.flowCache.misses, 1);
+  EXPECT_EQ(after.flowCache.entries, 0);
+  EXPECT_EQ(after.failedRequests, 2);
+
+  Session fresh;
+  const auto cold = fresh.compile(request);
+  ASSERT_FALSE(cold.ok());
+  ASSERT_EQ(repeat.diagnostics().size(), 1u);
+  EXPECT_EQ(repeat.diagnostics()[0].stage, "sysgen");
+  for (const auto* other : {&first, &cold}) {
+    EXPECT_EQ(repeat.errorText(), other->errorText());
+    EXPECT_EQ(repeat.diagnostics().str(), other->diagnostics().str());
+    EXPECT_EQ(repeat.diagnostics().toJson().dump(),
+              other->diagnostics().toJson().dump());
+  }
+
+  // The exception text, computed and then rethrown from the entry.
+  FlowCache cache;
+  const std::string computed =
+      whatOf(cache, test::kInverseHelmholtz, eq3Violation());
+  const std::string cached =
+      whatOf(cache, test::kInverseHelmholtz, eq3Violation());
+  EXPECT_NE(computed.find("violates Eq. 3"), std::string::npos) << computed;
+  EXPECT_EQ(cached, computed);
+  EXPECT_EQ(cache.stageCache()->stats().misses, kStageCount);
+  FlowCache other;
+  EXPECT_EQ(whatOf(other, test::kInverseHelmholtz, eq3Violation()), computed);
+}
+
+TEST(FailureEntryTest, SemaErrorIsCachedAtTheParseKeyWithItsWarnings) {
+  const char* source = "var input u : [4]\n"
+                       "var input x : [4]\n"
+                       "var output v : [4]\n"
+                       "v = w\n";
+  Session session;
+  const auto first = session.compile(CompileRequest(source));
+  ASSERT_FALSE(first.ok());
+  EXPECT_NE(first.errorText().find("undeclared variable 'w'"),
+            std::string::npos)
+      << first.errorText();
+  EXPECT_NE(first.errorText().find("warning: input 'x' is never used"),
+            std::string::npos)
+      << first.errorText();
+  const StageCache::Stats before = session.stats().stageCache;
+  EXPECT_EQ(before.misses, 1);
+  EXPECT_EQ(before.entries, 1);
+
+  const auto repeat = session.compile(CompileRequest(source));
+  const StageCache::Stats after = session.stats().stageCache;
+  EXPECT_EQ(after.hits - before.hits, 1);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(repeat.errorText(), first.errorText());
+  EXPECT_EQ(repeat.diagnostics().toJson().dump(),
+            first.diagnostics().toJson().dump());
+
+  // A pipeline that reaches the parse key rethrows the same exception.
+  StageCache stages;
+  std::string whats[2];
+  for (std::string& what : whats) {
+    Pipeline pipeline(source, {}, &stages);
+    try {
+      pipeline.require(Stage::Parse);
+    } catch (const DiagnosedError& e) {
+      what = e.what();
+      EXPECT_EQ(e.diagnostics().str(), first.errorText());
+    }
+  }
+  EXPECT_FALSE(whats[0].empty());
+  EXPECT_EQ(whats[1], whats[0]);
+  EXPECT_EQ(stages.stats().hits, 1);
+}
+
+TEST(FailureEntryTest, CancelledCompileLeavesNoFailureEntry) {
+  // Cancelled right before the failing stage: the prefix is published,
+  // the cancellation is not, and the next pipeline computes sysgen.
   StageCache cache;
-  cache.setCapacityBytes(1);
-  std::vector<std::string> systems(kRequesters);
-  runTogether(kRequesters, [&](int t) {
-    Pipeline pipeline(test::kInverseHelmholtz, FlowOptions{}, &cache);
-    systems[t] = pipeline.systemDesign().str();
-  });
-  const std::string expected =
-      Flow::compile(test::kInverseHelmholtz).systemDesign().str();
-  for (const std::string& system : systems)
-    EXPECT_EQ(system, expected);
+  CancelSource cancel;
+  Pipeline cancelled(test::kInverseHelmholtz, eq3Violation(), &cache);
+  cancelled.require(Stage::Hls);
+  cancel.cancel();
+  cancelled.setCancelToken(cancel.token());
+  EXPECT_THROW(cancelled.require(Stage::SysGen), CancelledError);
+  EXPECT_EQ(cache.stats().entries, kStageCount - 1);
+
+  Pipeline next(test::kInverseHelmholtz, eq3Violation(), &cache);
+  try {
+    next.require(Stage::SysGen);
+    ADD_FAILURE() << "sysgen did not fail";
+  } catch (const CancelledError&) {
+    ADD_FAILURE() << "a cancellation was handed to another pipeline";
+  } catch (const DiagnosedError& e) {
+    EXPECT_EQ(e.diagnostics()[0].stage, "sysgen");
+  }
   const StageCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses, kStageCount * kRequesters);
-  EXPECT_GE(stats.misses, kStageCount);
-  EXPECT_EQ(stats.evictions, stats.misses);
-  EXPECT_EQ(stats.entries, 0);
+  EXPECT_EQ(stats.misses, kStageCount); // sysgen computed by `next`
+  EXPECT_EQ(stats.hits, kStageCount - 1);
+  EXPECT_EQ(stats.entries, kStageCount);
+}
+
+TEST(FailureEntryTest, InternalErrorAbandonsTheClaimAndIsNeverCached) {
+  // A partition dim out of range trips an assertion in the schedule
+  // stage: not a stage diagnostic, so nothing is published for it, and
+  // every requester — waiters included — computes the stage and throws
+  // its own InternalError.
+  FlowOptions options;
+  options.layouts.partitions["u"] =
+      sched::PartitionSpec{sched::PartitionSpec::Kind::Cyclic, 7, 2};
+  StageCache cache;
+  std::atomic<int> internalErrors{0};
+  runTogether(kRequesters, [&](int) {
+    Pipeline pipeline(test::kInverseHelmholtz, options, &cache);
+    try {
+      pipeline.require(Stage::SysGen);
+    } catch (const InternalError&) {
+      ++internalErrors;
+    }
+  });
+  EXPECT_EQ(internalErrors.load(), kRequesters);
+  const StageCache::Stats stats = cache.stats();
+  // parse..optimize once each; schedule never published.
+  EXPECT_EQ(stats.misses, 3);
+  EXPECT_EQ(stats.hits, 3 * (kRequesters - 1));
+  EXPECT_EQ(stats.entries, 3);
+}
+
+TEST(FailureEntryTest, DisabledStageCacheCachesNothing) {
+  Session session;
+  session.flowCache().setStageCache(nullptr);
+  const CompileRequest request =
+      CompileRequest(test::kInverseHelmholtz).set("m", "64");
+  const auto first = session.compile(request);
+  const auto repeat = session.compile(request);
+  ASSERT_FALSE(first.ok());
+  ASSERT_FALSE(repeat.ok());
+  EXPECT_EQ(repeat.errorText(), first.errorText());
+  const Session::Stats stats = session.stats();
+  EXPECT_EQ(stats.stageCache.hits + stats.stageCache.misses, 0);
+  EXPECT_EQ(stats.flowCache.misses, 2);
+  EXPECT_EQ(stats.flowCache.entries, 0);
 }
 
 } // namespace

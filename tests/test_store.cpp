@@ -365,7 +365,7 @@ TEST_F(StoreTest, PublishedEntryLoadsAndVerifies) {
                                 pipeline->options());
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->stage, Stage::SysGen);
-  EXPECT_EQ(entry->source, pipeline->source());
+  EXPECT_EQ(*entry->source, pipeline->source());
   EXPECT_EQ(entry->artifacts.system->str(),
             pipeline->artifacts().system->str());
   EXPECT_GT(entry->approxBytes, 0u);
@@ -624,6 +624,36 @@ TEST_F(StoreTest, DeepestAcceptedExpressionsReloadFromDisk) {
     EXPECT_EQ(stats.artifactStore.verifyFailures, 0);
     EXPECT_EQ(stats.stageCache.misses, 0);
   }
+}
+
+TEST_F(StoreTest, StageFailuresStayInMemory) {
+  // The Fig. 1 kernel at m = 64 fails sysgen (Eq. 3). The failure entry
+  // is a memory-tier entry only: parse..hls go to disk, sysgen's failure
+  // does not, so a fresh Session adopts hls from disk and reruns sysgen.
+  const CompileRequest request =
+      CompileRequest(test::kInverseHelmholtz).set("m", "64");
+  std::string firstText;
+  {
+    Session first(SessionOptions{.cacheDir = root_});
+    const auto failed = first.compile(request);
+    ASSERT_FALSE(failed.ok());
+    firstText = failed.errorText();
+    const auto stats = first.stats();
+    EXPECT_EQ(stats.stageCache.entries, kStageCount);
+    EXPECT_EQ(stats.artifactStore.publishes, kStageCount - 1);
+  }
+  store::ArtifactStore disk({root_, /*capacityBytes=*/0});
+  EXPECT_EQ(disk.entryCount(), static_cast<std::size_t>(kStageCount - 1));
+
+  Session fresh(SessionOptions{.cacheDir = root_});
+  const auto again = fresh.compile(request);
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.errorText(), firstText);
+  const auto stats = fresh.stats();
+  EXPECT_EQ(stats.artifactStore.hits, 1); // the hls prefix
+  EXPECT_EQ(stats.artifactStore.publishes, 0);
+  EXPECT_EQ(stats.stageCache.hits, kStageCount - 1);
+  EXPECT_EQ(stats.stageCache.misses, 1); // sysgen, computed again
 }
 
 // ---- GC: byte bound, mtime order, stale tmp sweeping ----
