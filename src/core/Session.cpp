@@ -48,7 +48,42 @@ Expected<T> runJobWork(
   }
 }
 
+constexpr ArtifactKind kArtifactKinds[] = {
+    {"c", Artifacts::CCode},
+    {"mnemosyne", Artifacts::Mnemosyne},
+    {"host", Artifacts::HostCode},
+    {"dot", Artifacts::CompatibilityDot},
+    {"report", Artifacts::None},
+};
+
 } // namespace
+
+const ArtifactKind& artifactKindByName(std::string_view name) {
+  for (const ArtifactKind& kind : kArtifactKinds)
+    if (name == kind.name)
+      return kind;
+  throw FlowError("unknown artifact '" + std::string(name) +
+                  "' (valid: c, mnemosyne, host, dot, report)");
+}
+
+std::string artifactText(const CompileResult& result,
+                         const ArtifactKind& kind) {
+  switch (kind.flag) {
+  case Artifacts::CCode: return result.cCode();
+  case Artifacts::Mnemosyne: return result.mnemosyneConfig();
+  case Artifacts::HostCode: return result.hostCode();
+  case Artifacts::CompatibilityDot: return result.compatibilityDot();
+  default: break;
+  }
+  const Flow& flow = result.flow();
+  std::ostringstream os;
+  os << "== tensor IR ==\n" << flow.program().str();
+  os << "\n== schedule ==\n" << flow.schedule().str();
+  os << "\n== HLS ==\n" << flow.kernelReport().str();
+  os << "\n== memory plan ==\n" << flow.memoryPlan().str(flow.program());
+  os << "\n== system ==\n" << flow.systemDesign().str();
+  return os.str();
+}
 
 Session::Session(SessionOptions options)
     : sessionOptions_(std::move(options)), defaults_(sessionOptions_.defaults),

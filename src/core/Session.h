@@ -48,6 +48,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -144,6 +145,23 @@ private:
   std::string hostCode_;
   std::string compatibilityDot_;
 };
+
+/// One artifact a compile returns by name: cfdc's --emit and the serve
+/// protocol's "artifacts" member name the same five (DESIGN.md §15).
+struct ArtifactKind {
+  const char* name;
+  /// What CompileRequest::materialize needs: Artifacts::None for
+  /// "report", the multi-section summary assembled from the flow.
+  Artifacts flag;
+};
+
+/// The kind called `name` (c|mnemosyne|host|dot|report); throws
+/// FlowError naming the valid ones otherwise.
+const ArtifactKind& artifactKindByName(std::string_view name);
+
+/// The text of `kind` for a result whose request materialized it.
+std::string artifactText(const CompileResult& result,
+                         const ArtifactKind& kind);
 
 /// A design-space sweep request over base options: declared axes (a
 /// cross product expanded by TuneSpace, cfdc --sweep style), explicit

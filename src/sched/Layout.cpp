@@ -44,11 +44,17 @@ LayoutAssignment LayoutAssignment::materialize(const ir::Program& program,
     layout.sizeInElements = tensor.type.numElements();
     if (const auto it = options.partitions.find(tensor.name);
         it != options.partitions.end()) {
+      // Partitions reach this stage unchecked from the caller's
+      // options, so an out-of-range one is a diagnostic, not a bug.
       const PartitionSpec& spec = it->second;
-      CFD_ASSERT(spec.factor >= 1, "partition factor must be >= 1");
-      CFD_ASSERT(spec.kind == PartitionSpec::Kind::None ||
-                     (spec.dim >= 0 && spec.dim < tensor.type.rank()),
-                 "partition dim out of range for " + tensor.name);
+      const int rank = tensor.type.rank();
+      if (spec.factor < 1 || (spec.kind != PartitionSpec::Kind::None &&
+                              (spec.dim < 0 || spec.dim >= rank)))
+        throw FlowError("partition of tensor '" + tensor.name +
+                        "' is out of range: dim " + std::to_string(spec.dim) +
+                        " of rank " + std::to_string(rank) + ", factor " +
+                        std::to_string(spec.factor) +
+                        " (need 0 <= dim < rank and factor >= 1)");
       layout.partition = spec;
     }
     assignment.layouts_.push_back(std::move(layout));

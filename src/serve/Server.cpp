@@ -6,7 +6,6 @@
 #include <cerrno>
 #include <cstring>
 #include <deque>
-#include <sstream>
 #include <utility>
 
 #include <fcntl.h>
@@ -18,40 +17,6 @@
 namespace cfd::serve {
 
 namespace {
-
-/// One compile artifact the protocol can materialize ("report" is
-/// assembled from the flow instead — see flowReportText).
-struct ArtifactKind {
-  const char* name;
-  Artifacts flag;
-  const std::string& (CompileResult::*text)() const;
-};
-
-constexpr ArtifactKind kArtifactKinds[] = {
-    {"c", Artifacts::CCode, &CompileResult::cCode},
-    {"mnemosyne", Artifacts::Mnemosyne, &CompileResult::mnemosyneConfig},
-    {"host", Artifacts::HostCode, &CompileResult::hostCode},
-    {"dot", Artifacts::CompatibilityDot, &CompileResult::compatibilityDot},
-};
-
-const ArtifactKind* findArtifactKind(const std::string& name) {
-  for (const ArtifactKind& kind : kArtifactKinds)
-    if (name == kind.name)
-      return &kind;
-  return nullptr;
-}
-
-/// The same multi-section summary cfdc prints for --emit=report, so a
-/// remote compile and a local one render identically.
-std::string flowReportText(const Flow& flow) {
-  std::ostringstream os;
-  os << "== tensor IR ==\n" << flow.program().str();
-  os << "\n== schedule ==\n" << flow.schedule().str();
-  os << "\n== HLS ==\n" << flow.kernelReport().str();
-  os << "\n== memory plan ==\n" << flow.memoryPlan().str(flow.program());
-  os << "\n== system ==\n" << flow.systemDesign().str();
-  return os.str();
-}
 
 JobPriority priorityFromName(const std::string& name) {
   if (name == "low")
@@ -125,7 +90,7 @@ json::Value sessionStatsJson(const Session::Stats& stats) {
 struct Server::PendingJob {
   std::int64_t id = 0;
   RequestKind kind = RequestKind::Compile;
-  std::vector<std::string> artifacts; // compile: texts to include
+  std::vector<const ArtifactKind*> artifacts; // compile: texts to include
   /// sweep_chunk: the global design-point index of each sweep row, so
   /// the response rows carry coordinates the coordinator can merge on.
   std::vector<std::int64_t> pointIndexes;
@@ -363,7 +328,8 @@ void Server::drainAndClose() {
   }
 
   // 2. Refuse new submissions and cancel jobs that never started;
-  //    running jobs keep going (the drain below waits for them).
+  //    running jobs keep going (the drain below waits for them, within
+  //    its bound).
   for (const auto& connection : connections) {
     std::lock_guard<std::mutex> lock(connection->mutex);
     connection->draining = true;
@@ -373,10 +339,19 @@ void Server::drainAndClose() {
   }
 
   // 3. Drain: every outstanding job resolves and its response is
-  //    written before the connection is torn down.
+  //    written before the connection is torn down. A responder whose
+  //    client stopped reading blocks in send, so the wait is bounded:
+  //    past kShutdownDrainBound the connection is shut down, a blocked
+  //    send fails, and the reader's disconnect path cancels what is
+  //    left.
+  const auto deadline = std::chrono::steady_clock::now() + kShutdownDrainBound;
   for (const auto& connection : connections) {
     std::unique_lock<std::mutex> lock(connection->mutex);
-    connection->cv.wait(lock, [&] { return connection->pending.empty(); });
+    const auto drained = [&] { return connection->pending.empty(); };
+    if (!connection->cv.wait_until(lock, deadline, drained)) {
+      ::shutdown(connection->fd, SHUT_RDWR);
+      connection->cv.wait(lock, drained);
+    }
   }
 
   // 4. Wake readers blocked in recv and let both threads exit.
@@ -575,20 +550,15 @@ void Server::handleLine(Connection& connection, std::string_view line) {
       for (const auto& [key, value] : request.params)
         compile.set(key, value);
       for (const std::string& name : request.artifacts) {
-        if (name == "report")
-          continue; // assembled from the flow on response
-        const ArtifactKind* kind = findArtifactKind(name);
-        if (kind == nullptr) {
-          sendResponse(connection,
-                       errorResponse(request.id, request.kind,
-                                     serveError("unknown artifact '" + name +
-                                                "' (valid: c, mnemosyne, "
-                                                "host, dot, report)")));
+        try {
+          pending.artifacts.push_back(&artifactKindByName(name));
+        } catch (const FlowError& e) {
+          sendResponse(connection, errorResponse(request.id, request.kind,
+                                                 serveError(e.what())));
           return;
         }
-        compile.materialize(kind->flag);
+        compile.materialize(pending.artifacts.back()->flag);
       }
-      pending.artifacts = request.artifacts;
       pending.compile = session_.submitCompile(std::move(compile), config);
       break;
     }
@@ -696,14 +666,8 @@ Response Server::buildResponse(const PendingJob& pending) {
     response.result.set("cache_hit", result->cacheHit());
     response.result.set("compile_ms", result->compileMillis());
     json::Value artifacts = json::Value::object();
-    for (const std::string& name : pending.artifacts) {
-      if (name == "report") {
-        artifacts.set(name, flowReportText(result->flow()));
-        continue;
-      }
-      if (const ArtifactKind* kind = findArtifactKind(name))
-        artifacts.set(name, ((*result).*(kind->text))());
-    }
+    for (const ArtifactKind* kind : pending.artifacts)
+      artifacts.set(kind->name, artifactText(*result, *kind));
     if (!pending.artifacts.empty())
       response.result.set("artifacts", std::move(artifacts));
     break;

@@ -26,8 +26,8 @@
 //    write() to a self-pipe), so SIGINT/SIGTERM handlers and the
 //    `shutdown` RPC share one path: stop accepting, refuse new
 //    requests on open connections, cancel still-queued jobs, drain
-//    running ones to their responses, then close every connection and
-//    unlink the socket file.
+//    running ones to their responses for at most kShutdownDrainBound,
+//    then close every connection and unlink the socket file.
 //  * A client disconnect cancels that connection's outstanding jobs
 //    cooperatively (core/Job.h) — a dead client cannot pin workers.
 #pragma once
@@ -36,6 +36,7 @@
 #include "serve/Protocol.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -45,6 +46,14 @@
 #include <vector>
 
 namespace cfd::serve {
+
+/// How long a shutdown waits for outstanding responses to be written.
+/// A client that stops reading blocks its connection's send, and a long
+/// job keeps its connection waiting; past this bound such a connection
+/// is shut down, which fails the send and cancels its remaining jobs,
+/// so the daemon stops whatever clients do. It stays under
+/// WorkerPoolSpawner::stopAll's 10-s SIGKILL.
+inline constexpr std::chrono::seconds kShutdownDrainBound{3};
 
 struct ServerOptions {
   /// Filesystem path of the Unix domain socket to listen on.

@@ -1,13 +1,16 @@
 // The cfdc command-line contract, checked against the built binary:
 // every usage error of the flag parser exits 2 with one line naming the
-// error and one pointing at --help; --help alone prints the reference,
-// on stdout, and exits 0; --sweep/--tune run as one session job that
-// --deadline-ms bounds (exit 3 with the "job-queue" diagnostic when it
-// expires). The CFDC_PATH definition names the cfdc the build made.
+// error and one pointing at --help, and a flag given outside the modes
+// of its flag-table row is one of them; --help alone prints the modes
+// and every row of the table, on stdout, and exits 0; --sweep/--tune
+// run as one session job that --deadline-ms bounds (exit 3 with the
+// "job-queue" diagnostic when it expires). The CFDC_PATH definition
+// names the cfdc the build made.
 #include "TestPrograms.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -95,6 +98,13 @@ protected:
   std::string kernel_;
 };
 
+/// Where `flag`'s entry starts in the --help text: its spelling at
+/// the start of a line, followed by its text or, when long, a newline.
+std::size_t helpEntry(const std::string& help, const std::string& flag) {
+  const std::size_t at = help.find("\n  " + flag + " ");
+  return at != std::string::npos ? at : help.find("\n  " + flag + "\n");
+}
+
 TEST_F(CliTest, HelpPrintsTheReferenceOnStdout) {
   for (const char* flag : {"--help", "-h"}) {
     const CliRun result = run({flag});
@@ -103,6 +113,85 @@ TEST_F(CliTest, HelpPrintsTheReferenceOnStdout) {
     EXPECT_GT(lineCount(result.out), 100) << flag;
     EXPECT_EQ(result.err, "") << flag;
   }
+}
+
+TEST_F(CliTest, HelpListsEveryModeAndEveryFlagOfTheTable) {
+  const CliRun result = run({"--help"});
+  ASSERT_EQ(result.exitCode, 0);
+  for (const char* mode :
+       {"single", "sweep", "sweep-json", "tune", "tune-json", "serve",
+        "connect", "connect-control", "distribute", "distribute-json",
+        "workers", "workers-json"})
+    EXPECT_NE(result.out.find("\n  " + std::string(mode) + " "),
+              std::string::npos)
+        << mode;
+  // Each flag starts its own entry, followed by the modes it applies to.
+  for (const char* flag :
+       {"--emit=json", "--emit=c|mnemosyne|host|dot|report", "-o FILE",
+        "--no-sharing", "--coupled", "--m=N", "--k=N", "--unroll=N",
+        "--opt-level=N", "--objective=hw|sw", "--layout=rowmajor|colmajor",
+        "--print-ir-before", "--print-ir-after", "--simulate=Ne",
+        "--validate", "--diagnostics=json", "--cache-dir=DIR",
+        "--sweep=key=v1,v2,...", "--jobs=N", "--deadline-ms=N",
+        "--explain-cache", "--stage-cache-mb=N", "--tune", "--tune=STRATEGY",
+        "--strategy=NAME", "--seed=N", "--samples=N", "--max-steps=N",
+        "--objectives=a,b,...", "--serve", "--socket=PATH", "--connect=PATH",
+        "--status", "--shutdown", "--priority=low|normal|high",
+        "--distribute=N", "--workers=S1,S2,..."}) {
+    const std::size_t at = helpEntry(result.out, flag);
+    ASSERT_NE(at, std::string::npos) << flag;
+    EXPECT_LT(result.out.find("modes: ", at), result.out.find("\n  -", at + 1))
+        << flag;
+  }
+}
+
+TEST_F(CliTest, ReadmeMatrixMatchesTheFlagTable) {
+  // README.md repeats the flag table as a mode x flag matrix; each of
+  // its rows must mark exactly the modes --help prints for that flag.
+  const std::string readme = readFile(fs::path(CFD_SOURCE_DIR) / "README.md");
+  const std::string help = run({"--help"}).out;
+  std::istringstream lines(readme);
+  std::vector<std::string> modes;
+  int rows = 0;
+  for (std::string line; std::getline(lines, line);) {
+    std::vector<std::string> cells; // a \| inside a cell is a literal |
+    for (std::size_t at; (at = line.find("\\|")) != std::string::npos;)
+      line.replace(at, 2, "\x01");
+    std::istringstream row(line);
+    for (std::string cell; std::getline(row, cell, '|');) {
+      std::replace(cell.begin(), cell.end(), '\x01', '|');
+      const std::size_t first = cell.find_first_not_of(' ');
+      cells.push_back(first == std::string::npos
+                          ? ""
+                          : cell.substr(first, cell.find_last_not_of(' ') -
+                                                   first + 1));
+    }
+    if (line.rfind("| flag ", 0) == 0)
+      modes.assign(cells.begin() + 2, cells.end());
+    else if (line.rfind("|", 0) != 0)
+      modes.clear(); // the matrix ended
+    if (modes.empty() || line.rfind("| `-", 0) != 0)
+      continue;
+    ++rows;
+    ASSERT_EQ(cells.size(), modes.size() + 2) << line;
+    std::string marked = "modes:";
+    for (std::size_t i = 0; i < modes.size(); ++i)
+      if (cells[i + 2] == "x")
+        marked += (marked.size() > 6 ? ", " : " ") + modes[i];
+    // The flag's --help entry (cells[1] is `--flag`), its modes unwrapped.
+    const std::string flag = cells[1].substr(1, cells[1].size() - 2);
+    const std::size_t at = helpEntry(help, flag);
+    ASSERT_NE(at, std::string::npos) << flag;
+    const std::size_t from = help.find("modes:", at);
+    const std::size_t end =
+        std::min(help.find("\n  -", at + 1), help.find("\n\n", at));
+    std::istringstream words(help.substr(from, end - from));
+    std::string printed;
+    for (std::string word; words >> word;)
+      printed += (printed.empty() ? "" : " ") + word;
+    EXPECT_EQ(marked, printed) << flag;
+  }
+  EXPECT_EQ(rows, 37);
 }
 
 /// One usage error: the arguments ("{k}" = the kernel file) and a
@@ -143,39 +232,41 @@ TEST_F(CliTest, EveryUsageErrorIsTwoLinesAndExitTwo) {
       {{"--sweep=warp=1", "{k}"}, "unknown parameter 'warp'"},
       // Daemon modes.
       {{"--serve", "--connect=/tmp/x.sock"},
-       "--serve and --connect are mutually exclusive"},
+       "--connect=/tmp/x.sock does not apply in serve mode"},
       {{"--serve"}, "--serve requires --socket=PATH"},
       {{"--serve", "--socket=/tmp/x.sock", "{k}"},
        "--serve takes no input file"},
       {{"--serve", "--socket=/tmp/x.sock", "--tune"},
-       "--serve cannot be combined with --sweep/--tune"},
+       "--tune does not apply in serve mode"},
       {{"--serve", "--socket=/tmp/x.sock", "--emit=c"},
-       "--serve cannot be combined with single-shot flags"},
+       "--emit=c does not apply in serve mode"},
       {{"--serve", "--socket=/tmp/x.sock", "--deadline-ms=5"},
-       "--serve cannot be combined with --deadline-ms"},
+       "--deadline-ms=5 does not apply in serve mode"},
       {{"--serve", "--socket=/tmp/x.sock", "--status"},
-       "are client flags and require --connect"},
+       "--status does not apply in serve mode"},
       {{"--serve", "--socket=/tmp/x.sock", "--distribute=2"},
-       "--serve cannot be combined with --distribute/--workers"},
-      {{"--socket=/tmp/x.sock", "{k}"}, "--socket requires --serve"},
+       "--distribute=2 does not apply in serve mode"},
+      {{"--socket=/tmp/x.sock", "{k}"},
+       "--socket=/tmp/x.sock does not apply in single mode"},
       {{"--connect=/tmp/x.sock", "--status", "--shutdown"},
        "--status and --shutdown are mutually exclusive"},
       {{"--connect=/tmp/x.sock", "--status", "{k}"},
        "--status/--shutdown take no input file"},
       {{"--connect=/tmp/x.sock"}, "--connect needs an input file"},
       {{"--connect=/tmp/x.sock", "--sweep=unroll=1,2", "{k}"},
-       "--connect only submits single compiles"},
+       "--sweep=unroll=1,2 does not apply in connect mode"},
       {{"--connect=/tmp/x.sock", "--jobs=2", "{k}"},
-       "configure a session and belong to the daemon"},
+       "--jobs=2 does not apply in connect mode"},
       {{"--connect=/tmp/x.sock", "--validate", "{k}"},
-       "need the flow in-process"},
+       "--validate does not apply in connect mode"},
       {{"--connect=/tmp/x.sock", "--emit=json", "{k}"},
-       "--emit=json requires --tune or --sweep"},
+       "--emit=json does not apply in connect mode"},
       {{"--connect=/tmp/x.sock", "--distribute=2", "{k}"},
-       "--connect submits one compile to one daemon"},
-      {{"--status", "{k}"}, "--status requires --connect=PATH"},
-      {{"--shutdown", "{k}"}, "--shutdown requires --connect=PATH"},
-      {{"--priority=high", "{k}"}, "--priority requires --connect"},
+       "--distribute=2 does not apply in connect mode"},
+      {{"--status", "{k}"}, "--status does not apply in single mode"},
+      {{"--shutdown", "{k}"}, "--shutdown does not apply in single mode"},
+      {{"--priority=high", "{k}"},
+       "--priority=high does not apply in single mode"},
       {{}, "no input file"},
       // Distributed sweeps.
       {{"--sweep=unroll=1,2", "--distribute=2", "--workers=/tmp/x.sock",
@@ -183,47 +274,80 @@ TEST_F(CliTest, EveryUsageErrorIsTwoLinesAndExitTwo) {
        "--distribute and --workers are mutually exclusive"},
       {{"--distribute=2", "{k}"}, "require --sweep axes"},
       {{"--sweep=unroll=1,2", "--distribute=2", "--tune", "{k}"},
-       "cannot be combined with --tune"},
+       "--tune does not apply in distribute mode"},
       {{"--sweep=unroll=1,2", "--distribute=2", "--validate", "{k}"},
-       "need the flows in-process"},
+       "--validate does not apply in distribute mode"},
       {{"--sweep=unroll=1,2", "--distribute=2", "--cache-dir=/tmp/x", "{k}"},
-       "configure a worker's session"},
+       "--cache-dir=/tmp/x does not apply in distribute mode"},
       {{"--sweep=unroll=1,2", "--workers=/tmp/x.sock", "--jobs=2", "{k}"},
-       "--jobs sizes the workers --distribute spawns"},
+       "--jobs=2 does not apply in workers mode"},
       {{"--sweep=unroll=1,2", "--distribute=2", "--emit=c", "{k}"},
-       "print a table or --emit=json"},
+       "--emit=c does not apply in distribute mode"},
       // Tune and sweep combinations.
       {{"--tune", "--validate", "{k}"},
-       "--tune cannot be combined with --validate"},
-      {{"--tune", "--emit=c", "{k}"}, "--tune only supports --emit=json"},
+       "--validate does not apply in tune mode"},
+      {{"--tune", "--emit=c", "{k}"}, "--emit=c does not apply in tune mode"},
       {{"--tune", "--samples=4", "{k}"},
        "--samples requires --strategy=random"},
       {{"--tune=random", "--max-steps=4", "{k}"},
        "--max-steps requires --strategy=hillclimb"},
-      {{"--seed=3", "{k}"}, "--seed requires --tune"},
-      {{"--emit=json", "{k}"}, "--emit=json requires --tune or --sweep"},
+      {{"--seed=3", "{k}"}, "--seed=3 does not apply in single mode"},
+      {{"--emit=json", "{k}"}, "--emit=json does not apply in single mode"},
       {{"--sweep=unroll=1,2", "--validate", "{k}"},
-       "--sweep cannot be combined with --validate"},
+       "--validate does not apply in sweep mode"},
       {{"--sweep=unroll=1,2", "--emit=c", "{k}"},
-       "--sweep only supports --emit=json"},
+       "--emit=c does not apply in sweep mode"},
       {{"--sweep=unroll=1,2", "-o", "out.txt", "{k}"},
-       "-o with --sweep requires --emit=json"},
+       "-o does not apply in sweep mode"},
       {{"--sweep=unroll=1,2", "--emit=json", "--simulate=10", "{k}"},
-       "carry no simulation columns"},
+       "--simulate=10 does not apply in sweep-json mode"},
       {{"--sweep=unroll=1,2", "--emit=json", "--explain-cache", "{k}"},
-       "carry no cache provenance"},
-      {{"--jobs=2", "{k}"}, "--jobs only applies to --sweep/--tune"},
+       "--explain-cache does not apply in sweep-json mode"},
+      {{"--jobs=2", "{k}"}, "--jobs=2 does not apply in single mode"},
       {{"--explain-cache", "{k}"},
-       "--explain-cache only applies to --sweep/--tune"},
+       "--explain-cache does not apply in single mode"},
       {{"--stage-cache-mb=4", "{k}"},
-       "--stage-cache-mb only applies to --sweep/--tune"},
+       "--stage-cache-mb=4 does not apply in single mode"},
       {{"--sweep=unroll=1,2", "--diagnostics=json", "{k}"},
-       "--diagnostics=json only applies to single-shot compiles"},
+       "--diagnostics=json does not apply in sweep mode"},
       {{"--sweep=unroll=1,2", "--print-ir-before", "{k}"},
-       "only apply to single-shot compiles"},
-      {{"--deadline-ms=5", "{k}"}, "--deadline-ms applies to --sweep/--tune"},
-      // Past parsing: an unknown artifact on a single-shot compile.
+       "--print-ir-before does not apply in sweep mode"},
+      {{"--deadline-ms=5", "{k}"},
+       "--deadline-ms=5 does not apply in single mode"},
       {{"--emit=bogus", "{k}"}, "unknown artifact 'bogus'"},
+      // Flags the modes above once dropped without a word.
+      {{"--serve", "--socket=/tmp/x.sock", "--m=64"},
+       "--m=64 does not apply in serve mode"},
+      {{"--serve", "--socket=/tmp/x.sock", "--k=4"},
+       "--k=4 does not apply in serve mode"},
+      {{"--serve", "--socket=/tmp/x.sock", "--unroll=2"},
+       "--unroll=2 does not apply in serve mode"},
+      {{"--serve", "--socket=/tmp/x.sock", "--opt-level=2"},
+       "--opt-level=2 does not apply in serve mode"},
+      {{"--serve", "--socket=/tmp/x.sock", "--objective=sw"},
+       "--objective=sw does not apply in serve mode"},
+      {{"--serve", "--socket=/tmp/x.sock", "--layout=colmajor"},
+       "--layout=colmajor does not apply in serve mode"},
+      {{"--serve", "--socket=/tmp/x.sock", "--no-sharing"},
+       "--no-sharing does not apply in serve mode"},
+      {{"--serve", "--socket=/tmp/x.sock", "--coupled"},
+       "--coupled does not apply in serve mode"},
+      {{"--connect=/tmp/x.sock", "--status", "--emit=c"},
+       "--emit=c does not apply in connect-control mode"},
+      {{"--connect=/tmp/x.sock", "--status", "-o", "out.txt"},
+       "-o does not apply in connect-control mode"},
+      {{"--connect=/tmp/x.sock", "--status", "--deadline-ms=5"},
+       "--deadline-ms=5 does not apply in connect-control mode"},
+      {{"--connect=/tmp/x.sock", "--status", "--priority=high"},
+       "--priority=high does not apply in connect-control mode"},
+      {{"--connect=/tmp/x.sock", "--status", "--m=4"},
+       "--m=4 does not apply in connect-control mode"},
+      {{"--connect=/tmp/x.sock", "--shutdown", "--unroll=4"},
+       "--unroll=4 does not apply in connect-control mode"},
+      {{"--tune", "--emit=json", "--explain-cache", "{k}"},
+       "--explain-cache does not apply in tune-json mode"},
+      {{"--sweep=unroll=1,2", "--emit=json", "--simulate=0", "{k}"},
+       "--simulate=0 does not apply in sweep-json mode"},
   };
   for (const UsageCase& usage : cases) {
     std::string shown;

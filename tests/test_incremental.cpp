@@ -728,13 +728,12 @@ TEST(FailureEntryTest, CancelledCompileLeavesNoFailureEntry) {
 }
 
 TEST(FailureEntryTest, InternalErrorAbandonsTheClaimAndIsNeverCached) {
-  // A partition dim out of range trips an assertion in the schedule
-  // stage: not a stage diagnostic, so nothing is published for it, and
-  // every requester — waiters included — computes the stage and throws
-  // its own InternalError.
+  // A bank count that is not a power of two trips an assertion in the
+  // memory-plan stage: not a stage diagnostic, so nothing is published
+  // for it, and every requester — waiters included — computes the stage
+  // and throws its own InternalError.
   FlowOptions options;
-  options.layouts.partitions["u"] =
-      sched::PartitionSpec{sched::PartitionSpec::Kind::Cyclic, 7, 2};
+  options.memory.banks = 3;
   StageCache cache;
   std::atomic<int> internalErrors{0};
   runTogether(kRequesters, [&](int) {
@@ -747,10 +746,10 @@ TEST(FailureEntryTest, InternalErrorAbandonsTheClaimAndIsNeverCached) {
   });
   EXPECT_EQ(internalErrors.load(), kRequesters);
   const StageCache::Stats stats = cache.stats();
-  // parse..optimize once each; schedule never published.
-  EXPECT_EQ(stats.misses, 3);
-  EXPECT_EQ(stats.hits, 3 * (kRequesters - 1));
-  EXPECT_EQ(stats.entries, 3);
+  // parse..liveness once each; memory-plan never published.
+  EXPECT_EQ(stats.misses, 6);
+  EXPECT_EQ(stats.hits, 6 * (kRequesters - 1));
+  EXPECT_EQ(stats.entries, 6);
 }
 
 TEST(FailureEntryTest, DisabledStageCacheCachesNothing) {

@@ -893,6 +893,43 @@ TEST_F(ServeTest, OverlongRequestLineGetsOneErrorThenEof) {
   EXPECT_EQ(server.stats().protocolErrors, 1);
 }
 
+TEST_F(ServeTest, ShutdownClosesAClientThatNeverReadsWithinTheDrainBound) {
+  // One client pipelines compiles with four artifacts each and never
+  // reads, so its responses fill the socket and the responder blocks in
+  // send. The shutdown drain waits kShutdownDrainBound for it, then
+  // shuts the connection down instead of waiting forever.
+  Session session(SessionOptions{.workers = 1});
+  Server server(session, {.socketPath = socketPath_});
+  ASSERT_TRUE(server.start().ok());
+  const int fd = connectRaw(socketPath_);
+  ASSERT_GE(fd, 0);
+  constexpr int kRequests = 300;
+  std::string wire;
+  for (int id = 1; id <= kRequests; ++id) {
+    Request request = compileRequest(test::kInverseHelmholtz);
+    request.id = id;
+    request.artifacts = {"c", "mnemosyne", "host", "report"};
+    wire += request.encode() + "\n";
+  }
+  ASSERT_TRUE(sendAll(fd, wire.data(), wire.size()));
+  const auto settled =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (session.stats().jobsCompleted < kRequests &&
+         std::chrono::steady_clock::now() < settled)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(session.stats().jobsCompleted, kRequests);
+  EXPECT_LT(server.stats().responsesSent, kRequests); // the rest wait
+
+  const auto stopping = std::chrono::steady_clock::now();
+  server.requestStop();
+  server.join();
+  const auto took = std::chrono::steady_clock::now() - stopping;
+  EXPECT_GE(took, kShutdownDrainBound);
+  EXPECT_LT(took, kShutdownDrainBound + std::chrono::seconds(5));
+  EXPECT_FALSE(fs::exists(socketPath_));
+  ::close(fd);
+}
+
 TEST_F(ServeTest, ReadLineSurfacesUnterminatedTailAtEof) {
   // A daemon that crashes (or a peer that forgets the trailing
   // newline) after writing a complete response must not lose that

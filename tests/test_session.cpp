@@ -136,6 +136,45 @@ TEST(SessionTest, InfeasibleConstraintsAreStageAttributedDiagnostics) {
   EXPECT_FALSE(result.diagnostics()[0].location.isValid());
 }
 
+TEST(SessionTest, OutOfRangePartitionsAreCachedScheduleDiagnostics) {
+  // Partitions reach the schedule stage unchecked from the caller's
+  // options: a dim outside the tensor's rank, or a factor below 1, is
+  // one stage-attributed diagnostic, and the stage's failure entry
+  // answers the repeat without running a stage.
+  using Kind = sched::PartitionSpec::Kind;
+  for (const sched::PartitionSpec& spec :
+       {sched::PartitionSpec{Kind::Cyclic, 7, 2},
+        sched::PartitionSpec{Kind::Block, 0, 0}}) {
+    Session session;
+    FlowOptions options;
+    options.layouts.partitions["u"] = spec;
+    CompileRequest request(test::kInverseHelmholtz);
+    request.options(options);
+    const Expected<CompileResult> first = session.compile(request);
+    ASSERT_FALSE(first.ok());
+    ASSERT_EQ(first.diagnostics().size(), 1u);
+    EXPECT_EQ(first.diagnostics()[0].stage, "schedule");
+    EXPECT_NE(first.errorText().find(
+                  "partition of tensor 'u' is out of range: dim " +
+                  std::to_string(spec.dim) + " of rank 3, factor " +
+                  std::to_string(spec.factor)),
+              std::string::npos)
+        << first.errorText();
+    const StageCache::Stats before = session.stats().stageCache;
+    EXPECT_EQ(before.misses, 4); // parse..optimize, schedule's failure
+    EXPECT_EQ(before.entries, 4);
+
+    const Expected<CompileResult> repeat = session.compile(request);
+    ASSERT_FALSE(repeat.ok());
+    EXPECT_EQ(repeat.errorText(), first.errorText());
+    const StageCache::Stats after = session.stats().stageCache;
+    EXPECT_EQ(after.misses, before.misses);
+    // One lookup per stage up to the failing one: 3 prefix entries
+    // and schedule's failure entry.
+    EXPECT_EQ(after.hits - before.hits, 4);
+  }
+}
+
 TEST(SessionTest, DefaultOptionOverrideRoundTripsIntoTheResult) {
   SessionOptions sessionOptions;
   sessionOptions.defaults.hls.unrollFactor = 2;

@@ -4,40 +4,42 @@
 // so every mode shares the same FlowCache/StageCache and worker pool
 // and can print session-level statistics.
 //
-// Three modes (README.md "Using the CLI" has worked examples):
+// The flags given select one mode (selectMode; README.md "Using the
+// CLI" has worked examples):
 //
-//  * single-shot: compile one configuration, print/write an artifact
+//  * single: compile one configuration, print/write an artifact
 //    (--emit), optionally --validate and --simulate;
-//  * --sweep: explore the cross product of declared axes in parallel
-//    through the session cache and print one row per variant
-//    (DESIGN.md §3);
-//  * --tune: search the axes with a strategy (exhaustive, seeded
-//    random, hill-climb — DESIGN.md §7), score pluggable objectives,
-//    and report the Pareto frontier as a table and/or a JSON report
-//    (DESIGN.md §7-§8).
+//  * sweep, sweep-json: explore the cross product of declared axes in
+//    parallel through the session cache and print one row per variant,
+//    or the canonical sweep report (DESIGN.md §3);
+//  * tune, tune-json: search the axes with a strategy (exhaustive,
+//    seeded random, hill-climb — DESIGN.md §7), score pluggable
+//    objectives, and report the Pareto frontier as a table or as the
+//    JSON report (DESIGN.md §7-§8);
+//  * serve: run a long-lived compile daemon on a Unix domain socket.
+//    Every client shares this ONE session; SIGINT/SIGTERM or a
+//    client's shutdown request drain it and unlink the socket
+//    (DESIGN.md §15);
+//  * connect, connect-control: be a client of that daemon — compile
+//    one kernel through it, or query it with --status or stop it with
+//    --shutdown;
+//  * distribute, workers (and their -json twins): shard a sweep's
+//    points over forked or running worker daemons (DESIGN.md §16).
 //
-// A --sweep or --tune runs as one job on the session's queue
+// kFlags is the one flag table. Each row states a flag's spelling, how
+// its value is read, its --help text and the modes it applies to; a
+// flag given in any other mode is a usage error generated from its
+// row, and --help prints the same rows, so each mode rule is written
+// once. The few rules that are not about modes follow the mode check
+// in parseArgs.
+//
+// A sweep or tune runs as one job on the session's queue
 // (DESIGN.md §11), and --deadline-ms bounds that job's wall clock.
-//
-// Two service modes turn the session into a shared daemon
-// (DESIGN.md §15):
-//
-//  * --serve --socket=PATH: run a long-lived compile daemon on a Unix
-//    domain socket. Every client shares this ONE session (one
-//    FlowCache/StageCache/ArtifactStore); SIGINT/SIGTERM or a client's
-//    shutdown request drain it gracefully and unlink the socket;
-//  * --connect=PATH: be a client — compile one kernel through the
-//    daemon (--emit/-o/--priority/--deadline-ms apply), or query it
-//    with --status (prints the daemon session's statsReport) or stop
-//    it with --shutdown.
 //
 // Exit codes: 0 success, 1 I/O or validation failure, 2 usage error,
 // 3 compile diagnostics (malformed DSL, infeasible constraints) — a
 // sweep or tune cut off by --deadline-ms also exits 3, with the
 // "job-queue" diagnostic reported the same way.
-//
-// Run `cfdc --help` for the full flag reference; a usage error prints
-// one line and a pointer to it.
 #include "core/Session.h"
 #include "dist/Coordinator.h"
 #include "dist/WorkerPoolSpawner.h"
@@ -48,12 +50,15 @@
 #include "support/Json.h"
 
 #include <algorithm>
+#include <bit>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -65,37 +70,97 @@ namespace {
 constexpr int kExitIo = 1;
 constexpr int kExitDiagnostics = 3;
 
+// The modes, one bit each, in kModes order. A sweep, tune or
+// distributed run prints a table unless --emit=json asks for its JSON
+// report, and the two take different flags, so each is a mode.
+constexpr unsigned kSingle = 1u << 0;
+constexpr unsigned kSweep = 1u << 1;
+constexpr unsigned kSweepJson = 1u << 2;
+constexpr unsigned kTune = 1u << 3;
+constexpr unsigned kTuneJson = 1u << 4;
+constexpr unsigned kServe = 1u << 5;
+constexpr unsigned kConnect = 1u << 6;
+constexpr unsigned kConnectControl = 1u << 7;
+constexpr unsigned kDistribute = 1u << 8;
+constexpr unsigned kDistributeJson = 1u << 9;
+constexpr unsigned kWorkers = 1u << 10;
+constexpr unsigned kWorkersJson = 1u << 11;
+// Mode sets the flag rows share.
+constexpr unsigned kTunes = kTune | kTuneJson;
+constexpr unsigned kLocalSpaces = kSweep | kSweepJson | kTunes;
+constexpr unsigned kDistributed =
+    kDistribute | kDistributeJson | kWorkers | kWorkersJson;
+constexpr unsigned kSpaces = kLocalSpaces | kDistributed; ///< --sweep axes
+constexpr unsigned kJsonReports =
+    kSweepJson | kTuneJson | kDistributeJson | kWorkersJson;
+/// Every mode that compiles the input kernel under the option flags.
+constexpr unsigned kCompiles = kSingle | kConnect | kSpaces;
+
+struct ModeInfo {
+  const char* name;
+  const char* help; ///< what selects the mode and what it does
+};
+
+constexpr ModeInfo kModes[] = {
+    {"single", "kernel.cfd and none of the flags below: compile one "
+               "configuration and print or write one artifact"},
+    {"sweep", "--sweep: compile every point of the axes' cross product in "
+              "parallel and print one table row per point (DESIGN.md §3)"},
+    {"sweep-json", "--sweep --emit=json: the canonical sweep report "
+                   "({schema, points, rows, frontier}) instead of the "
+                   "table; distributed runs are diffed against it"},
+    {"tune", "--tune: search the declared axes (or a default unroll x "
+             "sharing x decoupled space), score the objectives, and print "
+             "the evaluated points and the Pareto frontier (DESIGN.md §7)"},
+    {"tune-json", "--tune --emit=json: the JSON tuning report (DESIGN.md "
+                  "§8) instead of the table"},
+    {"serve", "--serve: a long-lived compile daemon whose one session "
+              "every client shares over a Unix domain socket; no input "
+              "file (DESIGN.md §15)"},
+    {"connect", "--connect=PATH kernel.cfd: compile through the daemon "
+                "at PATH instead of in-process"},
+    {"connect-control", "--connect=PATH with --status or --shutdown: "
+                        "query or stop that daemon; no input file"},
+    {"distribute", "--distribute=N: shard the --sweep points over N "
+                   "worker daemons forked for the run and print the "
+                   "merged table (DESIGN.md §16)"},
+    {"distribute-json", "--distribute=N --emit=json: the merged sweep "
+                        "report, byte-identical to sweep-json"},
+    {"workers", "--workers=S1,...: shard the --sweep points over daemons "
+                "already running on these sockets"},
+    {"workers-json", "--workers=S1,... --emit=json: the merged sweep "
+                     "report"},
+};
+static_assert(kWorkersJson == 1u << (std::size(kModes) - 1),
+              "one kModes entry per mode bit, in bit order");
+
 struct CliOptions {
+  unsigned mode = kSingle; ///< the one mode bit selectMode picked
   std::string inputPath;
   std::string emit = "report";
   std::string outputPath;
   cfd::FlowOptions flow;
+  /// Option flags re-recorded as tune params (unroll, m, k, ...), so
+  /// --connect and the distributed modes can forward them over the
+  /// wire instead of resolving them locally.
+  std::vector<std::pair<std::string, std::string>> paramSpecs;
   std::int64_t simulateElements = 0;
   bool validate = false;
   bool printIrBefore = false;
   bool printIrAfter = false;
-  bool emitExplicit = false;
+  bool diagnosticsJson = false;
   std::vector<cfd::TuneAxis> sweeps;
-  bool jobsExplicit = false;
-  int jobs = 0;
-  bool deadlineMsExplicit = false;
+  std::optional<int> jobs;
   int deadlineMs = 0;
   bool explainCache = false;
-  bool stageCacheMbExplicit = false;
-  int stageCacheMb = 0;
+  std::optional<int> stageCacheMb;
   std::string cacheDir;
   bool tune = false;
   cfd::SearchStrategy strategy = cfd::SearchStrategy::Exhaustive;
   std::uint64_t seed = 1;
-  bool samplesExplicit = false;
-  std::size_t samples = 16;
-  bool maxStepsExplicit = false;
-  std::size_t maxSteps = 32;
+  std::optional<std::size_t> samples;
+  std::optional<std::size_t> maxSteps;
   std::vector<std::string> objectiveNames;
-  /// Name of the first --tune-only flag seen, for the without---tune
-  /// diagnostic (these must never be silently ignored).
-  std::string tuneOnlyFlag;
-  bool diagnosticsJson = false;
   // Daemon modes (DESIGN.md §15).
   bool serve = false;
   std::string socketPath;
@@ -104,150 +169,9 @@ struct CliOptions {
   bool shutdownRequest = false;
   std::string priority;
   // Distributed sweeps (DESIGN.md §16).
-  bool distributeExplicit = false;
   int distribute = 0;
   std::vector<std::string> workerSockets;
-  /// Option flags re-recorded as tune params (unroll, m, k, ...), so
-  /// --connect can forward them over the wire instead of resolving
-  /// them locally.
-  std::vector<std::pair<std::string, std::string>> paramSpecs;
 };
-
-/// --help: the flag reference on stdout, exit 0.
-[[noreturn]] void help() {
-  std::cout <<
-      R"(usage: cfdc [options] kernel.cfd
-
-Single-shot compilation:
-  --emit=c|mnemosyne|host|dot|report   artifact to print (default: report);
-                                       --emit=json is valid with --tune only
-  -o <file>                write the artifact (or the --tune JSON report)
-                           to a file instead of stdout
-  --no-sharing             disable PLM address-space sharing (paper Fig. 5)
-  --coupled                keep temporaries inside the HLS accelerator
-                           (no Mnemosyne decoupling)
-  --m=N                    force the number of PLM units (0 = fit device)
-  --k=N                    force the number of accelerators (0 = equal m)
-  --unroll=N               innermost unroll factor / PLM banks
-  --opt-level=N            IR optimizer level (default: 1): 0 =
-                           canonicalize only, 1 = +cse/fold/dce,
-                           2 = +copy/contraction fusion (DESIGN.md §12)
-  --print-ir-before        dump the tensor IR before the optimizer ran
-                           (stderr; single-shot only)
-  --print-ir-after         dump the optimized tensor IR plus the
-                           per-pass rewrite summary (stderr;
-                           single-shot only)
-  --objective=hw|sw        rescheduling objective (default: hw)
-  --layout=rowmajor|colmajor  default tensor layout (default: rowmajor)
-  --simulate=Ne            simulate Ne elements on the platform model
-  --validate               compare the schedule against the Eq. 1
-                           reference semantics (exit 1 above 1e-8)
-  --diagnostics=json       on a compile failure, print the structured
-                           diagnostics (severity, stage, line/column)
-                           as JSON on stdout instead of text on stderr;
-                           the exit code stays 3
-  --cache-dir=DIR          root of the persistent artifact store
-                           (DESIGN.md §13); defaults to $CFD_CACHE_DIR,
-                           neither set = in-memory caches only. All
-                           modes use it: stage prefixes published by
-                           any earlier process are adopted from disk,
-                           and this process publishes its own
-
-Design-space search:
-  --sweep=key=v1,v2,...    declare one axis (repeatable, one per key;
-                           axes combine as a cross product of at most
-                           65536 points). Keys: unroll|opt|m|k|
-                           sharing|decoupled|objective|layout
-  --jobs=N                 worker threads for --sweep/--tune (0 = auto);
-                           an error without one of those modes
-  --deadline-ms=N          deadline of the --sweep/--tune run, which is
-                           one job on the session's queue (DESIGN.md
-                           §11): at expiry the job is cancelled at the
-                           next stage boundary, reported as a
-                           "job-queue" diagnostic, and the run exits 3
-                           without a table. An error on a single-shot
-                           compile
-  --explain-cache          add a per-row "resumed" column to --sweep/
-                           --tune tables: the first pipeline stage that
-                           actually ran for that point ("flow-cache" =
-                           whole compile reused, "stage-cache" = all
-                           stage artifacts adopted, "parse" = cold). An
-                           error without one of those modes
-  --stage-cache-mb=N       bound the stage-artifact cache behind
-                           incremental compilation to ~N MB (0 =
-                           unbounded; default 64). An error without
-                           --sweep/--tune
-  --tune[=STRATEGY]        search the declared axes (or a default
-                           unroll x sharing x decoupled space when no
-                           --sweep is given) instead of printing every
-                           row. STRATEGY: exhaustive (default) | random
-                           | hillclimb. Prints evaluated points and the
-                           Pareto frontier; deterministic for a fixed
-                           seed and space (DESIGN.md §7)
-  --strategy=NAME          same as --tune=NAME; requires --tune
-  --seed=N                 random-strategy seed (default: 1)
-  --samples=N              random-strategy distinct points (default: 16);
-                           requires --strategy=random
-  --max-steps=N            hill-climb move cap (default: 32); requires
-                           --strategy=hillclimb
-  --objectives=a,b,...     scoring objectives, all minimized: latency|
-                           bram|dsp|lut|compile_ms (default: latency,bram)
-
-Compile daemon (DESIGN.md §15):
-  --serve                  run a long-lived compile daemon: many clients
-                           share this one session's caches over a Unix
-                           domain socket. Combines with --jobs,
-                           --stage-cache-mb, and --cache-dir only (no
-                           input file; clients send sources). SIGINT/
-                           SIGTERM or a shutdown request drain running
-                           jobs, cancel queued ones, and remove the
-                           socket; a stale socket file left by a crash
-                           is replaced on startup
-  --socket=PATH            the daemon's listening socket (required with
-                           --serve, an error without it)
-  --connect=PATH           compile KERNEL.cfd through the daemon at PATH
-                           instead of in-process; --emit/-o (and the
-                           option flags above) apply, and
-                           --diagnostics=json renders remote failures
-                           exactly like local ones
-  --status                 with --connect: print the daemon session's
-                           statsReport() (same text single-shot mode
-                           prints) instead of compiling
-  --shutdown               with --connect: ask the daemon to drain and
-                           exit
-  --priority=low|normal|high  queue priority of the submitted request
-                           (requires --connect; default normal);
-                           --deadline-ms also applies to --connect
-
-Distributed sweeps (DESIGN.md §16):
-  --distribute=N           shard the --sweep cross product across N
-                           local worker daemons forked for the run (each
-                           serves the --serve protocol with its own
-                           session) and merge the results —
-                           byte-identical to the single-process sweep.
-                           --jobs=N sets each worker's session threads
-                           (default 1); --deadline-ms becomes the
-                           per-chunk straggler deadline
-  --workers=S1,S2,...      like --distribute, but dispatch to already
-                           running daemons on these sockets instead of
-                           spawning any (mutually exclusive with
-                           --distribute; worker sessions must run
-                           default options for identical results)
-
-With --tune, --emit=json prints the JSON report (DESIGN.md §8) on
-stdout and -o writes it to a file; --simulate=Ne makes the latency
-objective include AXI transfer costs. With --sweep, --emit=json prints
-the canonical sweep report ({schema, points, rows, frontier}) instead
-of the table — the byte-identity surface distributed runs are diffed
-against — and excludes --simulate/--explain-cache, whose columns the
-report deliberately omits.
-
-Exit codes: 0 success; 1 I/O or validation failure; 2 usage error;
-3 compile diagnostics (malformed DSL, infeasible constraints; also a
---sweep/--tune cut off by --deadline-ms).
-)";
-  std::exit(0);
-}
 
 /// A usage error: one line naming it and a pointer to --help, exit 2.
 [[noreturn]] void usage(const std::string& error) {
@@ -256,12 +180,14 @@ Exit codes: 0 success; 1 I/O or validation failure; 2 usage error;
   std::exit(2);
 }
 
-bool consumeValue(const std::string& arg, const std::string& prefix,
-                  std::string& value) {
-  if (arg.rfind(prefix, 0) != 0)
-    return false;
-  value = arg.substr(prefix.size());
-  return true;
+/// Runs one of the core's value parsers, turning its FlowError into a
+/// usage error.
+template <typename Parse> auto orUsage(Parse parse) {
+  try {
+    return parse();
+  } catch (const cfd::FlowError& e) {
+    usage(e.what());
+  }
 }
 
 bool isDigit(char c) { return c >= '0' && c <= '9'; }
@@ -302,15 +228,11 @@ std::vector<std::string> splitCsv(const std::string& csv) {
   return parts;
 }
 
-/// Applies one key=value to a variant through the shared core parser,
-/// converting FlowError into a CLI usage error.
-void applySweepValue(cfd::FlowOptions& options, const std::string& key,
-                     const std::string& value) {
-  try {
-    cfd::applyTuneParam(options, key, value);
-  } catch (const cfd::FlowError& e) {
-    usage(e.what());
-  }
+/// An option flag: applied to the local options through the shared
+/// core parser and recorded as a tune param.
+void param(CliOptions& options, const char* key, const std::string& value) {
+  orUsage([&] { return cfd::applyTuneParam(options.flow, key, value); });
+  options.paramSpecs.emplace_back(key, value);
 }
 
 /// Splits one --sweep=key=v1,v2,... spec; the keys and values are
@@ -325,143 +247,376 @@ cfd::TuneAxis parseSweepAxis(const std::string& spec) {
   return axis;
 }
 
+cfd::SearchStrategy strategyNamed(const std::string& name) {
+  return orUsage([&] { return cfd::searchStrategyByName(name); });
+}
+
+/// How a flag takes its value.
+enum class Arg {
+  None,  ///< --flag
+  Value, ///< --flag=VALUE
+  File,  ///< -o FILE: the next argument
+};
+
+/// One row of the flag table.
+struct Flag {
+  const char* name;
+  Arg arg;
+  const char* meta; ///< the value's placeholder in --help
+  unsigned modes;   ///< the modes the flag applies to
+  const char* help;
+  void (*read)(CliOptions&, const std::string& value);
+};
+
+using V = const std::string&; ///< a reader's value parameter
+
+// A flag matches the first row whose spelling it has, so --emit=json
+// comes before --emit=KIND.
+constexpr Flag kFlags[] = {
+    {"--emit=json", Arg::None, "", kJsonReports,
+     "print the run's JSON report instead of its table: the canonical "
+     "sweep report of a sweep, distributed or not, or the tuning report "
+     "of a tune",
+     [](CliOptions& o, V) { o.emit = "json"; }},
+    {"--emit", Arg::Value, "c|mnemosyne|host|dot|report", kSingle | kConnect,
+     "artifact to print (default: report)",
+     [](CliOptions& o, V v) {
+       orUsage([&] { return &cfd::artifactKindByName(v); });
+       o.emit = v;
+     }},
+    {"-o", Arg::File, "FILE", kSingle | kConnect | kTunes | kJsonReports,
+     "write the artifact or the JSON report to FILE instead of stdout (a "
+     "tune still prints its table)",
+     [](CliOptions& o, V v) { o.outputPath = v; }},
+    {"--no-sharing", Arg::None, "", kCompiles,
+     "disable PLM address-space sharing (paper Fig. 5)",
+     [](CliOptions& o, V) { param(o, "sharing", "0"); }},
+    {"--coupled", Arg::None, "", kCompiles,
+     "keep temporaries inside the HLS accelerator (no Mnemosyne "
+     "decoupling)",
+     [](CliOptions& o, V) { param(o, "decoupled", "0"); }},
+    {"--m", Arg::Value, "N", kCompiles,
+     "force the number of PLM units (0 = fit device)",
+     [](CliOptions& o, V v) {
+       parseInt(v, "--m");
+       param(o, "m", v);
+     }},
+    {"--k", Arg::Value, "N", kCompiles,
+     "force the number of accelerators (0 = equal m)",
+     [](CliOptions& o, V v) {
+       parseInt(v, "--k");
+       param(o, "k", v);
+     }},
+    {"--unroll", Arg::Value, "N", kCompiles,
+     "innermost unroll factor / PLM banks",
+     [](CliOptions& o, V v) {
+       parseInt(v, "--unroll");
+       param(o, "unroll", v);
+     }},
+    {"--opt-level", Arg::Value, "N", kCompiles,
+     "IR optimizer level (default: 1): 0 = canonicalize only, 1 = "
+     "+cse/fold/dce, 2 = +copy/contraction fusion (DESIGN.md §12)",
+     [](CliOptions& o, V v) { param(o, "opt", v); }},
+    {"--objective", Arg::Value, "hw|sw", kCompiles,
+     "rescheduling objective (default: hw)",
+     [](CliOptions& o, V v) { param(o, "objective", v); }},
+    {"--layout", Arg::Value, "rowmajor|colmajor", kCompiles,
+     "default tensor layout (default: rowmajor)",
+     [](CliOptions& o, V v) { param(o, "layout", v); }},
+    {"--print-ir-before", Arg::None, "", kSingle,
+     "dump the tensor IR before the optimizer ran (stderr)",
+     [](CliOptions& o, V) { o.printIrBefore = true; }},
+    {"--print-ir-after", Arg::None, "", kSingle,
+     "dump the optimized tensor IR plus the per-pass rewrite summary "
+     "(stderr)",
+     [](CliOptions& o, V) { o.printIrAfter = true; }},
+    {"--simulate", Arg::Value, "Ne", kSingle | kSweep | kTunes,
+     "simulate Ne elements on the platform model; a tune's latency "
+     "objective then includes AXI transfer costs",
+     [](CliOptions& o, V v) {
+       o.simulateElements = parseNonNegativeInt(v, "--simulate");
+     }},
+    {"--validate", Arg::None, "", kSingle,
+     "compare the schedule against the Eq. 1 reference semantics (exit 1 "
+     "above 1e-8)",
+     [](CliOptions& o, V) { o.validate = true; }},
+    {"--diagnostics", Arg::Value, "json", kSingle | kConnect | kConnectControl,
+     "on a compile failure, print the structured diagnostics (severity, "
+     "stage, line/column) as JSON on stdout instead of text on stderr; "
+     "the exit code stays 3. Remote failures render exactly like local "
+     "ones",
+     [](CliOptions& o, V v) {
+       if (v != "json")
+         usage("--diagnostics only supports json (got '" + v + "')");
+       o.diagnosticsJson = true;
+     }},
+    {"--cache-dir", Arg::Value, "DIR", kSingle | kLocalSpaces | kServe,
+     "root of the persistent artifact store (DESIGN.md §13); defaults to "
+     "$CFD_CACHE_DIR, neither set = in-memory caches only. Stage prefixes "
+     "published by any earlier process are adopted from disk, and this "
+     "process publishes its own",
+     [](CliOptions& o, V v) {
+       if (v.empty())
+         usage("--cache-dir expects a directory path");
+       o.cacheDir = v;
+     }},
+    {"--sweep", Arg::Value, "key=v1,v2,...", kSpaces,
+     "declare one axis (repeatable, one per key; axes combine as a cross "
+     "product of at most 65536 points). Keys: unroll|opt|m|k|sharing|"
+     "decoupled|objective|layout",
+     [](CliOptions& o, V v) { o.sweeps.push_back(parseSweepAxis(v)); }},
+    {"--jobs", Arg::Value, "N", kLocalSpaces | kServe | kDistribute |
+                                    kDistributeJson,
+     "worker threads of the session (0 = auto); with --distribute, of "
+     "each worker's session (default 1)",
+     [](CliOptions& o, V v) { o.jobs = parseNonNegativeInt(v, "--jobs"); }},
+    {"--deadline-ms", Arg::Value, "N", kSpaces | kConnect,
+     "deadline of the run, which is one job on the session's queue "
+     "(DESIGN.md §11): at expiry the job is cancelled at the next stage "
+     "boundary, reported as a \"job-queue\" diagnostic, and the run exits "
+     "3 without a table. With --connect the request's deadline; in a "
+     "distributed sweep the per-chunk straggler deadline",
+     [](CliOptions& o, V v) {
+       o.deadlineMs = parseNonNegativeInt(v, "--deadline-ms");
+     }},
+    {"--explain-cache", Arg::None, "", kSweep | kTune,
+     "add a per-row \"resumed\" column to the table: the first pipeline "
+     "stage that actually ran for that point (\"flow-cache\" = whole "
+     "compile reused, \"stage-cache\" = all stage artifacts adopted, "
+     "\"parse\" = cold)",
+     [](CliOptions& o, V) { o.explainCache = true; }},
+    {"--stage-cache-mb", Arg::Value, "N", kLocalSpaces | kServe,
+     "bound the stage-artifact cache behind incremental compilation to ~N "
+     "MB (0 = unbounded; default 64)",
+     [](CliOptions& o, V v) {
+       o.stageCacheMb = parseNonNegativeInt(v, "--stage-cache-mb");
+     }},
+    {"--tune", Arg::None, "", kTunes,
+     "search the declared axes (or a default unroll x sharing x decoupled "
+     "space when no --sweep is given) instead of printing every row; "
+     "deterministic for a fixed seed and space (DESIGN.md §7)",
+     [](CliOptions& o, V) { o.tune = true; }},
+    {"--tune", Arg::Value, "STRATEGY", kTunes,
+     "--tune with a strategy: exhaustive (default) | random | hillclimb",
+     [](CliOptions& o, V v) {
+       o.tune = true;
+       o.strategy = strategyNamed(v);
+     }},
+    {"--strategy", Arg::Value, "NAME", kTunes, "same as --tune=NAME",
+     [](CliOptions& o, V v) { o.strategy = strategyNamed(v); }},
+    {"--seed", Arg::Value, "N", kTunes, "random-strategy seed (default: 1)",
+     [](CliOptions& o, V v) {
+       o.seed = static_cast<std::uint64_t>(parseNonNegativeInt(v, "--seed"));
+     }},
+    {"--samples", Arg::Value, "N", kTunes,
+     "random-strategy distinct points (default: 16); an error under any "
+     "other strategy",
+     [](CliOptions& o, V v) {
+       o.samples =
+           static_cast<std::size_t>(parseNonNegativeInt(v, "--samples"));
+     }},
+    {"--max-steps", Arg::Value, "N", kTunes,
+     "hill-climb move cap (default: 32); an error under any other strategy",
+     [](CliOptions& o, V v) {
+       o.maxSteps =
+           static_cast<std::size_t>(parseNonNegativeInt(v, "--max-steps"));
+     }},
+    {"--objectives", Arg::Value, "a,b,...", kTunes,
+     "scoring objectives, all minimized: latency|bram|dsp|lut|compile_ms "
+     "(default: latency,bram)",
+     [](CliOptions& o, V v) {
+       o.objectiveNames = splitCsv(v);
+       if (o.objectiveNames.empty())
+         usage("--objectives has no values");
+     }},
+    {"--serve", Arg::None, "", kServe,
+     "run a long-lived compile daemon on --socket (required). SIGINT/"
+     "SIGTERM or a shutdown request stop accepting, cancel queued jobs, "
+     "drain running ones within a bound (DESIGN.md §15), and remove the "
+     "socket; a stale socket file left by a crash is replaced on startup",
+     [](CliOptions& o, V) { o.serve = true; }},
+    {"--socket", Arg::Value, "PATH", kServe, "the daemon's listening socket",
+     [](CliOptions& o, V v) {
+       if (v.empty())
+         usage("--socket expects a socket path");
+       o.socketPath = v;
+     }},
+    {"--connect", Arg::Value, "PATH", kConnect | kConnectControl,
+     "send the request to the daemon at PATH",
+     [](CliOptions& o, V v) {
+       if (v.empty())
+         usage("--connect expects a socket path");
+       o.connectPath = v;
+     }},
+    {"--status", Arg::None, "", kConnectControl,
+     "print the daemon session's statsReport() (the text a local sweep "
+     "prints) instead of compiling",
+     [](CliOptions& o, V) { o.statusRequest = true; }},
+    {"--shutdown", Arg::None, "", kConnectControl,
+     "ask the daemon to drain and exit (not with --status)",
+     [](CliOptions& o, V) { o.shutdownRequest = true; }},
+    {"--priority", Arg::Value, "low|normal|high", kConnect,
+     "queue priority of the request (default: normal)",
+     [](CliOptions& o, V v) {
+       if (v != "low" && v != "normal" && v != "high")
+         usage("--priority expects low|normal|high (got '" + v + "')");
+       o.priority = v;
+     }},
+    {"--distribute", Arg::Value, "N", kDistribute | kDistributeJson,
+     "shard the --sweep points (required) across N local worker daemons "
+     "forked for the run, each serving the --serve protocol with its own "
+     "session, and merge the results, byte-identical to the "
+     "single-process sweep",
+     [](CliOptions& o, V v) {
+       o.distribute = parseInt(v, "--distribute");
+       if (o.distribute <= 0)
+         usage("--distribute expects a positive worker count (got '" + v +
+               "')");
+     }},
+    {"--workers", Arg::Value, "S1,S2,...", kWorkers | kWorkersJson,
+     "like --distribute, but dispatch to daemons already running on these "
+     "sockets instead of spawning any (not with --distribute; worker "
+     "sessions must run default options for identical results)",
+     [](CliOptions& o, V v) {
+       o.workerSockets = splitCsv(v);
+       if (o.workerSockets.empty())
+         usage("--workers expects a comma-separated socket list");
+     }},
+};
+
+/// The row `arg` spells, or nullptr.
+const Flag* findFlag(const std::string& arg) {
+  for (const Flag& flag : kFlags) {
+    const std::size_t n = std::strlen(flag.name);
+    if (arg.compare(0, n, flag.name) != 0)
+      continue;
+    if (flag.arg == Arg::Value ? arg.size() > n && arg[n] == '='
+                               : arg.size() == n)
+      return &flag;
+  }
+  return nullptr;
+}
+
+/// The names of the modes in `modes`, comma-separated.
+std::string modeNames(unsigned modes) {
+  std::string names;
+  for (std::size_t i = 0; i < std::size(kModes); ++i)
+    if ((modes >> i & 1u) != 0)
+      names += (names.empty() ? "" : ", ") + std::string(kModes[i].name);
+  return names;
+}
+
+constexpr std::size_t kHelpWidth = 78;
+constexpr std::size_t kHelpIndent = 27;
+
+/// Prints `text` flowed into lines of at most kHelpWidth columns, the
+/// first continuing at `column`, the rest starting at `indent`.
+void printWrapped(const std::string& text, std::size_t indent,
+                  std::size_t column) {
+  std::istringstream words(text);
+  std::string word;
+  for (bool first = true; words >> word; first = false) {
+    if (!first && column + 1 + word.size() > kHelpWidth) {
+      std::cout << "\n" << std::string(indent, ' ');
+      column = indent;
+    } else if (!first) {
+      std::cout << ' ';
+      ++column;
+    }
+    std::cout << word;
+    column += word.size();
+  }
+  std::cout << "\n";
+}
+
+/// --help: the modes and the flag table on stdout, exit 0.
+[[noreturn]] void help() {
+  std::cout << "usage: cfdc [options] kernel.cfd\n"
+               "       cfdc --serve --socket=PATH [options]\n"
+               "       cfdc --connect=PATH [options] kernel.cfd|--status|"
+               "--shutdown\n\n";
+  printWrapped("The flags given select one mode. Each flag below names the "
+               "modes it applies to; given in any other mode it is a usage "
+               "error (exit 2). README.md \"Using the CLI\" has worked "
+               "examples.",
+               0, 0);
+  std::cout << "\nModes:\n";
+  for (const ModeInfo& mode : kModes) {
+    std::cout << "  " << cfd::padRight(mode.name, 17);
+    printWrapped(mode.help, 19, 19);
+  }
+  std::cout << "\nFlags:\n";
+  for (const Flag& flag : kFlags) {
+    std::string spelling = std::string("  ") + flag.name;
+    if (flag.arg == Arg::Value)
+      spelling += std::string("=") + flag.meta;
+    else if (flag.arg == Arg::File)
+      spelling += std::string(" ") + flag.meta;
+    std::cout << spelling;
+    if (spelling.size() + 1 > kHelpIndent)
+      std::cout << "\n" << std::string(kHelpIndent, ' ');
+    else
+      std::cout << std::string(kHelpIndent - spelling.size(), ' ');
+    printWrapped(flag.help, kHelpIndent, kHelpIndent);
+    std::cout << std::string(kHelpIndent, ' ');
+    printWrapped("modes: " + modeNames(flag.modes), kHelpIndent + 7,
+                 kHelpIndent);
+  }
+  std::cout << "\n";
+  printWrapped("Exit codes: 0 success; 1 I/O or validation failure; 2 usage "
+               "error; 3 compile diagnostics (malformed DSL, infeasible "
+               "constraints; also a --sweep/--tune cut off by "
+               "--deadline-ms).",
+               0, 0);
+  std::exit(0);
+}
+
+/// The one mode the mode-selecting flags name.
+unsigned selectMode(const CliOptions& options) {
+  const bool json = options.emit == "json";
+  if (options.serve)
+    return kServe;
+  if (!options.connectPath.empty())
+    return options.statusRequest || options.shutdownRequest ? kConnectControl
+                                                            : kConnect;
+  if (options.distribute > 0)
+    return json ? kDistributeJson : kDistribute;
+  if (!options.workerSockets.empty())
+    return json ? kWorkersJson : kWorkers;
+  if (options.tune)
+    return json ? kTuneJson : kTune;
+  if (!options.sweeps.empty())
+    return json ? kSweepJson : kSweep;
+  return kSingle;
+}
+
 CliOptions parseArgs(const std::vector<std::string>& args) {
   CliOptions options;
+  // Each flag given, as typed, with its row: the mode check below.
+  std::vector<std::pair<const Flag*, std::string>> given;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    std::string value;
-    if (arg == "--help" || arg == "-h") {
+    if (arg == "--help" || arg == "-h")
       help();
-    } else if (consumeValue(arg, "--emit=", value)) {
-      options.emit = value;
-      options.emitExplicit = true;
-    } else if (arg == "-o") {
-      if (++i >= args.size())
-        usage("-o requires a file name");
-      options.outputPath = args[i];
-    } else if (arg == "--no-sharing") {
-      options.flow.memory.enableSharing = false;
-      options.paramSpecs.emplace_back("sharing", "0");
-    } else if (arg == "--coupled") {
-      options.flow.memory.decoupled = false;
-      options.paramSpecs.emplace_back("decoupled", "0");
-    } else if (consumeValue(arg, "--m=", value)) {
-      options.flow.system.memories = parseInt(value, "--m");
-      options.paramSpecs.emplace_back("m", value);
-    } else if (consumeValue(arg, "--k=", value)) {
-      options.flow.system.kernels = parseInt(value, "--k");
-      options.paramSpecs.emplace_back("k", value);
-    } else if (consumeValue(arg, "--unroll=", value)) {
-      options.flow.hls.unrollFactor = parseInt(value, "--unroll");
-      options.paramSpecs.emplace_back("unroll", value);
-    } else if (consumeValue(arg, "--opt-level=", value)) {
-      applySweepValue(options.flow, "opt", value);
-      options.paramSpecs.emplace_back("opt", value);
-    } else if (arg == "--print-ir-before") {
-      options.printIrBefore = true;
-    } else if (arg == "--print-ir-after") {
-      options.printIrAfter = true;
-    } else if (consumeValue(arg, "--objective=", value)) {
-      applySweepValue(options.flow, "objective", value);
-      options.paramSpecs.emplace_back("objective", value);
-    } else if (consumeValue(arg, "--layout=", value)) {
-      applySweepValue(options.flow, "layout", value);
-      options.paramSpecs.emplace_back("layout", value);
-    } else if (consumeValue(arg, "--simulate=", value)) {
-      options.simulateElements = parseNonNegativeInt(value, "--simulate");
-    } else if (consumeValue(arg, "--sweep=", value)) {
-      options.sweeps.push_back(parseSweepAxis(value));
-    } else if (consumeValue(arg, "--jobs=", value)) {
-      options.jobs = parseNonNegativeInt(value, "--jobs");
-      options.jobsExplicit = true;
-    } else if (consumeValue(arg, "--deadline-ms=", value)) {
-      options.deadlineMs = parseNonNegativeInt(value, "--deadline-ms");
-      options.deadlineMsExplicit = true;
-    } else if (arg == "--explain-cache") {
-      options.explainCache = true;
-    } else if (consumeValue(arg, "--stage-cache-mb=", value)) {
-      options.stageCacheMb = parseNonNegativeInt(value, "--stage-cache-mb");
-      options.stageCacheMbExplicit = true;
-    } else if (consumeValue(arg, "--cache-dir=", value)) {
-      if (value.empty())
-        usage("--cache-dir expects a directory path");
-      options.cacheDir = value;
-    } else if (arg == "--tune") {
-      options.tune = true;
-    } else if (consumeValue(arg, "--tune=", value)) {
-      options.tune = true;
-      try {
-        options.strategy = cfd::searchStrategyByName(value);
-      } catch (const cfd::FlowError& e) {
-        usage(e.what());
-      }
-    } else if (consumeValue(arg, "--strategy=", value)) {
-      try {
-        options.strategy = cfd::searchStrategyByName(value);
-      } catch (const cfd::FlowError& e) {
-        usage(e.what());
-      }
-      options.tuneOnlyFlag = "--strategy";
-    } else if (consumeValue(arg, "--seed=", value)) {
-      options.seed =
-          static_cast<std::uint64_t>(parseNonNegativeInt(value, "--seed"));
-      options.tuneOnlyFlag = "--seed";
-    } else if (consumeValue(arg, "--samples=", value)) {
-      options.samples = static_cast<std::size_t>(
-          parseNonNegativeInt(value, "--samples"));
-      options.samplesExplicit = true;
-      options.tuneOnlyFlag = "--samples";
-    } else if (consumeValue(arg, "--max-steps=", value)) {
-      options.maxSteps = static_cast<std::size_t>(
-          parseNonNegativeInt(value, "--max-steps"));
-      options.maxStepsExplicit = true;
-      options.tuneOnlyFlag = "--max-steps";
-    } else if (consumeValue(arg, "--objectives=", value)) {
-      options.objectiveNames = splitCsv(value);
-      if (options.objectiveNames.empty())
-        usage("--objectives has no values");
-      options.tuneOnlyFlag = "--objectives";
-    } else if (arg == "--serve") {
-      options.serve = true;
-    } else if (consumeValue(arg, "--socket=", value)) {
-      if (value.empty())
-        usage("--socket expects a socket path");
-      options.socketPath = value;
-    } else if (consumeValue(arg, "--connect=", value)) {
-      if (value.empty())
-        usage("--connect expects a socket path");
-      options.connectPath = value;
-    } else if (arg == "--status") {
-      options.statusRequest = true;
-    } else if (arg == "--shutdown") {
-      options.shutdownRequest = true;
-    } else if (consumeValue(arg, "--priority=", value)) {
-      if (value != "low" && value != "normal" && value != "high")
-        usage("--priority expects low|normal|high (got '" + value + "')");
-      options.priority = value;
-    } else if (consumeValue(arg, "--distribute=", value)) {
-      options.distribute = parseInt(value, "--distribute");
-      if (options.distribute <= 0)
-        usage("--distribute expects a positive worker count (got '" + value +
-              "')");
-      options.distributeExplicit = true;
-    } else if (consumeValue(arg, "--workers=", value)) {
-      options.workerSockets = splitCsv(value);
-      if (options.workerSockets.empty())
-        usage("--workers expects a comma-separated socket list");
-    } else if (arg == "--validate") {
-      options.validate = true;
-    } else if (consumeValue(arg, "--diagnostics=", value)) {
-      if (value != "json")
-        usage("--diagnostics only supports json (got '" + value + "')");
-      options.diagnosticsJson = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      usage("unknown option '" + arg + "'");
-    } else if (options.inputPath.empty()) {
+    const Flag* flag = findFlag(arg);
+    if (flag == nullptr) {
+      if (!arg.empty() && arg[0] == '-')
+        usage("unknown option '" + arg + "'");
+      if (!options.inputPath.empty())
+        usage("multiple input files");
       options.inputPath = arg;
-    } else {
-      usage("multiple input files");
+      continue;
     }
+    std::string value;
+    if (flag->arg == Arg::Value) {
+      value = arg.substr(std::strlen(flag->name) + 1);
+    } else if (flag->arg == Arg::File) {
+      if (++i >= args.size())
+        usage(arg + " requires a file name");
+      value = args[i];
+    }
+    flag->read(options, value);
+    given.emplace_back(flag, arg);
   }
   // Every mode's axes pass the one validator before anything expands
   // them: a bad key or value, a repeated key, or a space over
@@ -471,192 +626,56 @@ CliOptions parseArgs(const std::vector<std::string>& args) {
     if (!cfd::validateTuneAxes(options.sweeps, diagnostics))
       usage(diagnostics[0].message);
   }
-  // Daemon modes first (DESIGN.md §15): --serve and --connect reject
-  // every flag they would otherwise silently ignore, exactly like the
-  // --jobs / strategy-flag guards below.
-  if (options.serve && !options.connectPath.empty())
-    usage("--serve and --connect are mutually exclusive (one process is "
-          "either the daemon or a client)");
-  if (options.serve) {
-    if (options.socketPath.empty())
-      usage("--serve requires --socket=PATH (the daemon needs a socket to "
-            "listen on)");
-    if (!options.inputPath.empty())
-      usage("--serve takes no input file (clients submit sources over the "
-            "socket)");
-    if (options.tune || !options.sweeps.empty() || !options.tuneOnlyFlag.empty())
-      usage("--serve cannot be combined with --sweep/--tune flags (daemon "
-            "clients choose per request)");
-    if (options.emitExplicit || !options.outputPath.empty() ||
-        options.validate || options.simulateElements > 0 ||
-        options.printIrBefore || options.printIrAfter ||
-        options.diagnosticsJson)
-      usage("--serve cannot be combined with single-shot flags (--emit, -o, "
-            "--validate, --simulate, --print-ir-*, --diagnostics; daemon "
-            "clients choose per request)");
-    if (options.deadlineMsExplicit || options.explainCache)
-      usage("--serve cannot be combined with --deadline-ms or "
-            "--explain-cache (every daemon request is already a job; "
-            "clients set priorities and deadlines per request)");
-    if (options.statusRequest || options.shutdownRequest ||
-        !options.priority.empty())
-      usage("--status/--shutdown/--priority are client flags and require "
-            "--connect=PATH");
-    if (options.distributeExplicit || !options.workerSockets.empty())
-      usage("--serve cannot be combined with --distribute/--workers (a "
-            "daemon is a worker; the coordinator is a separate process)");
-    return options;
-  }
-  if (!options.socketPath.empty())
-    usage("--socket requires --serve (it names the daemon's listening "
-          "socket; clients use --connect=PATH)");
-  if (!options.connectPath.empty()) {
-    if (options.statusRequest && options.shutdownRequest)
-      usage("--status and --shutdown are mutually exclusive");
-    if ((options.statusRequest || options.shutdownRequest) &&
-        !options.inputPath.empty())
-      usage("--status/--shutdown take no input file (they query the "
-            "daemon, not a kernel)");
-    if (!options.statusRequest && !options.shutdownRequest &&
-        options.inputPath.empty())
-      usage("--connect needs an input file to compile (or --status / "
-            "--shutdown)");
-    if (options.tune || !options.sweeps.empty() ||
-        !options.tuneOnlyFlag.empty())
-      usage("--connect only submits single compiles (run sweeps/tunes "
-            "in-process; --cache-dir at the daemon's store shares its "
-            "compiles)");
-    if (options.jobsExplicit || options.explainCache ||
-        options.stageCacheMbExplicit || !options.cacheDir.empty())
-      usage("--jobs/--explain-cache/--stage-cache-mb/--cache-dir configure "
-            "a session and belong to the daemon (--serve), not to "
-            "--connect clients");
-    if (options.validate || options.simulateElements > 0 ||
-        options.printIrBefore || options.printIrAfter)
-      usage("--validate/--simulate/--print-ir-* need the flow in-process "
-            "and cannot be combined with --connect");
-    if (options.emitExplicit && options.emit == "json")
-      usage("--emit=json requires --tune or --sweep");
-    if (options.distributeExplicit || !options.workerSockets.empty())
-      usage("--connect submits one compile to one daemon; distributed "
-            "sweeps coordinate their own connections (--distribute or "
-            "--workers without --connect)");
-    return options;
-  }
-  if (options.statusRequest)
-    usage("--status requires --connect=PATH (it queries a running daemon)");
-  if (options.shutdownRequest)
-    usage("--shutdown requires --connect=PATH (it stops a running daemon)");
-  if (!options.priority.empty())
-    usage("--priority requires --connect (only daemon requests carry a "
-          "queue priority; local sweeps/tunes schedule themselves)");
+  // Two pairs of mode-selecting flags exclude each other outright.
+  if (options.distribute > 0 && !options.workerSockets.empty())
+    usage("--distribute and --workers are mutually exclusive (spawn fresh "
+          "workers or use running ones, not both)");
+  if (options.statusRequest && options.shutdownRequest)
+    usage("--status and --shutdown are mutually exclusive");
+  options.mode = selectMode(options);
+  for (const auto& [flag, text] : given)
+    if ((flag->modes & options.mode) == 0)
+      usage(text + " does not apply in " +
+            kModes[std::countr_zero(options.mode)].name +
+            " mode (its modes: " + modeNames(flag->modes) + ")");
 
-  if (options.inputPath.empty())
+  // The rules that are not about modes.
+  if (options.mode == kServe && options.socketPath.empty())
+    usage("--serve requires --socket=PATH (the daemon needs a socket to "
+          "listen on)");
+  if ((options.mode & kDistributed) != 0 && options.sweeps.empty())
+    usage("--distribute/--workers require --sweep axes (they shard a "
+          "sweep's design points)");
+  if (options.samples && options.strategy != cfd::SearchStrategy::Random)
+    usage("--samples requires --strategy=random (only the random "
+          "strategy draws samples)");
+  if (options.maxSteps && options.strategy != cfd::SearchStrategy::HillClimb)
+    usage("--max-steps requires --strategy=hillclimb (only the "
+          "hill-climb strategy takes steps)");
+  if (options.mode == kServe && !options.inputPath.empty())
+    usage("--serve takes no input file (clients submit sources over the "
+          "socket)");
+  if (options.mode == kConnectControl && !options.inputPath.empty())
+    usage("--status/--shutdown take no input file (they query the "
+          "daemon, not a kernel)");
+  if (options.mode == kConnect && options.inputPath.empty())
+    usage("--connect needs an input file to compile (or --status / "
+          "--shutdown)");
+  if ((options.mode & (kServe | kConnect | kConnectControl)) == 0 &&
+      options.inputPath.empty())
     usage("no input file");
-
-  // Distributed sweeps (DESIGN.md §16): one coordinator, N worker
-  // daemons. Every flag that configures the in-process session or its
-  // output columns is meaningless here — refuse, never ignore.
-  const bool distMode =
-      options.distributeExplicit || !options.workerSockets.empty();
-  if (distMode) {
-    if (options.distributeExplicit && !options.workerSockets.empty())
-      usage("--distribute and --workers are mutually exclusive (spawn "
-            "fresh workers or use running ones, not both)");
-    if (options.sweeps.empty())
-      usage("--distribute/--workers require --sweep axes (they shard a "
-            "sweep's design points)");
-    if (options.tune)
-      usage("--distribute/--workers cannot be combined with --tune "
-            "(only sweeps shard into independent points)");
-    if (options.validate || options.simulateElements > 0 ||
-        options.explainCache)
-      usage("--validate/--simulate/--explain-cache need the flows "
-            "in-process and cannot be combined with --distribute/--workers");
-    if (!options.cacheDir.empty() || options.stageCacheMbExplicit)
-      usage("--cache-dir/--stage-cache-mb configure a worker's session; "
-            "set them on the daemons (--serve), not on the coordinator");
-    if (options.jobsExplicit && !options.workerSockets.empty())
-      usage("--jobs sizes the workers --distribute spawns; daemons given "
-            "via --workers own their pools already");
-    if (options.emitExplicit && options.emit != "json")
-      usage("--distribute/--workers print a table or --emit=json (got "
-            "--emit=" + options.emit + ")");
-  }
-
-  // Refuse flag combinations that would otherwise be silently ignored.
-  if (options.tune) {
-    if (options.validate)
-      usage("--tune cannot be combined with --validate");
-    if (options.emitExplicit && options.emit != "json")
-      usage("--tune only supports --emit=json (got --emit=" + options.emit +
-            ")");
-    // Strategy-specific knobs on the wrong strategy would be silently
-    // ignored — refuse them, like the mode-only flags below.
-    if (options.samplesExplicit &&
-        options.strategy != cfd::SearchStrategy::Random)
-      usage("--samples requires --strategy=random (only the random "
-            "strategy draws samples)");
-    if (options.maxStepsExplicit &&
-        options.strategy != cfd::SearchStrategy::HillClimb)
-      usage("--max-steps requires --strategy=hillclimb (only the "
-            "hill-climb strategy takes steps)");
-  } else {
-    if (!options.tuneOnlyFlag.empty())
-      usage(options.tuneOnlyFlag + " requires --tune");
-    if (options.emitExplicit && options.emit == "json" &&
-        options.sweeps.empty())
-      usage("--emit=json requires --tune or --sweep");
-    const bool sweepJson = !options.sweeps.empty() &&
-                           options.emitExplicit && options.emit == "json";
-    if (!options.sweeps.empty() && options.validate)
-      usage("--sweep cannot be combined with --validate");
-    if (!options.sweeps.empty() && options.emitExplicit && !sweepJson)
-      usage("--sweep only supports --emit=json (got --emit=" +
-            options.emit + "); the default output is the table");
-    if (!options.sweeps.empty() && !options.outputPath.empty() && !sweepJson)
-      usage("-o with --sweep requires --emit=json (the table prints to "
-            "stdout)");
-    if (sweepJson && options.simulateElements > 0)
-      usage("--emit=json sweep reports carry no simulation columns; drop "
-            "--simulate or the json emit");
-    if (sweepJson && options.explainCache)
-      usage("--emit=json sweep reports carry no cache provenance; drop "
-            "--explain-cache or the json emit");
-    if (options.jobsExplicit && options.sweeps.empty())
-      usage("--jobs only applies to --sweep/--tune (single-shot compiles "
-            "run on one thread)");
-    if (options.explainCache && options.sweeps.empty())
-      usage("--explain-cache only applies to --sweep/--tune (a single-shot "
-            "compile has no cache to explain)");
-    if (options.stageCacheMbExplicit && options.sweeps.empty())
-      usage("--stage-cache-mb only applies to --sweep/--tune (a "
-            "single-shot compile does not populate the stage cache)");
-  }
-  if (options.diagnosticsJson && (options.tune || !options.sweeps.empty()))
-    usage("--diagnostics=json only applies to single-shot compiles "
-          "(sweep/tune report per-point errors in their own output)");
-  if ((options.printIrBefore || options.printIrAfter) &&
-      (options.tune || !options.sweeps.empty()))
-    usage("--print-ir-before/--print-ir-after only apply to single-shot "
-          "compiles (a sweep/tune has one IR dump per variant)");
-  if (options.deadlineMsExplicit && !options.tune && options.sweeps.empty())
-    usage("--deadline-ms applies to --sweep/--tune (the run's deadline), "
-          "--connect (the request's), or a distributed sweep (the "
-          "per-chunk straggler deadline)");
   return options;
 }
 
 /// Applies --stage-cache-mb to the session the sweep/tune will compile
 /// through.
 void applyStageCacheBound(const CliOptions& options, cfd::Session& session) {
-  if (!options.stageCacheMbExplicit)
+  if (!options.stageCacheMb)
     return;
   if (cfd::StageCache* cache = session.stageCache())
-    cache->setCapacityBytes(static_cast<std::size_t>(options.stageCacheMb)
+    cache->setCapacityBytes(static_cast<std::size_t>(*options.stageCacheMb)
                             << 20);
 }
-
 /// Session-level summary: request counters, pool state, both caches,
 /// plus the cross-row stage-adoption count of this sweep/tune.
 void printSessionSummary(const cfd::Session& session,
@@ -724,7 +743,7 @@ int runSweep(const CliOptions& options, cfd::Session& session,
   applyStageCacheBound(options, session);
   cfd::SweepRequest request(source);
   request.options(options.flow)
-      .workers(options.jobs)
+      .workers(options.jobs.value_or(0))
       .simulateElements(options.simulateElements);
   for (const cfd::TuneAxis& axis : options.sweeps)
     request.axis(axis.key, axis.values);
@@ -735,7 +754,7 @@ int runSweep(const CliOptions& options, cfd::Session& session,
   if (const int status = awaitJob(job))
     return status;
   const cfd::SweepResult& swept = *job.wait();
-  if (options.emitExplicit && options.emit == "json")
+  if (options.mode == kSweepJson)
     return writeSweepReport(
         options, cfd::dist::SweepCoordinator::fromSweepResult(swept));
   const cfd::ExplorationResult& result = swept.exploration;
@@ -799,11 +818,13 @@ int runTune(const CliOptions& options, cfd::Session& session,
   request.options(options.flow)
       .strategy(options.strategy)
       .seed(options.seed)
-      .samples(options.samples)
-      .maxSteps(options.maxSteps)
       .objectives(options.objectiveNames)
-      .workers(options.jobs)
+      .workers(options.jobs.value_or(0))
       .simulateElements(options.simulateElements);
+  if (options.samples)
+    request.samples(*options.samples);
+  if (options.maxSteps)
+    request.maxSteps(*options.maxSteps);
   for (const cfd::TuneAxis& axis : options.sweeps)
     request.axis(axis.key, axis.values);
 
@@ -823,7 +844,7 @@ int runTune(const CliOptions& options, cfd::Session& session,
     }
     out << json;
   }
-  if (options.emit == "json" && options.emitExplicit) {
+  if (options.mode == kTuneJson) {
     if (options.outputPath.empty())
       std::cout << json;
     return 0;
@@ -872,49 +893,11 @@ int runTune(const CliOptions& options, cfd::Session& session,
   return 0;
 }
 
-std::string report(const cfd::Flow& flow) {
-  std::ostringstream os;
-  os << "== tensor IR ==\n" << flow.program().str();
-  os << "\n== schedule ==\n" << flow.schedule().str();
-  os << "\n== HLS ==\n" << flow.kernelReport().str();
-  os << "\n== memory plan ==\n" << flow.memoryPlan().str(flow.program());
-  os << "\n== system ==\n" << flow.systemDesign().str();
-  return os.str();
-}
-
-/// One --emit kind: its Artifacts flag and the CompileResult accessor
-/// that returns the materialized text ("report" is the null entry —
-/// it is assembled from the flow instead).
-struct EmitKind {
-  const char* name;
-  cfd::Artifacts artifact;
-  const std::string& (cfd::CompileResult::*text)() const;
-};
-
-constexpr EmitKind kEmitKinds[] = {
-    {"c", cfd::Artifacts::CCode, &cfd::CompileResult::cCode},
-    {"mnemosyne", cfd::Artifacts::Mnemosyne,
-     &cfd::CompileResult::mnemosyneConfig},
-    {"host", cfd::Artifacts::HostCode, &cfd::CompileResult::hostCode},
-    {"dot", cfd::Artifacts::CompatibilityDot,
-     &cfd::CompileResult::compatibilityDot},
-};
-
 int runSingleShot(const CliOptions& options, cfd::Session& session,
                   const std::string& source) {
-  // Validate --emit before compiling: an unknown artifact is a usage
-  // error, not a compile failure.
-  const EmitKind* emitKind = nullptr;
-  for (const EmitKind& kind : kEmitKinds)
-    if (options.emit == kind.name)
-      emitKind = &kind;
-  if (emitKind == nullptr && options.emit != "report")
-    usage("unknown artifact '" + options.emit + "'");
-
+  const cfd::ArtifactKind& kind = cfd::artifactKindByName(options.emit);
   cfd::CompileRequest request(source);
-  request.options(options.flow);
-  if (emitKind != nullptr)
-    request.materialize(emitKind->artifact);
+  request.options(options.flow).materialize(kind.flag);
   const cfd::Expected<cfd::CompileResult> compiled =
       session.compile(request);
   if (!compiled)
@@ -932,9 +915,7 @@ int runSingleShot(const CliOptions& options, cfd::Session& session,
     std::cerr << "== IR after optimize ==\n" << flow.program().str()
               << "\n" << flow.optimizeReport().str();
 
-  const std::string artifact = emitKind != nullptr
-                                   ? ((*compiled).*(emitKind->text))()
-                                   : report(flow);
+  const std::string artifact = cfd::artifactText(*compiled, kind);
 
   if (options.outputPath.empty()) {
     std::cout << artifact;
@@ -981,8 +962,8 @@ void onStopSignal(int) {
 int runServe(const CliOptions& options) {
   // One session for the daemon's whole lifetime: every client shares
   // its FlowCache, StageCache, and (with --cache-dir) ArtifactStore.
-  cfd::Session session(cfd::SessionOptions{.workers = options.jobs,
-                                           .cacheDir = options.cacheDir});
+  cfd::Session session(cfd::SessionOptions{
+      .workers = options.jobs.value_or(0), .cacheDir = options.cacheDir});
   applyStageCacheBound(options, session);
 
   cfd::serve::Server server(session,
@@ -1038,16 +1019,8 @@ int runConnect(const CliOptions& options, const std::string& source) {
     return 0;
   }
 
-  // A --connect compile mirrors runSingleShot: validate --emit up
-  // front (usage error, not a daemon round-trip), then ask the daemon
-  // to materialize exactly that artifact.
-  bool knownEmit = options.emit == "report";
-  for (const EmitKind& kind : kEmitKinds)
-    if (options.emit == kind.name)
-      knownEmit = true;
-  if (!knownEmit)
-    usage("unknown artifact '" + options.emit + "'");
-
+  // A --connect compile mirrors runSingleShot: the daemon materializes
+  // exactly the --emit artifact.
   request.kind = cfd::serve::RequestKind::Compile;
   request.source = source;
   request.params = options.paramSpecs;
@@ -1098,7 +1071,7 @@ int runDistribute(const CliOptions& options, const std::string& source) {
 
   std::unique_ptr<cfd::dist::WorkerPoolSpawner> spawner;
   std::string socketDir;
-  if (options.distributeExplicit) {
+  if (options.distribute > 0) {
     char dirTemplate[] = "/tmp/cfdc-dist-XXXXXX";
     if (::mkdtemp(dirTemplate) == nullptr) {
       std::cerr << "cfdc: cannot create a socket directory in /tmp\n";
@@ -1107,7 +1080,7 @@ int runDistribute(const CliOptions& options, const std::string& source) {
     socketDir = dirTemplate;
     cfd::dist::SpawnOptions spawn;
     spawn.workers = options.distribute;
-    spawn.sessionWorkers = options.jobsExplicit ? options.jobs : 1;
+    spawn.sessionWorkers = options.jobs.value_or(1);
     spawn.socketDir = socketDir;
     spawner = std::make_unique<cfd::dist::WorkerPoolSpawner>(spawn);
     const cfd::Expected<bool> started = spawner->start();
@@ -1133,7 +1106,7 @@ int runDistribute(const CliOptions& options, const std::string& source) {
     return kExitDiagnostics;
   }
 
-  if (options.emitExplicit && options.emit == "json")
+  if ((options.mode & kJsonReports) != 0)
     return writeSweepReport(options, *swept);
 
   std::size_t labelWidth = 12;
@@ -1174,10 +1147,9 @@ int main(int argc, char** argv) {
 
   // Daemon modes never read a local input file themselves: --serve has
   // none, and --connect --status/--shutdown query the daemon directly.
-  if (options.serve)
+  if (options.mode == kServe)
     return runServe(options);
-  if (!options.connectPath.empty() &&
-      (options.statusRequest || options.shutdownRequest))
+  if (options.mode == kConnectControl)
     return runConnect(options, "");
 
   std::ifstream input(options.inputPath);
@@ -1188,26 +1160,26 @@ int main(int argc, char** argv) {
   std::stringstream source;
   source << input.rdbuf();
 
-  if (!options.connectPath.empty())
+  if (options.mode == kConnect)
     return runConnect(options, source.str());
 
   // Distributed sweeps dispatch before the local Session exists:
   // --distribute forks worker processes, which is only safe while this
   // process has no pool threads yet.
-  if (options.distributeExplicit || !options.workerSockets.empty())
+  if ((options.mode & kDistributed) != 0)
     return runDistribute(options, source.str());
 
   // One session per invocation (DESIGN.md §10): --sweep/--tune and the
   // single-shot path all compile through the same caches and pool.
   // --jobs sizes the pool itself (0 = auto), so an explicit request
   // above hardware_concurrency is honored, not clamped.
-  cfd::Session session(cfd::SessionOptions{.workers = options.jobs,
-                                           .cacheDir = options.cacheDir});
+  cfd::Session session(cfd::SessionOptions{
+      .workers = options.jobs.value_or(0), .cacheDir = options.cacheDir});
 
   try {
-    if (options.tune)
+    if ((options.mode & kTunes) != 0)
       return runTune(options, session, source.str());
-    if (!options.sweeps.empty())
+    if ((options.mode & (kSweep | kSweepJson)) != 0)
       return runSweep(options, session, source.str());
     return runSingleShot(options, session, source.str());
   } catch (const cfd::FlowError& e) {
