@@ -28,9 +28,12 @@ std::shared_ptr<const Flow> FlowCache::compile(const std::string& source,
                                                CancelToken cancel) {
   // Normalize before keying so every spelling of the same effective
   // configuration shares one entry (and matches what Pipeline compiles).
+  // The source is hashed once: its stage digest keys this map and, on a
+  // miss, the pipeline's stage keys.
   normalizeOptions(options);
+  const std::uint64_t sourceDigest = stageSourceDigest(source);
   Fnv1aHasher keyHasher;
-  keyHasher.mix(std::string_view(source));
+  keyHasher.mix(sourceDigest);
   keyHasher.mix(hashValue(options));
   const std::uint64_t key = keyHasher.value();
 
@@ -65,7 +68,8 @@ std::shared_ptr<const Flow> FlowCache::compile(const std::string& source,
       ++cache.misses_;
     }
   } failedMiss{*this};
-  auto pipeline = std::make_shared<Pipeline>(source, options, stageCache);
+  auto pipeline =
+      std::make_shared<Pipeline>(source, sourceDigest, options, stageCache);
   pipeline->setCancelToken(std::move(cancel));
   // Run here, not in Flow's constructor (then a no-op), so a failure
   // unwinds through one frame fewer.

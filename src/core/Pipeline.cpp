@@ -26,6 +26,15 @@ Pipeline::Pipeline(std::string source, FlowOptions options,
   keys_ = computeStageKeys(*source_, options_);
 }
 
+Pipeline::Pipeline(std::string source, std::uint64_t sourceDigest,
+                   FlowOptions options, StageCache* stageCache)
+    : source_(std::make_shared<const std::string>(std::move(source))),
+      cacheSource_(source_), options_(std::move(options)),
+      stageCache_(stageCache) {
+  normalizeOptions(options_);
+  keys_ = computeStageKeys(sourceDigest, options_);
+}
+
 bool Pipeline::hasRun(Stage stage) const { return materialized(stage); }
 
 bool Pipeline::materialized(Stage stage) const {

@@ -58,6 +58,10 @@ public:
   /// and publishes newly computed artifacts back.
   explicit Pipeline(std::string source, FlowOptions options = {},
                     StageCache* stageCache = nullptr);
+  /// The same, with the caller's stageSourceDigest(source), so a caller
+  /// that already hashed the source does not hash it again.
+  Pipeline(std::string source, std::uint64_t sourceDigest,
+           FlowOptions options, StageCache* stageCache);
 
   /// Materializes `stage` and its dependence closure, adopting the
   /// longest cached prefix first. Throws DiagnosedError (a FlowError) on

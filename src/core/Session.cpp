@@ -265,17 +265,13 @@ Expected<SweepResult> Session::sweepImpl(const SweepRequest& request,
     variants.reserve(points.size());
     result.labels.reserve(points.size());
     for (const SweepPoint& point : points) {
-      FlowOptions options = base;
-      for (const auto& [key, value] : point.params) {
-        try {
-          applyTuneParam(options, key, value);
-        } catch (const FlowError& e) {
-          diagnostics.error({}, e.what(), "options");
-          countFailure();
-          return Expected<SweepResult>::failure(std::move(diagnostics));
-        }
+      try {
+        variants.push_back(optionsFor(base, point));
+      } catch (const FlowError& e) {
+        diagnostics.error({}, e.what(), "options");
+        countFailure();
+        return Expected<SweepResult>::failure(std::move(diagnostics));
       }
-      variants.push_back(std::move(options));
       result.labels.push_back(point.label);
     }
   }

@@ -108,25 +108,33 @@ std::uint64_t stageOptionsFingerprint(Stage stage,
   return h.value();
 }
 
-std::array<std::uint64_t, kStageCount>
-computeStageKeys(const std::string& source, const FlowOptions& options) {
+std::uint64_t stageSourceDigest(const std::string& source) {
   Fnv1aHasher base;
   base.mix(std::string_view("cfd-stage-graph-v2"));
   base.mix(std::string_view(source));
+  return base.value();
+}
 
+std::array<std::uint64_t, kStageCount>
+computeStageKeys(std::uint64_t sourceDigest, const FlowOptions& options) {
   std::array<std::uint64_t, kStageCount> keys{};
   for (int i = 0; i < kStageCount; ++i) {
     const StageSpec& spec = kStageSpecs[i];
     Fnv1aHasher h;
     h.mix(std::string_view(spec.name));
     if (spec.depCount == 0)
-      h.mix(base.value());
+      h.mix(sourceDigest);
     for (int d = 0; d < spec.depCount; ++d)
       h.mix(keys[indexOf(spec.deps[d])]);
     h.mix(stageOptionsFingerprint(static_cast<Stage>(i), options));
     keys[i] = h.value();
   }
   return keys;
+}
+
+std::array<std::uint64_t, kStageCount>
+computeStageKeys(const std::string& source, const FlowOptions& options) {
+  return computeStageKeys(stageSourceDigest(source), options);
 }
 
 bool prefixOptionsEqual(Stage stage, const FlowOptions& a,

@@ -109,9 +109,18 @@ const char* stageOutputs(Stage stage);
 std::uint64_t stageOptionsFingerprint(Stage stage,
                                       const FlowOptions& options);
 
-/// Per-stage incremental cache keys: key[s] chains H(source) through the
-/// declared graph, mixing each stage's name, its dependencies' keys, and
-/// stageOptionsFingerprint(s). Options must already be normalized.
+/// H(source), the root every stage key chains from. Computed once per
+/// source, it lets many option sets be keyed without rehashing the
+/// source (FlowCache's misses, the distributed coordinator's plan).
+std::uint64_t stageSourceDigest(const std::string& source);
+
+/// Per-stage incremental cache keys: key[s] chains the source digest
+/// through the declared graph, mixing each stage's name, its
+/// dependencies' keys, and stageOptionsFingerprint(s). Options must
+/// already be normalized.
+std::array<std::uint64_t, kStageCount>
+computeStageKeys(std::uint64_t sourceDigest, const FlowOptions& options);
+/// computeStageKeys(stageSourceDigest(source), options).
 std::array<std::uint64_t, kStageCount>
 computeStageKeys(const std::string& source, const FlowOptions& options);
 

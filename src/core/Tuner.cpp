@@ -85,14 +85,6 @@ std::string labelFor(
   return label;
 }
 
-/// `base` with every param of `point` applied in order.
-FlowOptions optionsFor(const FlowOptions& base, const SweepPoint& point) {
-  FlowOptions options = base;
-  for (const auto& [key, value] : point.params)
-    applyTuneParam(options, key, value);
-  return options;
-}
-
 /// Shared state of one tune() run.
 class TuneRun {
 public:
@@ -329,7 +321,13 @@ TuneSpace defaultTuneSpace() {
 void applyTuneParam(FlowOptions& options, const std::string& key,
                     const std::string& value) {
   if (key == "unroll") {
-    options.hls.unrollFactor = parseIntValue(value, key);
+    // The datapath replicates into as many PLM banks (normalizeOptions),
+    // and cyclic banking needs a power of two (paper Sec. V-A2).
+    const int factor = parseIntValue(value, key);
+    if (!isPow2(factor))
+      throw FlowError("parameter 'unroll' expects a power of two >= 1 "
+                      "(got '" + value + "')");
+    options.hls.unrollFactor = factor;
   } else if (key == "opt") {
     const int level = parseIntValue(value, key);
     if (level < 0 || level > 2)
@@ -365,6 +363,13 @@ void applyTuneParam(FlowOptions& options, const std::string& key,
                     "' (valid: unroll, opt, m, k, sharing, decoupled, "
                     "objective, layout)");
   }
+}
+
+FlowOptions optionsFor(const FlowOptions& base, const SweepPoint& point) {
+  FlowOptions options = base;
+  for (const auto& [key, value] : point.params)
+    applyTuneParam(options, key, value);
+  return options;
 }
 
 bool checkSpaceBound(std::size_t points, DiagnosticList& diagnostics) {

@@ -89,9 +89,15 @@ TuneSpace defaultTuneSpace();
 
 /// Applies one (key, value) pair to `options`; shared by the Tuner and
 /// the cfdc --sweep/--tune flag parser. Throws FlowError on an unknown
-/// key or a malformed value.
+/// key or a malformed value (an unroll factor must be a power of two).
 void applyTuneParam(FlowOptions& options, const std::string& key,
                     const std::string& value);
+
+/// `base` with every param of `point` applied in order (applyTuneParam,
+/// whose FlowError it passes on): the options a local sweep, a tune and
+/// a worker daemon compile for the point, and the ones the distributed
+/// coordinator plans its dispatch from.
+FlowOptions optionsFor(const FlowOptions& base, const SweepPoint& point);
 
 /// Appends one "options" diagnostic naming kMaxSpacePoints when a
 /// design space of `points` points exceeds it; true when within.

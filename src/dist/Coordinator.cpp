@@ -5,6 +5,7 @@
 #include "serve/Protocol.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -24,18 +25,21 @@ double millisSince(Clock::time_point start) {
       .count();
 }
 
-/// A contiguous range of points plus its dispatch history.
+/// A slice of the plan's order plus its dispatch history.
 struct Chunk {
-  std::size_t first = 0;
+  std::size_t first = 0; ///< position in DispatchPlan::order
   std::size_t count = 0;
-  int attempts = 0; ///< completed dispatch attempts so far
+  std::size_t home = 0; ///< the worker whose block it belongs to
+  int attempts = 0;     ///< completed dispatch attempts so far
 };
 
 /// All coordination state shared by the per-worker threads.
 struct RunState {
   std::mutex mutex;
   std::condition_variable cv;
-  std::deque<Chunk> queue;
+  /// Each worker's home block, in plan order.
+  std::vector<std::deque<Chunk>> blocks;
+  std::size_t chunksQueued = 0;      ///< in some block
   std::size_t chunksOutstanding = 0; ///< queued + in flight
   int liveWorkers = 0;
   bool failed = false;
@@ -59,6 +63,27 @@ struct RunState {
     DiagnosticList diagnostics;
     diagnostics.error({}, std::move(message), "dist");
     fail(std::move(diagnostics));
+  }
+
+  /// The next chunk for `worker`: the front of its own block or, once
+  /// that is empty, the back of the block with the most chunks left —
+  /// the chunk farthest from where that block's owner is working.
+  /// Caller holds the mutex, and a chunk is queued.
+  Chunk takeLocked(std::size_t worker) {
+    std::deque<Chunk>& own = blocks[worker];
+    Chunk chunk;
+    if (!own.empty()) {
+      chunk = own.front();
+      own.pop_front();
+    } else {
+      std::deque<Chunk>& fullest = *std::max_element(
+          blocks.begin(), blocks.end(),
+          [](const auto& a, const auto& b) { return a.size() < b.size(); });
+      chunk = fullest.back();
+      fullest.pop_back();
+    }
+    --chunksQueued;
+    return chunk;
   }
 };
 
@@ -152,6 +177,45 @@ DistSweepResult SweepCoordinator::fromSweepResult(const SweepResult& sweep) {
   return result;
 }
 
+DispatchPlan planDispatch(const std::string& source, const FlowOptions& base,
+                          const std::vector<SweepPoint>& points,
+                          std::size_t workers, std::size_t chunkSize) {
+  const std::uint64_t digest = stageSourceDigest(source);
+  std::vector<std::pair<std::array<std::uint64_t, kStageCount>, std::size_t>>
+      keyed;
+  keyed.reserve(points.size());
+  for (std::size_t rank = 0; rank < points.size(); ++rank) {
+    FlowOptions options = optionsFor(base, points[rank]);
+    normalizeOptions(options);
+    keyed.emplace_back(computeStageKeys(digest, options), rank);
+  }
+  // A stage key chains the keys of every stage before it, so equal keys
+  // at one stage mean equal key tuples up to it: sorted tuples put each
+  // shared prefix in one run.
+  std::sort(keyed.begin(), keyed.end());
+
+  DispatchPlan plan;
+  plan.order.reserve(keyed.size());
+  for (const auto& entry : keyed)
+    plan.order.push_back(entry.second);
+  plan.chunkSize = chunkSize;
+  if (plan.chunkSize == 0) {
+    // ~4 chunks per worker: enough slack for stealing, few enough
+    // round trips that the protocol never dominates.
+    const std::size_t lanes = std::max<std::size_t>(workers, 1) * 4;
+    plan.chunkSize =
+        std::max<std::size_t>(1, (points.size() + lanes - 1) / lanes);
+  }
+  // Consecutive chunks per worker: a block boundary splits at most one
+  // run of equal keys per stage between two workers.
+  const std::size_t chunks =
+      (points.size() + plan.chunkSize - 1) / plan.chunkSize;
+  plan.home.reserve(chunks);
+  for (std::size_t j = 0; j < chunks; ++j)
+    plan.home.push_back(j * workers / chunks);
+  return plan;
+}
+
 SweepCoordinator::SweepCoordinator(DistSweepOptions options)
     : options_(std::move(options)) {}
 
@@ -161,6 +225,7 @@ namespace {
 /// the state mutex) so a Done return leaves nothing else to do.
 ChunkOutcome runChunk(serve::Client& client, const Chunk& chunk,
                       const std::vector<SweepPoint>& points,
+                      const std::vector<std::size_t>& order,
                       const DistSweepOptions& options, RunState& state,
                       DiagnosticList* refusal) {
   serve::Request request;
@@ -169,9 +234,12 @@ ChunkOutcome runChunk(serve::Client& client, const Chunk& chunk,
   request.source = options.source;
   request.params = options.baseParams;
   request.points.reserve(chunk.count);
-  for (std::size_t i = chunk.first; i < chunk.first + chunk.count; ++i)
-    request.points.push_back(serve::ChunkPoint{
-        static_cast<std::int64_t>(i), points[i].label, points[i].params});
+  for (std::size_t at = chunk.first; at < chunk.first + chunk.count; ++at) {
+    const std::size_t rank = order[at];
+    request.points.push_back(serve::ChunkPoint{static_cast<std::int64_t>(rank),
+                                               points[rank].label,
+                                               points[rank].params});
+  }
   if (!client.send(request))
     return ChunkOutcome::Lost;
 
@@ -286,31 +354,30 @@ ChunkOutcome runChunk(serve::Client& client, const Chunk& chunk,
   }
 }
 
-/// Requeues `chunk` after a failed attempt, or fails the sweep when
-/// its attempts are spent. Caller holds the state mutex.
-void requeueLocked(RunState& state, Chunk chunk, int maxAttempts,
+/// Requeues `chunk` at the back of its home block after a failed
+/// attempt, or fails the sweep when its attempts are spent. Caller
+/// holds the state mutex.
+void requeueLocked(RunState& state, Chunk chunk,
+                   const std::vector<std::size_t>& order, int maxAttempts,
                    const std::string& reason,
                    DiagnosticList refusal = {}) {
   ++chunk.attempts;
   if (chunk.attempts >= maxAttempts) {
+    const std::string failed =
+        "chunk of " + std::to_string(chunk.count) + " point(s) from point " +
+        std::to_string(order[chunk.first]) + " failed after " +
+        std::to_string(chunk.attempts) + " attempts";
     if (refusal.hasErrors()) {
-      refusal.error({},
-                    "chunk covering points " + std::to_string(chunk.first) +
-                        ".." + std::to_string(chunk.first + chunk.count - 1) +
-                        " failed after " + std::to_string(chunk.attempts) +
-                        " attempts",
-                    "dist");
+      refusal.error({}, failed, "dist");
       state.fail(std::move(refusal));
     } else {
-      state.fail("chunk covering points " + std::to_string(chunk.first) +
-                 ".." + std::to_string(chunk.first + chunk.count - 1) +
-                 " failed after " + std::to_string(chunk.attempts) +
-                 " attempts (last: " + reason + ")");
+      state.fail(failed + " (last: " + reason + ")");
     }
     return;
   }
   ++state.stats.chunksRetried;
-  state.queue.push_back(chunk);
+  state.blocks[chunk.home].push_back(chunk);
+  ++state.chunksQueued;
   state.cv.notify_all();
 }
 
@@ -327,10 +394,10 @@ Expected<DistSweepResult> SweepCoordinator::run() {
   if (options_.workerSockets.empty())
     diagnostics.error({}, "distributed sweep needs at least one worker",
                       "dist");
-  FlowOptions scratch;
+  FlowOptions base;
   for (const auto& [key, value] : options_.baseParams) {
     try {
-      applyTuneParam(scratch, key, value);
+      applyTuneParam(base, key, value);
     } catch (const FlowError& e) {
       diagnostics.error({}, e.what(), "options");
     }
@@ -340,31 +407,31 @@ Expected<DistSweepResult> SweepCoordinator::run() {
     return Expected<DistSweepResult>::failure(std::move(diagnostics));
 
   // 2. Expand the design space (TuneSpace rank order, index == rank)
-  //    and cut it into chunks.
+  //    and plan its dispatch: chunks in stage-key order, one home block
+  //    of consecutive chunks per worker.
   const std::vector<SweepPoint> points = TuneSpace{options_.axes}.points();
+  const std::size_t workers = options_.workerSockets.size();
+  const DispatchPlan plan = planDispatch(options_.source, base, points,
+                                         workers, options_.chunkSize);
 
   RunState state;
   state.rows.resize(points.size());
   state.have.assign(points.size(), false);
-  state.stats.workersRequested =
-      static_cast<int>(options_.workerSockets.size());
-
-  std::size_t chunkSize = options_.chunkSize;
-  if (chunkSize == 0) {
-    // ~4 chunks per worker: enough slack for stealing, few enough
-    // round trips that the protocol never dominates.
-    const std::size_t lanes = options_.workerSockets.size() * 4;
-    chunkSize = std::max<std::size_t>(1, (points.size() + lanes - 1) / lanes);
+  state.stats.workersRequested = static_cast<int>(workers);
+  state.blocks.resize(workers);
+  for (std::size_t j = 0; j < plan.home.size(); ++j) {
+    const std::size_t first = j * plan.chunkSize;
+    state.blocks[plan.home[j]].push_back(
+        Chunk{first, std::min(plan.chunkSize, points.size() - first),
+              plan.home[j], 0});
   }
-  for (std::size_t first = 0; first < points.size(); first += chunkSize)
-    state.queue.push_back(
-        Chunk{first, std::min(chunkSize, points.size() - first), 0});
-  state.chunksOutstanding = state.queue.size();
+  state.chunksQueued = state.chunksOutstanding = plan.home.size();
 
-  // 3. One thread per worker: connect, then pull chunks until the
-  //    sweep completes or fails. Pulling from a shared queue IS the
-  //    work-stealing policy — a fast worker simply comes back sooner.
-  auto workerMain = [&](const std::string& socketPath) {
+  // 3. One thread per worker: connect, then drain its home block, then
+  //    steal, until the sweep completes or fails. An unreachable or
+  //    lost worker's block is left to the others' stealing.
+  auto workerMain = [&](std::size_t worker) {
+    const std::string& socketPath = options_.workerSockets[worker];
     Expected<serve::Client> connected = serve::Client::connect(socketPath);
     if (!connected) {
       std::lock_guard<std::mutex> lock(state.mutex);
@@ -382,20 +449,19 @@ Expected<DistSweepResult> SweepCoordinator::run() {
       {
         std::unique_lock<std::mutex> lock(state.mutex);
         state.cv.wait(lock, [&] {
-          return !state.queue.empty() || state.failed ||
+          return state.chunksQueued > 0 || state.failed ||
                  state.chunksOutstanding == 0;
         });
         if (state.failed || state.chunksOutstanding == 0) {
           --state.liveWorkers;
           return;
         }
-        chunk = state.queue.front();
-        state.queue.pop_front();
+        chunk = state.takeLocked(worker);
         ++state.stats.chunksDispatched;
       }
       DiagnosticList refusal;
-      const ChunkOutcome outcome =
-          runChunk(client, chunk, points, options_, state, &refusal);
+      const ChunkOutcome outcome = runChunk(client, chunk, points, plan.order,
+                                            options_, state, &refusal);
       std::lock_guard<std::mutex> lock(state.mutex);
       switch (outcome) {
       case ChunkOutcome::Done:
@@ -406,7 +472,7 @@ Expected<DistSweepResult> SweepCoordinator::run() {
         // The worker is healthy; the chunk was rejected (bad request,
         // daemon draining, job cancelled). Retry elsewhere, keep
         // pulling.
-        requeueLocked(state, chunk, options_.maxChunkAttempts,
+        requeueLocked(state, chunk, plan.order, options_.maxChunkAttempts,
                       "worker refused the chunk", std::move(refusal));
         break;
       case ChunkOutcome::Lost:
@@ -420,7 +486,7 @@ Expected<DistSweepResult> SweepCoordinator::run() {
           ++state.stats.workersLost;
         else
           ++state.stats.workersDemoted;
-        requeueLocked(state, chunk, options_.maxChunkAttempts,
+        requeueLocked(state, chunk, plan.order, options_.maxChunkAttempts,
                       outcome == ChunkOutcome::Lost
                           ? "connection to the worker was lost"
                           : "worker exceeded the per-chunk deadline");
@@ -434,11 +500,11 @@ Expected<DistSweepResult> SweepCoordinator::run() {
     }
   };
 
-  state.liveWorkers = static_cast<int>(options_.workerSockets.size());
+  state.liveWorkers = static_cast<int>(workers);
   std::vector<std::thread> threads;
-  threads.reserve(options_.workerSockets.size());
-  for (const std::string& socketPath : options_.workerSockets)
-    threads.emplace_back(workerMain, socketPath);
+  threads.reserve(workers);
+  for (std::size_t worker = 0; worker < workers; ++worker)
+    threads.emplace_back(workerMain, worker);
   for (std::thread& thread : threads)
     thread.join();
 

@@ -5,13 +5,15 @@
 // partitions a sweep's design points into chunks and dispatches them
 // over the serve protocol (serve/Protocol.h, "sweep_chunk" requests)
 // to N worker daemons, each a normal `cfdc --serve` process with its
-// own Session, caches, and worker pool. Workers that finish early pull
-// the next chunk from the shared queue (work stealing); a worker that
-// dies mid-chunk (EOF/error on its socket) gets the chunk requeued
-// with a bounded attempt count; a worker that exceeds the per-chunk
-// inactivity deadline is demoted — its connection is closed (the
-// daemon's disconnect-cancel stops the straggling compile) and its
-// chunk requeued for a live worker.
+// own Session, caches, and worker pool. The chunks are cut from the
+// points in stage-key order, and each worker drains a home block of
+// consecutive chunks, so a shared stage prefix stays on one worker
+// (planDispatch). A worker whose block is empty steals from the back
+// of the fullest block; a worker that dies mid-chunk (EOF/error on its
+// socket) gets the chunk requeued with a bounded attempt count; a
+// worker that exceeds the per-chunk inactivity deadline is demoted —
+// its connection is closed (the daemon's disconnect-cancel stops the
+// straggling compile) and its chunk requeued for a live worker.
 //
 // Determinism: the merged result is byte-identical to a single-process
 // sweep. Design points come from the same expander a local sweep uses
@@ -121,6 +123,29 @@ public:
 private:
   DistSweepOptions options_;
 };
+
+/// How a sweep's points are dealt to its workers (DESIGN.md §16).
+struct DispatchPlan {
+  /// Every point rank once, ordered by the points' stage keys (ties by
+  /// rank), so the points sharing any stage prefix are one run.
+  std::vector<std::size_t> order;
+  /// Chunk j is order[j * chunkSize, (j + 1) * chunkSize), the last
+  /// one cut short at the end of `order`.
+  std::size_t chunkSize = 0;
+  /// Each chunk's home worker: chunk j of n belongs to worker
+  /// floor(j * W / n), so a home block is consecutive chunks.
+  std::vector<std::size_t> home;
+};
+
+/// Plans the dispatch of `points` over `workers` workers in chunks of
+/// `chunkSize` points (0: ~4 chunks per worker). Each point's stage
+/// keys are computed as a worker over a default session derives them:
+/// `base` (the sweep's base params applied), then the point's params,
+/// normalized, over `source`. The points must have passed
+/// validateTuneAxes.
+DispatchPlan planDispatch(const std::string& source, const FlowOptions& base,
+                          const std::vector<SweepPoint>& points,
+                          std::size_t workers, std::size_t chunkSize);
 
 /// The shared frontier rule: Pareto-minimal feasible rows over
 /// (kernel_us, m * bram_per_plm) — latency versus total PLM BRAM cost,

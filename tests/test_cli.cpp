@@ -4,8 +4,9 @@
 // of its flag-table row is one of them; --help alone prints the modes
 // and every row of the table, on stdout, and exits 0; --sweep/--tune
 // run as one session job that --deadline-ms bounds (exit 3 with the
-// "job-queue" diagnostic when it expires). The CFDC_PATH definition
-// names the cfdc the build made.
+// "job-queue" diagnostic when it expires); a daemon that cannot be
+// reached, by --workers or by --connect, exits 1. The CFDC_PATH
+// definition names the cfdc the build made.
 #include "TestPrograms.h"
 
 #include <gtest/gtest.h>
@@ -230,6 +231,8 @@ TEST_F(CliTest, EveryUsageErrorIsTwoLinesAndExitTwo) {
        "unknown option '--async-jobs=2'"},
       {{"{k}", "{k}"}, "multiple input files"},
       {{"--sweep=warp=1", "{k}"}, "unknown parameter 'warp'"},
+      {{"--unroll=3", "{k}"}, "'unroll' expects a power of two >= 1"},
+      {{"--sweep=unroll=1,3", "{k}"}, "'unroll' expects a power of two"},
       // Daemon modes.
       {{"--serve", "--connect=/tmp/x.sock"},
        "--connect=/tmp/x.sock does not apply in serve mode"},
@@ -365,6 +368,19 @@ TEST_F(CliTest, EveryUsageErrorIsTwoLinesAndExitTwo) {
         << result.err;
     EXPECT_EQ(result.out, "");
   }
+}
+
+TEST_F(CliTest, UnreachableDaemonsAreAnIoFailureAndExitOne) {
+  const std::string missing = (dir_ / "missing.sock").string();
+  const CliRun workers =
+      run({"--sweep=unroll=1,2", "--workers=" + missing, "{k}"});
+  EXPECT_EQ(workers.exitCode, 1) << workers.err;
+  EXPECT_NE(workers.err.find("no worker is reachable"), std::string::npos)
+      << workers.err;
+  EXPECT_EQ(workers.out, "");
+  const CliRun connect = run({"--connect=" + missing, "{k}"});
+  EXPECT_EQ(connect.exitCode, 1) << connect.err;
+  EXPECT_EQ(connect.out, "");
 }
 
 TEST_F(CliTest, SweepRunsAsOneJob) {

@@ -1,6 +1,8 @@
 // Tests for the distributed sweep coordinator (DESIGN.md §16): the
-// byte-identity contract against a single-process sweep, fault
-// injection (a worker SIGKILLed mid-chunk, a stopped straggler
+// byte-identity contract against a single-process sweep, the dispatch
+// plan (stage-key order, rank order's chunks, at most one split run per
+// stage at each home-block boundary) and the stage computes it saves,
+// fault injection (a worker SIGKILLed mid-chunk, a stopped straggler
 // demoted by the inactivity deadline), failure modes (no reachable
 // worker, every worker lost, bad params failing fast), the worker
 // lifecycle (a worker that cannot bind fails start(), stopAll() reaps
@@ -16,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -23,6 +27,8 @@
 #include <filesystem>
 #include <future>
 #include <mutex>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -57,6 +63,16 @@ protected:
     return {{"unroll", {"1", "2", "4"}}, {"m", {"2", "4"}}};
   }
 
+  /// 200 points over contractionChainSource(40), sharing prefixes at
+  /// several depths: two `opt` groups, ten memory plans in each.
+  static std::vector<TuneAxis> chainAxes() {
+    return {{"unroll", {"1", "2", "4", "8", "16"}},
+            {"m", {"2", "4", "8", "16", "32"}},
+            {"opt", {"0", "1"}},
+            {"sharing", {"0", "1"}},
+            {"objective", {"hw", "sw"}}};
+  }
+
   /// A single-process sweep over the same space, rendered through the
   /// same canonical report — the reference bytes.
   static std::string localReport(const std::string& source,
@@ -83,6 +99,28 @@ protected:
   static inline std::atomic<int> counter_{0};
 };
 
+/// The stage-cache misses of every worker in `pool`, summed from each
+/// daemon's status.
+std::int64_t fleetStageMisses(const WorkerPoolSpawner& pool) {
+  std::int64_t misses = 0;
+  for (const std::string& socket : pool.socketPaths()) {
+    Expected<serve::Client> client = serve::Client::connect(socket);
+    EXPECT_TRUE(client.ok()) << client.errorText();
+    if (!client.ok())
+      continue;
+    serve::Request status;
+    status.kind = serve::RequestKind::Status;
+    const Expected<serve::Response> response = client->call(status);
+    EXPECT_TRUE(response.ok() && response->ok);
+    if (response.ok() && response->ok)
+      misses += response->result.at("stats")
+                    .at("stage_cache")
+                    .at("misses")
+                    .asInt();
+  }
+  return misses;
+}
+
 TEST_F(DistTest, ShardedSweepIsByteIdenticalToLocal) {
   struct Case {
     std::string source;
@@ -91,22 +129,21 @@ TEST_F(DistTest, ShardedSweepIsByteIdenticalToLocal) {
     std::size_t chunkSize; // 0: the coordinator's default
     std::size_t points;
     std::int64_t chunks;
+    /// The plan's stage computes across the fleet, when one chunk per
+    /// worker pins them: a steal only merges two blocks into one
+    /// session, so the count can fall but never rise.
+    std::optional<std::int64_t> maxStageMisses;
   };
   // The 6-point space in chunks of 2 (3 chunks over 2 workers: real
   // stealing), and a 200-point space over a 40-deep contraction chain
-  // in default chunks over 4 workers.
+  // in default chunks over 4 workers and in one chunk per worker. The
+  // plan of the last computes 304 stages (one session needs 294;
+  // rank-order chunks of the same size took 384).
   const Case cases[] = {
-      {test::kInverseHelmholtz, axes(), 2, 2, 6, 3},
-      {test::contractionChainSource(40),
-       {{"unroll", {"1", "2", "4", "8", "16"}},
-        {"m", {"2", "4", "8", "16", "32"}},
-        {"opt", {"0", "1"}},
-        {"sharing", {"0", "1"}},
-        {"objective", {"hw", "sw"}}},
-       4,
-       0,
-       200,
-       16},
+      {test::kInverseHelmholtz, axes(), 2, 2, 6, 3, std::nullopt},
+      {test::contractionChainSource(40), chainAxes(), 4, 0, 200, 16,
+       std::nullopt},
+      {test::contractionChainSource(40), chainAxes(), 4, 50, 200, 4, 304},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(std::to_string(c.points) + " points");
@@ -137,6 +174,73 @@ TEST_F(DistTest, ShardedSweepIsByteIdenticalToLocal) {
     EXPECT_EQ(result->stats.progressEvents,
               static_cast<std::int64_t>(c.points));
     EXPECT_FALSE(result->frontier.empty());
+    if (c.maxStageMisses) {
+      EXPECT_LE(fleetStageMisses(pool), *c.maxStageMisses);
+    }
+  }
+}
+
+/// Each point's stage keys as a worker over a default session derives
+/// them.
+std::vector<std::array<std::uint64_t, kStageCount>>
+stageKeysOf(const std::string& source, const std::vector<SweepPoint>& points) {
+  std::vector<std::array<std::uint64_t, kStageCount>> keys;
+  for (const SweepPoint& point : points) {
+    FlowOptions options = cfd::optionsFor(FlowOptions{}, point);
+    normalizeOptions(options);
+    keys.push_back(computeStageKeys(source, options));
+  }
+  return keys;
+}
+
+TEST_F(DistTest, DispatchPlanSplitsEachStageAtMostOncePerBlockBoundary) {
+  struct Case {
+    std::string source;
+    std::vector<TuneAxis> axes;
+    std::size_t workers;
+    std::size_t chunkSize; // 0: the coordinator's default
+    std::size_t chunkPoints;
+    std::size_t chunks;
+  };
+  // The chunk counts and sizes of rank-order dispatch: default chunks
+  // are ceil(points / (4 x workers)) points.
+  const Case cases[] = {
+      {test::kInverseHelmholtz, axes(), 2, 2, 2, 3},
+      {test::kInverseHelmholtz, axes(), 2, 0, 1, 6},
+      {test::contractionChainSource(40), chainAxes(), 4, 0, 13, 16},
+      {test::contractionChainSource(40), chainAxes(), 4, 50, 50, 4},
+  };
+  for (const Case& c : cases) {
+    const std::vector<SweepPoint> points = TuneSpace{c.axes}.points();
+    SCOPED_TRACE(std::to_string(points.size()) + " points in chunks of " +
+                 std::to_string(c.chunkPoints));
+    const DispatchPlan plan =
+        planDispatch(c.source, FlowOptions{}, points, c.workers, c.chunkSize);
+
+    std::vector<std::size_t> ranks = plan.order;
+    std::sort(ranks.begin(), ranks.end());
+    ASSERT_EQ(ranks.size(), points.size());
+    for (std::size_t rank = 0; rank < ranks.size(); ++rank)
+      EXPECT_EQ(ranks[rank], rank);
+
+    EXPECT_EQ(plan.chunkSize, c.chunkPoints);
+    ASSERT_EQ(plan.home.size(), c.chunks);
+    for (std::size_t j = 0; j < c.chunks; ++j)
+      EXPECT_EQ(plan.home[j], j * c.workers / c.chunks) << "chunk " << j;
+
+    // A block boundary splits at most one run of equal keys per stage.
+    const auto keys = stageKeysOf(c.source, points);
+    for (int stage = 0; stage < kStageCount; ++stage) {
+      std::set<std::uint64_t> distinct;
+      std::set<std::pair<std::size_t, std::uint64_t>> planned;
+      for (std::size_t at = 0; at < plan.order.size(); ++at) {
+        const std::uint64_t key = keys[plan.order[at]][stage];
+        distinct.insert(key);
+        planned.emplace(plan.home[at / plan.chunkSize], key);
+      }
+      EXPECT_LE(planned.size(), distinct.size() + c.workers - 1)
+          << stageName(static_cast<Stage>(stage));
+    }
   }
 }
 
@@ -303,18 +407,35 @@ TEST_F(DistTest, UnreachableWorkersFailFast) {
 }
 
 TEST_F(DistTest, BadAxisValuesFailBeforeAnySocketIsTouched) {
-  DistSweepOptions options;
-  options.source = test::kInverseHelmholtz;
-  options.axes = {{"warp", {"1"}}};
-  // Deliberately no daemon behind this path: validation must fail
-  // before connecting, so the bad key is one error, not N refusals.
-  options.workerSockets = {root_ + "/nobody.sock"};
-  const Expected<DistSweepResult> result =
-      SweepCoordinator(options).run();
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.errorText().find("unknown parameter 'warp'"),
-            std::string::npos)
-      << result.errorText();
+  struct Case {
+    std::vector<std::pair<std::string, std::string>> baseParams;
+    std::vector<TuneAxis> axes;
+    std::string message;
+  };
+  const Case cases[] = {
+      {{}, {{"warp", {"1"}}}, "unknown parameter 'warp'"},
+      {{}, {{"unroll", {"1", "3"}}},
+       "parameter 'unroll' expects a power of two >= 1 (got '3')"},
+      {{{"unroll", "3"}}, axes(),
+       "parameter 'unroll' expects a power of two >= 1 (got '3')"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.message);
+    DistSweepOptions options;
+    options.source = test::kInverseHelmholtz;
+    options.baseParams = c.baseParams;
+    options.axes = c.axes;
+    // Deliberately no daemon behind this path: validation must fail
+    // before connecting, so the bad value is one error, not N refusals.
+    options.workerSockets = {root_ + "/nobody.sock"};
+    const Expected<DistSweepResult> result =
+        SweepCoordinator(options).run();
+    ASSERT_FALSE(result.ok());
+    ASSERT_EQ(result.diagnostics().size(), 1u) << result.errorText();
+    EXPECT_EQ(result.diagnostics()[0].stage, "options");
+    EXPECT_NE(result.errorText().find(c.message), std::string::npos)
+        << result.errorText();
+  }
 }
 
 TEST_F(DistTest, SpaceOverTheBoundFailsBeforeAnySocketIsTouched) {

@@ -726,6 +726,16 @@ TEST_F(ServeTest, CompileErrorsTravelAsDiagnostics) {
   // failures are attributed to "serve".
   EXPECT_NE(response->diagnostics.all()[0].stage, "serve");
 
+  // A bad param is one "options" error, before any stage runs.
+  const Expected<Response> badParam =
+      client->call(compileRequest(test::kMatMul2D, {{"unroll", "3"}}));
+  ASSERT_TRUE(badParam.ok()) << badParam.errorText();
+  EXPECT_FALSE(badParam->ok);
+  ASSERT_EQ(badParam->diagnostics.size(), 1u);
+  EXPECT_EQ(badParam->diagnostics.all()[0].stage, "options");
+  EXPECT_EQ(badParam->diagnostics.all()[0].message,
+            "parameter 'unroll' expects a power of two >= 1 (got '3')");
+
   server.requestStop();
   server.join();
 }

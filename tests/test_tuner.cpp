@@ -173,6 +173,8 @@ TEST(TunerTest, ApplyTuneParamCoversEveryAxisAndRejectsJunk) {
 
   EXPECT_THROW(applyTuneParam(options, "nope", "1"), FlowError);
   EXPECT_THROW(applyTuneParam(options, "unroll", "two"), FlowError);
+  EXPECT_THROW(applyTuneParam(options, "unroll", "3"), FlowError);
+  EXPECT_THROW(applyTuneParam(options, "unroll", "0"), FlowError);
   EXPECT_THROW(applyTuneParam(options, "sharing", "maybe"), FlowError);
   EXPECT_THROW(applyTuneParam(options, "objective", "fast"), FlowError);
 }
@@ -325,9 +327,10 @@ TEST(TuneSpaceTest, TuneOverTheBoundIsOneDiagnosticAndNoCompile) {
       out.push_back(std::to_string(i + 1));
     return out;
   };
+  // m and k take any integer (an unroll factor must be a power of two).
   DiagnosticList within;
-  EXPECT_TRUE(validateTuneAxes(
-      {{"unroll", values(257)}, {"m", values(255)}}, within));
+  EXPECT_TRUE(validateTuneAxes({{"m", values(257)}, {"k", values(255)}},
+                               within));
 
   Session session;
   const Expected<TuningReport> tuned = session.tune(

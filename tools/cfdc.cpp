@@ -39,7 +39,9 @@
 // Exit codes: 0 success, 1 I/O or validation failure, 2 usage error,
 // 3 compile diagnostics (malformed DSL, infeasible constraints) — a
 // sweep or tune cut off by --deadline-ms also exits 3, with the
-// "job-queue" diagnostic reported the same way.
+// "job-queue" diagnostic reported the same way. A distributed sweep
+// that cannot reach its workers, loses them all, or runs a chunk out
+// of attempts exits 1, like a --connect to a dead socket.
 #include "core/Session.h"
 #include "dist/Coordinator.h"
 #include "dist/WorkerPoolSpawner.h"
@@ -308,7 +310,7 @@ constexpr Flag kFlags[] = {
        param(o, "k", v);
      }},
     {"--unroll", Arg::Value, "N", kCompiles,
-     "innermost unroll factor / PLM banks",
+     "innermost unroll factor / PLM banks (a power of two)",
      [](CliOptions& o, V v) {
        parseInt(v, "--unroll");
        param(o, "unroll", v);
@@ -1100,10 +1102,15 @@ int runDistribute(const CliOptions& options, const std::string& source) {
     ::rmdir(socketDir.c_str());
   }
   if (!swept) {
+    // The coordinator states its own failures (no reachable worker, all
+    // lost, a chunk out of attempts) in stage "dist": those are I/O.
     std::cerr << "cfdc: distributed sweep failed:\n";
-    for (const cfd::Diagnostic& diagnostic : swept.diagnostics())
+    bool io = false;
+    for (const cfd::Diagnostic& diagnostic : swept.diagnostics()) {
       std::cerr << "  " << diagnostic.str() << "\n";
-    return kExitDiagnostics;
+      io = io || diagnostic.stage == "dist";
+    }
+    return io ? kExitIo : kExitDiagnostics;
   }
 
   if ((options.mode & kJsonReports) != 0)
