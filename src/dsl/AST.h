@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cfd::dsl {
@@ -104,8 +105,7 @@ struct Program {
   /// warnings as cold ones; Session::compile surfaces them on success.
   DiagnosticList frontendWarnings;
 
-  const VarDecl* findDecl(const std::string& name) const;
-  const TypeDecl* findType(const std::string& name) const;
+  const TypeDecl* findType(std::string_view name) const;
 };
 
 /// Pretty-prints the AST in (round-trippable) CFDlang syntax.

@@ -1,8 +1,8 @@
 #include "dsl/Lexer.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 
 namespace cfd::dsl {
 
@@ -57,150 +57,141 @@ const char* tokenKindName(TokenKind kind) {
 std::string Token::str() const {
   if (kind == TokenKind::Identifier || kind == TokenKind::IntegerLiteral ||
       kind == TokenKind::FloatLiteral)
-    return text;
+    return std::string(text);
   return tokenKindName(kind);
 }
+
+namespace {
+
+// ASCII classes, as <cctype> classifies characters in the "C" locale
+// (the library never sets another one), without a call per character.
+bool isDigit(char c) { return c >= '0' && c <= '9'; }
+bool isAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+bool isIdentifierChar(char c) { return isAlpha(c) || isDigit(c) || c == '_'; }
+bool isSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+} // namespace
 
 Lexer::Lexer(std::string_view source, Diagnostics& diagnostics)
     : source_(source), diagnostics_(diagnostics) {}
 
-char Lexer::peek(int ahead) const {
-  const std::size_t index = cursor_ + static_cast<std::size_t>(ahead);
+char Lexer::peek(std::size_t ahead) const {
+  const std::size_t index = cursor_ + ahead;
   return index < source_.size() ? source_[index] : '\0';
-}
-
-char Lexer::advance() {
-  // A NUL byte inside the source is a character like any other: only
-  // the end of the source stops the cursor.
-  if (atEnd())
-    return '\0';
-  const char c = source_[cursor_];
-  ++cursor_;
-  if (c == '\n') {
-    ++line_;
-    column_ = 1;
-  } else {
-    ++column_;
-  }
-  return c;
 }
 
 bool Lexer::atEnd() const { return cursor_ >= source_.size(); }
 
 void Lexer::skipWhitespaceAndComments() {
+  // A NUL byte inside the source is a character like any other: only
+  // the end of the source stops the cursor.
   while (!atEnd()) {
-    const char c = peek();
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      advance();
-      continue;
+    const char c = source_[cursor_];
+    if (c == '\n') {
+      ++line_;
+      lineStart_ = ++cursor_;
+    } else if (isSpace(c)) {
+      ++cursor_;
+    } else if (c == '%' || (c == '/' && peek(1) == '/')) {
+      cursor_ = std::min(source_.find('\n', cursor_), source_.size());
+    } else {
+      return;
     }
-    if (c == '%' || (c == '/' && peek(1) == '/')) {
-      while (!atEnd() && peek() != '\n')
-        advance();
-      continue;
-    }
-    break;
   }
 }
 
-Token Lexer::makeToken(TokenKind kind, std::string text,
+Token Lexer::makeToken(TokenKind kind, std::size_t begin,
                        SourceLocation location) const {
-  Token token;
-  token.kind = kind;
-  token.text = std::move(text);
-  token.location = location;
-  return token;
+  return Token{kind, source_.substr(begin, cursor_ - begin), location};
 }
 
 Token Lexer::lexNumber(SourceLocation start) {
-  std::string text;
+  const std::size_t begin = cursor_;
+  const auto skipDigits = [&] {
+    while (isDigit(peek()))
+      ++cursor_;
+  };
   bool isFloat = false;
-  while (std::isdigit(static_cast<unsigned char>(peek())))
-    text.push_back(advance());
+  skipDigits();
   // A '.' only belongs to the number when followed by a digit; otherwise it
   // is the contraction operator (e.g. "u . [[1 6]]").
-  if (peek() == '.' && std::isdigit(static_cast<unsigned char>(peek(1)))) {
+  if (peek() == '.' && isDigit(peek(1))) {
     isFloat = true;
-    text.push_back(advance());
-    while (std::isdigit(static_cast<unsigned char>(peek())))
-      text.push_back(advance());
+    ++cursor_;
+    skipDigits();
   }
   if (peek() == 'e' || peek() == 'E') {
-    const char sign = peek(1);
-    const char digit = (sign == '+' || sign == '-') ? peek(2) : sign;
-    if (std::isdigit(static_cast<unsigned char>(digit))) {
+    const bool hasSign = peek(1) == '+' || peek(1) == '-';
+    if (isDigit(peek(hasSign ? 2 : 1))) {
       isFloat = true;
-      text.push_back(advance());
-      if (peek() == '+' || peek() == '-')
-        text.push_back(advance());
-      while (std::isdigit(static_cast<unsigned char>(peek())))
-        text.push_back(advance());
+      cursor_ += hasSign ? 2 : 1;
+      skipDigits();
     }
   }
-  Token token = makeToken(
-      isFloat ? TokenKind::FloatLiteral : TokenKind::IntegerLiteral, text,
-      start);
-  if (isFloat)
-    token.floatValue = std::strtod(text.c_str(), nullptr);
-  else
-    token.intValue = std::strtoll(text.c_str(), nullptr, 10);
-  return token;
+  return makeToken(isFloat ? TokenKind::FloatLiteral
+                           : TokenKind::IntegerLiteral,
+                   begin, start);
 }
 
 Token Lexer::lexIdentifier(SourceLocation start) {
-  std::string text;
-  while (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_')
-    text.push_back(advance());
-  TokenKind kind = TokenKind::Identifier;
-  if (text == "var")
-    kind = TokenKind::KwVar;
-  else if (text == "input")
-    kind = TokenKind::KwInput;
-  else if (text == "output")
-    kind = TokenKind::KwOutput;
-  else if (text == "type")
-    kind = TokenKind::KwType;
-  return makeToken(kind, std::move(text), start);
+  const std::size_t begin = cursor_;
+  while (isIdentifierChar(peek()))
+    ++cursor_;
+  Token token = makeToken(TokenKind::Identifier, begin, start);
+  if (token.text == "var")
+    token.kind = TokenKind::KwVar;
+  else if (token.text == "input")
+    token.kind = TokenKind::KwInput;
+  else if (token.text == "output")
+    token.kind = TokenKind::KwOutput;
+  else if (token.text == "type")
+    token.kind = TokenKind::KwType;
+  return token;
 }
 
 Token Lexer::lex() {
   skipWhitespaceAndComments();
-  const SourceLocation start{line_, column_};
+  // Columns count bytes from the start of the line, from 1.
+  const SourceLocation start{line_,
+                             static_cast<int>(cursor_ - lineStart_) + 1};
+  const std::size_t begin = cursor_;
   if (atEnd())
-    return makeToken(TokenKind::EndOfFile, "", start);
+    return makeToken(TokenKind::EndOfFile, begin, start);
 
-  const char c = peek();
-  if (std::isdigit(static_cast<unsigned char>(c)))
+  const char c = source_[cursor_];
+  if (isDigit(c))
     return lexNumber(start);
-  if (std::isalpha(static_cast<unsigned char>(c)) || c == '_')
+  if (isAlpha(c) || c == '_')
     return lexIdentifier(start);
 
-  advance();
+  ++cursor_;
   switch (c) {
   case '[':
-    return makeToken(TokenKind::LBracket, "[", start);
+    return makeToken(TokenKind::LBracket, begin, start);
   case ']':
-    return makeToken(TokenKind::RBracket, "]", start);
+    return makeToken(TokenKind::RBracket, begin, start);
   case '(':
-    return makeToken(TokenKind::LParen, "(", start);
+    return makeToken(TokenKind::LParen, begin, start);
   case ')':
-    return makeToken(TokenKind::RParen, ")", start);
+    return makeToken(TokenKind::RParen, begin, start);
   case ':':
-    return makeToken(TokenKind::Colon, ":", start);
+    return makeToken(TokenKind::Colon, begin, start);
   case '=':
-    return makeToken(TokenKind::Equal, "=", start);
+    return makeToken(TokenKind::Equal, begin, start);
   case '+':
-    return makeToken(TokenKind::Plus, "+", start);
+    return makeToken(TokenKind::Plus, begin, start);
   case '-':
-    return makeToken(TokenKind::Minus, "-", start);
+    return makeToken(TokenKind::Minus, begin, start);
   case '*':
-    return makeToken(TokenKind::Star, "*", start);
+    return makeToken(TokenKind::Star, begin, start);
   case '/':
-    return makeToken(TokenKind::Slash, "/", start);
+    return makeToken(TokenKind::Slash, begin, start);
   case '#':
-    return makeToken(TokenKind::Hash, "#", start);
+    return makeToken(TokenKind::Hash, begin, start);
   case '.':
-    return makeToken(TokenKind::Dot, ".", start);
+    return makeToken(TokenKind::Dot, begin, start);
   default: {
     // A control byte (NUL included) is named by its value, so the
     // message stays printable.
@@ -212,13 +203,15 @@ Token Lexer::lex() {
       shown = hex;
     }
     diagnostics_.error(start, "unexpected character '" + shown + "'");
-    return makeToken(TokenKind::Invalid, std::string(1, c), start);
+    return makeToken(TokenKind::Invalid, begin, start);
   }
   }
 }
 
 std::vector<Token> Lexer::lexAll() {
   std::vector<Token> tokens;
+  // CFDlang averages more than two source bytes per token.
+  tokens.reserve(source_.size() / 2 + 1);
   while (true) {
     tokens.push_back(lex());
     if (tokens.back().is(TokenKind::EndOfFile))

@@ -8,7 +8,8 @@
 //   var output v : [11 11 11]
 //   t = S # S # S # u . [[1 6] [3 7] [5 8]]
 //
-// Comments run from '//' or '%' to end of line.
+// Comments run from '//' or '%' to end of line. Tokens view the source
+// (Token.h): it must outlive them.
 #pragma once
 
 #include "dsl/Token.h"
@@ -30,11 +31,11 @@ public:
   std::vector<Token> lexAll();
 
 private:
-  char peek(int ahead = 0) const;
-  char advance();
+  char peek(std::size_t ahead = 0) const;
   bool atEnd() const;
   void skipWhitespaceAndComments();
-  Token makeToken(TokenKind kind, std::string text,
+  /// The token of `kind` spelled from `begin` to the cursor.
+  Token makeToken(TokenKind kind, std::size_t begin,
                   SourceLocation location) const;
   Token lexNumber(SourceLocation start);
   Token lexIdentifier(SourceLocation start);
@@ -43,7 +44,8 @@ private:
   Diagnostics& diagnostics_;
   std::size_t cursor_ = 0;
   int line_ = 1;
-  int column_ = 1;
+  /// Offset of the first byte of the cursor's line.
+  std::size_t lineStart_ = 0;
 };
 
 } // namespace cfd::dsl

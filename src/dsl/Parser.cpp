@@ -4,18 +4,16 @@
 #include "support/Error.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
+#include <iterator>
+#include <limits>
 #include <sstream>
 
 namespace cfd::dsl {
 
-const VarDecl* Program::findDecl(const std::string& name) const {
-  for (const auto& decl : declarations)
-    if (decl.name == name)
-      return &decl;
-  return nullptr;
-}
-
-const TypeDecl* Program::findType(const std::string& name) const {
+const TypeDecl* Program::findType(std::string_view name) const {
   for (const auto& type : types)
     if (type.name == name)
       return &type;
@@ -35,9 +33,9 @@ const Token& Parser::peekNext() const {
   return next < tokens_.size() ? tokens_[next] : tokens_.back();
 }
 
-Token Parser::consume() {
-  Token token = current();
-  if (!current().is(TokenKind::EndOfFile))
+const Token& Parser::consume() {
+  const Token& token = current();
+  if (!token.is(TokenKind::EndOfFile))
     ++index_;
   return token;
 }
@@ -49,7 +47,7 @@ bool Parser::match(TokenKind kind) {
   return true;
 }
 
-Token Parser::expect(TokenKind kind, const char* context) {
+const Token& Parser::expect(TokenKind kind, const char* context) {
   if (current().is(kind))
     return consume();
   std::ostringstream os;
@@ -57,6 +55,43 @@ Token Parser::expect(TokenKind kind, const char* context) {
      << current().str();
   diagnostics_.error(current().location, os.str());
   return current();
+}
+
+void Parser::outOfRange(const Token& literal) {
+  diagnostics_.error(literal.location,
+                     std::string(tokenKindName(literal.kind)) + " '" +
+                         literal.str() + "' is out of range");
+}
+
+std::optional<std::int64_t> Parser::integerValue(const Token& literal,
+                                                 std::int64_t max) {
+  std::int64_t value = 0;
+  const char* end = literal.text.data() + literal.text.size();
+  if (std::from_chars(literal.text.data(), end, value).ec == std::errc() &&
+      value <= max)
+    return value;
+  outOfRange(literal);
+  return std::nullopt;
+}
+
+int Parser::pairIndex(const Token& token) {
+  if (!token.is(TokenKind::IntegerLiteral))
+    return 0;
+  return static_cast<int>(
+      integerValue(token, std::numeric_limits<int>::max()).value_or(0));
+}
+
+double Parser::numberValue(const Token& literal) {
+  if (literal.is(TokenKind::IntegerLiteral))
+    return static_cast<double>(
+        integerValue(literal, std::numeric_limits<std::int64_t>::max())
+            .value_or(0));
+  // strtod reads a NUL-terminated copy: the view ends inside the source.
+  const double value = std::strtod(literal.str().c_str(), nullptr);
+  if (std::isfinite(value))
+    return value;
+  outOfRange(literal);
+  return 0.0;
 }
 
 void Parser::synchronize() {
@@ -128,11 +163,10 @@ void Parser::parseVarDecl(Program& program) {
 std::vector<std::int64_t>
 Parser::parseShapeOrTypeName(const Program& program) {
   if (current().is(TokenKind::Identifier)) {
-    const Token name = consume();
+    const Token& name = consume();
     if (const TypeDecl* type = program.findType(name.text))
       return type->shape;
-    diagnostics_.error(name.location,
-                       "unknown type '" + name.text + "'");
+    diagnostics_.error(name.location, "unknown type '" + name.str() + "'");
     return {};
   }
   return parseShape();
@@ -142,10 +176,14 @@ std::vector<std::int64_t> Parser::parseShape() {
   std::vector<std::int64_t> shape;
   expect(TokenKind::LBracket, "to start a shape");
   while (current().is(TokenKind::IntegerLiteral)) {
-    const Token dim = consume();
-    if (dim.intValue <= 0)
+    const Token& dim = consume();
+    const std::optional<std::int64_t> extent =
+        integerValue(dim, std::numeric_limits<std::int64_t>::max());
+    if (!extent)
+      continue;
+    if (*extent <= 0)
       diagnostics_.error(dim.location, "tensor extents must be positive");
-    shape.push_back(dim.intValue);
+    shape.push_back(*extent);
   }
   expect(TokenKind::RBracket, "to close a shape");
   return shape;
@@ -161,6 +199,7 @@ void Parser::parseAssignment(Program& program) {
     assignment.value = parseExpr().expr;
   } catch (const TooDeep&) {
     nesting_ = 0;
+    factors_.clear();
     synchronize();
     return;
   }
@@ -172,6 +211,7 @@ Parser::Parsed Parser::binary(ExprKind kind, SourceLocation location,
   auto node = std::make_unique<Expr>();
   node->kind = kind;
   node->location = location;
+  node->operands.reserve(2);
   node->operands.push_back(std::move(lhs.expr));
   node->operands.push_back(std::move(rhs.expr));
   return {std::move(node),
@@ -194,7 +234,7 @@ void Parser::tooDeep(SourceLocation location) {
 Parser::Parsed Parser::parseExpr() {
   Parsed lhs = parseTerm();
   while (current().is(TokenKind::Plus) || current().is(TokenKind::Minus)) {
-    const Token op = consume();
+    const Token& op = consume();
     Parsed rhs = parseTerm();
     lhs = binary(op.is(TokenKind::Plus) ? ExprKind::Add : ExprKind::Sub,
                  op.location, std::move(lhs), std::move(rhs));
@@ -205,7 +245,7 @@ Parser::Parsed Parser::parseExpr() {
 Parser::Parsed Parser::parseTerm() {
   Parsed lhs = parseFactor();
   while (current().is(TokenKind::Star) || current().is(TokenKind::Slash)) {
-    const Token op = consume();
+    const Token& op = consume();
     Parsed rhs = parseFactor();
     lhs = binary(op.is(TokenKind::Star) ? ExprKind::Mul : ExprKind::Div,
                  op.location, std::move(lhs), std::move(rhs));
@@ -217,7 +257,7 @@ Parser::Parsed Parser::parseFactor() {
   Parsed product = parseProduct();
   if (!current().is(TokenKind::Dot))
     return product;
-  const Token dot = consume();
+  const Token& dot = consume();
   auto node = std::make_unique<Expr>();
   node->kind = ExprKind::Contraction;
   node->location = dot.location;
@@ -234,12 +274,18 @@ Parser::Parsed Parser::parseProduct() {
   node->kind = ExprKind::Product;
   node->location = current().location;
   int height = first.height;
-  node->operands.push_back(std::move(first.expr));
+  const std::size_t base = factors_.size();
+  factors_.push_back(std::move(first.expr));
   while (match(TokenKind::Hash)) {
     Parsed factor = parsePrimary();
     height = std::max(height, factor.height);
-    node->operands.push_back(std::move(factor.expr));
+    factors_.push_back(std::move(factor.expr));
   }
+  node->operands.assign(
+      std::make_move_iterator(factors_.begin() +
+                              static_cast<std::ptrdiff_t>(base)),
+      std::make_move_iterator(factors_.end()));
+  factors_.resize(base);
   const SourceLocation location = node->location;
   return {std::move(node), checkHeight(height + 1, location)};
 }
@@ -273,11 +319,8 @@ Parser::Parsed Parser::parsePrimary() {
   }
   if (current().is(TokenKind::IntegerLiteral) ||
       current().is(TokenKind::FloatLiteral)) {
-    const Token literal = consume();
     node->kind = ExprKind::Number;
-    node->value = literal.is(TokenKind::FloatLiteral)
-                      ? literal.floatValue
-                      : static_cast<double>(literal.intValue);
+    node->value = numberValue(consume());
     return {std::move(node)};
   }
   if (match(TokenKind::LParen)) {
@@ -296,25 +339,23 @@ Parser::Parsed Parser::parsePrimary() {
 }
 
 std::vector<IndexPair> Parser::parsePairList() {
-  std::vector<IndexPair> pairs;
+  pairs_.clear();
   expect(TokenKind::LBracket, "to start a contraction pair list");
   while (current().is(TokenKind::LBracket)) {
     consume();
     IndexPair pair;
-    Token first = expect(TokenKind::IntegerLiteral,
-                         "as the first contracted dimension");
-    Token second = expect(TokenKind::IntegerLiteral,
-                          "as the second contracted dimension");
-    pair.first = static_cast<int>(first.intValue);
-    pair.second = static_cast<int>(second.intValue);
-    pairs.push_back(pair);
+    pair.first = pairIndex(expect(TokenKind::IntegerLiteral,
+                                  "as the first contracted dimension"));
+    pair.second = pairIndex(expect(TokenKind::IntegerLiteral,
+                                   "as the second contracted dimension"));
+    pairs_.push_back(pair);
     expect(TokenKind::RBracket, "to close a contraction pair");
   }
   expect(TokenKind::RBracket, "to close the contraction pair list");
-  if (pairs.empty())
+  if (pairs_.empty())
     diagnostics_.error(current().location,
                        "contraction requires at least one index pair");
-  return pairs;
+  return pairs_;
 }
 
 Program parseAndCheck(std::string_view source) {

@@ -17,15 +17,23 @@
 // Contraction binds tighter than entry-wise operators, so
 // `D * S # S # S # u . [[..]]` parses as D ∘ contraction(product).
 // An expression nests at most kMaxExprDepth (AST.h) levels deep.
+//
+// A literal's value must fit where it is used: an integer in an int64,
+// a contracted dimension in an int, a float in a finite double. One
+// that does not is a parse error naming the literal as written.
 #pragma once
 
 #include "dsl/AST.h"
 #include "dsl/Lexer.h"
 
+#include <optional>
+
 namespace cfd::dsl {
 
 class Parser {
 public:
+  /// Lexes `source`, which the parser's tokens view: it must outlive
+  /// the parser.
   Parser(std::string_view source, Diagnostics& diagnostics);
 
   /// Parses a whole translation unit. On syntax errors, diagnostics are
@@ -35,10 +43,23 @@ public:
 private:
   const Token& current() const;
   const Token& peekNext() const;
-  Token consume();
+  const Token& consume();
   bool match(TokenKind kind);
-  Token expect(TokenKind kind, const char* context);
+  const Token& expect(TokenKind kind, const char* context);
   void synchronize();
+
+  /// Reports number literal `literal` out of range for its use.
+  void outOfRange(const Token& literal);
+  /// The value of integer literal `literal` if it is at most `max`;
+  /// otherwise reports the literal out of range.
+  std::optional<std::int64_t> integerValue(const Token& literal,
+                                           std::int64_t max);
+  /// A contracted dimension: 0 unless `token` is an integer literal
+  /// within an int (expect() or integerValue() reported the others).
+  int pairIndex(const Token& token);
+  /// The value of a number literal, or 0 after reporting it out of
+  /// range.
+  double numberValue(const Token& literal);
 
   /// A parsed subexpression and the depth of its deepest node below
   /// its root (0 for a leaf).
@@ -70,6 +91,11 @@ private:
 
   std::vector<Token> tokens_;
   std::size_t index_ = 0;
+  /// Factors of the products being parsed, innermost last: each product
+  /// moves its own into an operand vector of the final size.
+  std::vector<ExprPtr> factors_;
+  /// The pairs of the contraction being parsed.
+  std::vector<IndexPair> pairs_;
   /// Parentheses and unary minuses open around the current token: the
   /// parser recurses once for each.
   int nesting_ = 0;
@@ -77,7 +103,7 @@ private:
 };
 
 /// Convenience wrapper: lex + parse + sema in one call; throws FlowError
-/// on any error.
+/// on any error. The returned program owns all its strings.
 Program parseAndCheck(std::string_view source);
 
 } // namespace cfd::dsl

@@ -1,9 +1,8 @@
 #include "dsl/Sema.h"
 
 #include "support/Format.h"
+#include "support/NameIndex.h"
 
-#include <map>
-#include <set>
 #include <sstream>
 
 namespace cfd::dsl {
@@ -25,13 +24,22 @@ public:
   }
 
 private:
+  /// Index of the first declaration named `name`, or -1.
+  int declarationOf(std::string_view name) const {
+    return declared_.find(name, declName_);
+  }
+
   void checkDeclarations() {
     for (const auto& type : program_.types)
       if (!isBoundedShape(type.shape))
         diagnostics_.error(type.location, "type '" + type.name + "': " +
                                               shapeBoundMessage(type.shape));
-    for (const auto& decl : program_.declarations) {
-      if (!declared_.emplace(decl.name, &decl).second)
+    const auto& decls = program_.declarations;
+    defined_.assign(decls.size(), false);
+    used_.assign(decls.size(), false);
+    for (std::size_t i = 0; i < decls.size(); ++i) {
+      const VarDecl& decl = decls[i];
+      if (!declared_.insert(decl.name, static_cast<int>(i), declName_))
         diagnostics_.error(decl.location,
                            "duplicate declaration of '" + decl.name + "'");
       if (!isBoundedShape(decl.shape))
@@ -41,7 +49,10 @@ private:
   }
 
   void checkAssignment(Assignment& assignment) {
-    const VarDecl* target = program_.findDecl(assignment.target);
+    const int index = declarationOf(assignment.target);
+    const VarDecl* target =
+        index < 0 ? nullptr
+                  : &program_.declarations[static_cast<std::size_t>(index)];
     if (target == nullptr) {
       diagnostics_.error(assignment.location, "assignment to undeclared '" +
                                                   assignment.target + "'");
@@ -49,11 +60,13 @@ private:
       diagnostics_.error(assignment.location,
                          "input '" + assignment.target +
                              "' must not be assigned");
-    } else if (!defined_.insert(assignment.target).second) {
+    } else if (defined_[index]) {
       diagnostics_.error(assignment.location,
                          "'" + assignment.target +
                              "' is assigned more than once; CFDlang "
                              "programs are single-assignment");
+    } else {
+      defined_[index] = true;
     }
     if (!inferShape(*assignment.value))
       return;
@@ -72,7 +85,7 @@ private:
       if (decl.kind != VarKind::Output)
         continue;
       hasOutput = true;
-      if (!defined_.count(decl.name))
+      if (!defined_[declarationOf(decl.name)])
         diagnostics_.error(decl.location,
                            "output '" + decl.name + "' is never assigned");
     }
@@ -85,7 +98,7 @@ private:
     // Inputs and locals that nothing reads waste PLM space and host
     // transfer bandwidth — worth a warning, not an error.
     for (const auto& decl : program_.declarations) {
-      if (decl.kind == VarKind::Output || used_.count(decl.name))
+      if (decl.kind == VarKind::Output || used_[declarationOf(decl.name)])
         continue;
       diagnostics_.warning(decl.location,
                            std::string(decl.kind == VarKind::Input
@@ -128,15 +141,16 @@ private:
   }
 
   bool inferIdent(Expr& expr) {
-    const auto it = declared_.find(expr.name);
-    if (it == declared_.end()) {
+    const int index = declarationOf(expr.name);
+    if (index < 0) {
       diagnostics_.error(expr.location,
                          "use of undeclared variable '" + expr.name + "'");
       return false;
     }
-    used_.insert(expr.name);
-    const VarDecl& decl = *it->second;
-    if (decl.kind != VarKind::Input && !defined_.count(expr.name))
+    used_[index] = true;
+    const VarDecl& decl =
+        program_.declarations[static_cast<std::size_t>(index)];
+    if (decl.kind != VarKind::Input && !defined_[index])
       diagnostics_.error(expr.location, "variable '" + expr.name +
                                             "' is used before it is defined");
     expr.shape = decl.shape;
@@ -171,17 +185,22 @@ private:
   }
 
   bool inferProduct(Expr& expr) {
-    expr.shape.clear();
     bool ok = true;
+    std::size_t rank = 0;
     for (auto& operand : expr.operands) {
-      if (!inferShape(*operand)) {
+      if (inferShape(*operand))
+        rank += operand->shape.size();
+      else
         ok = false;
-        continue;
-      }
+    }
+    if (!ok)
+      return false;
+    expr.shape.clear();
+    expr.shape.reserve(rank);
+    for (const auto& operand : expr.operands)
       expr.shape.insert(expr.shape.end(), operand->shape.begin(),
                         operand->shape.end());
-    }
-    return ok;
+    return true;
   }
 
   bool inferContraction(Expr& expr) {
@@ -189,7 +208,10 @@ private:
       return false;
     const auto& operandShape = expr.operands[0]->shape;
     const int rank = static_cast<int>(operandShape.size());
-    std::set<int> reduced;
+    // reduced_[d]: dimension d is contracted. Nested contractions are
+    // done with it: the operand's shape was inferred above.
+    reduced_.assign(operandShape.size(), false);
+    int numReduced = 0;
     bool ok = true;
     for (const auto& pair : expr.pairs) {
       for (int dim : {pair.first, pair.second}) {
@@ -201,11 +223,14 @@ private:
           ok = false;
           continue;
         }
-        if (!reduced.insert(dim).second) {
+        if (reduced_[dim]) {
           diagnostics_.error(expr.location,
                              "dimension " + std::to_string(dim) +
                                  " is contracted more than once");
           ok = false;
+        } else {
+          reduced_[dim] = true;
+          ++numReduced;
         }
       }
       if (pair.first >= 0 && pair.first < rank && pair.second >= 0 &&
@@ -224,17 +249,28 @@ private:
     if (!ok)
       return false;
     expr.shape.clear();
+    expr.shape.reserve(static_cast<std::size_t>(rank - numReduced));
     for (int dim = 0; dim < rank; ++dim)
-      if (!reduced.count(dim))
+      if (!reduced_[dim])
         expr.shape.push_back(operandShape[static_cast<std::size_t>(dim)]);
     return true;
   }
 
   Program& program_;
   Diagnostics& diagnostics_;
-  std::map<std::string, const VarDecl*> declared_;
-  std::set<std::string> defined_;
-  std::set<std::string> used_;
+  /// Declarations by name; a repeated name keeps its first declaration,
+  /// whose index keys the flags below.
+  NameIndex declared_;
+  struct DeclName {
+    const Program* program;
+    std::string_view operator()(int index) const {
+      return program->declarations[static_cast<std::size_t>(index)].name;
+    }
+  } declName_{&program_};
+  /// Per declaration: assigned so far, and read so far.
+  std::vector<bool> defined_;
+  std::vector<bool> used_;
+  std::vector<bool> reduced_;
 };
 
 } // namespace

@@ -3,8 +3,8 @@
 
 #include "support/SourceLocation.h"
 
-#include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace cfd::dsl {
 
@@ -38,12 +38,13 @@ enum class TokenKind {
 
 const char* tokenKindName(TokenKind kind);
 
+/// One lexed token. `text` views the source the Lexer read, so that
+/// source must outlive every token lexed from it; the parser converts a
+/// literal's text to its value where it knows the value's range.
 struct Token {
   TokenKind kind = TokenKind::Invalid;
-  std::string text;
+  std::string_view text;
   SourceLocation location;
-  std::int64_t intValue = 0;
-  double floatValue = 0.0;
 
   bool is(TokenKind k) const { return kind == k; }
   std::string str() const;

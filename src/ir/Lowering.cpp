@@ -5,6 +5,8 @@
 #include "support/Hash.h"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <optional>
 
 namespace cfd::ir {
@@ -42,10 +44,22 @@ public:
   }
 
 private:
-  /// A product factor together with the global product dimensions it owns.
+  /// A product factor together with the global product dimensions it
+  /// owns, in the order of its own dimensions. Every tensor's rank is
+  /// bounded by kMaxDims (Sema, the codec, and the checks below).
   struct Factor {
-    TensorId id;
-    std::vector<int> globalDims;
+    TensorId id = -1;
+    std::array<int, kMaxDims> globalDims{};
+    int rank = 0;
+
+    /// The factor's own dimension that global dimension `g` is, or -1.
+    int localDim(int g) const {
+      for (int d = 0; d < rank; ++d)
+        if (globalDims[static_cast<std::size_t>(d)] == g)
+          return d;
+      return -1;
+    }
+    bool owns(int g) const { return localDim(g) >= 0; }
   };
 
   /// Lowers `expr`; the result is written to `dest` if provided, else to a
@@ -131,41 +145,40 @@ private:
     // Materialize factors and assign global dimension numbers 0..R-1 over
     // the concatenated product space.
     std::vector<Factor> factors;
+    factors.reserve(product.operands.size());
     int nextDim = 0;
     for (const auto& operandExpr : product.operands) {
       Factor factor;
       factor.id = lowerExpr(*operandExpr, std::nullopt);
-      const int rank = program_.tensor(factor.id).type.rank();
-      for (int d = 0; d < rank; ++d)
-        factor.globalDims.push_back(nextDim++);
-      factors.push_back(std::move(factor));
+      factor.rank = program_.tensor(factor.id).type.rank();
+      CFD_ASSERT(factor.rank <= kMaxDims, "product factor rank over kMaxDims");
+      for (int d = 0; d < factor.rank; ++d)
+        factor.globalDims[static_cast<std::size_t>(d)] = nextDim++;
+      factors.push_back(factor);
     }
 
     // Reject traces: both ends of a pair inside one factor.
     for (const auto& pair : pairs)
-      for (const auto& factor : factors) {
-        const bool hasFirst = owns(factor, pair.first);
-        const bool hasSecond = owns(factor, pair.second);
-        if (hasFirst && hasSecond)
+      for (const auto& factor : factors)
+        if (factor.owns(pair.first) && factor.owns(pair.second))
           throw FlowError("contraction pairs within a single factor "
                           "(traces) are not supported");
-      }
 
     if (options_.factorization == FactorizationOrder::LeftToRight)
       std::reverse(factors.begin(), factors.end());
 
     std::vector<std::pair<int, int>> remaining;
+    remaining.reserve(pairs.size());
     for (const auto& pair : pairs)
       remaining.emplace_back(pair.first, pair.second);
 
-    Factor acc = std::move(factors.back());
+    Factor acc = factors.back();
     factors.pop_back();
     while (!factors.empty()) {
-      Factor factor = std::move(factors.back());
+      const Factor factor = factors.back();
       factors.pop_back();
       const bool last = factors.empty();
-      acc = contractOnce(std::move(factor), std::move(acc), remaining,
-                         last ? dest : std::nullopt);
+      acc = contractOnce(factor, acc, remaining, last ? dest : std::nullopt);
     }
     CFD_ASSERT(remaining.empty(), "unresolved contraction pairs");
     if (product.operands.size() == 1) {
@@ -177,22 +190,10 @@ private:
     return acc.id;
   }
 
-  static bool owns(const Factor& factor, int globalDim) {
-    return std::find(factor.globalDims.begin(), factor.globalDims.end(),
-                     globalDim) != factor.globalDims.end();
-  }
-
-  static int localDim(const Factor& factor, int globalDim) {
-    const auto it = std::find(factor.globalDims.begin(),
-                              factor.globalDims.end(), globalDim);
-    CFD_ASSERT(it != factor.globalDims.end(), "global dim not in factor");
-    return static_cast<int>(it - factor.globalDims.begin());
-  }
-
   /// Contracts `lhs` with `acc` over all remaining pairs that connect
   /// them (an outer product when none do). Consumed pairs are removed
   /// from `remaining`.
-  Factor contractOnce(Factor lhs, Factor acc,
+  Factor contractOnce(const Factor& lhs, const Factor& acc,
                       std::vector<std::pair<int, int>>& remaining,
                       std::optional<TensorId> dest) {
     Operation op;
@@ -200,16 +201,20 @@ private:
     op.lhs = lhs.id;
     op.rhs = acc.id;
 
-    std::vector<int> lhsReduced, accReduced;
+    // Bit d: own dimension d of lhs (acc) is contracted.
+    std::uint32_t lhsReduced = 0;
+    std::uint32_t accReduced = 0;
     for (auto it = remaining.begin(); it != remaining.end();) {
       auto [a, b] = *it;
       // Normalize so `a` belongs to lhs and `b` to acc.
-      if (owns(acc, a) && owns(lhs, b))
+      if (acc.owns(a) && lhs.owns(b))
         std::swap(a, b);
-      if (owns(lhs, a) && owns(acc, b)) {
-        op.pairs.emplace_back(localDim(lhs, a), localDim(acc, b));
-        lhsReduced.push_back(a);
-        accReduced.push_back(b);
+      const int lhsDim = lhs.localDim(a);
+      const int accDim = acc.localDim(b);
+      if (lhsDim >= 0 && accDim >= 0) {
+        op.pairs.emplace_back(lhsDim, accDim);
+        lhsReduced |= std::uint32_t{1} << lhsDim;
+        accReduced |= std::uint32_t{1} << accDim;
         it = remaining.erase(it);
       } else {
         ++it;
@@ -217,68 +222,70 @@ private:
     }
 
     // Result global dims: free(lhs) then free(acc).
-    std::vector<int> resultDims;
-    for (int g : lhs.globalDims)
-      if (std::find(lhsReduced.begin(), lhsReduced.end(), g) ==
-          lhsReduced.end())
-        resultDims.push_back(g);
-    for (int g : acc.globalDims)
-      if (std::find(accReduced.begin(), accReduced.end(), g) ==
-          accReduced.end())
-        resultDims.push_back(g);
+    std::array<int, 2 * kMaxDims> resultDims{};
+    std::size_t numResultDims = 0;
+    const auto appendFree = [&](const Factor& factor, std::uint32_t reduced) {
+      for (int d = 0; d < factor.rank; ++d)
+        if (!(reduced >> d & 1))
+          resultDims[numResultDims++] =
+              factor.globalDims[static_cast<std::size_t>(d)];
+    };
+    appendFree(lhs, lhsReduced);
+    appendFree(acc, accReduced);
 
     // Every statement's loop nest must fit kMaxDims (support/Format.h).
     // Sema bounds the ranks of the tensors, not the domain that pairing
     // two of them forms: free dims of both plus one loop per pair.
-    const std::size_t loops = resultDims.size() + op.pairs.size();
+    const std::size_t loops = numResultDims + op.pairs.size();
     if (loops > static_cast<std::size_t>(kMaxDims))
       throw FlowError("contraction " + program_.tensor(lhs.id).name + " # " +
                       program_.tensor(acc.id).name + ": domain of " +
                       std::to_string(loops) + " loops exceeds the bound of " +
                       std::to_string(kMaxDims) + " loops per statement");
 
-    // Shape of the result in resultDims order.
-    std::vector<std::int64_t> resultShape;
-    for (int g : resultDims) {
-      const Factor& owner = owns(lhs, g) ? lhs : acc;
-      const auto& shape = program_.tensor(owner.id).type.shape;
-      resultShape.push_back(
-          shape[static_cast<std::size_t>(localDim(owner, g))]);
-    }
-
+    Factor result;
+    result.rank = static_cast<int>(numResultDims);
     if (dest) {
       // The final statement writes the declared target; its dimension
       // order is the ascending global free dims, so permute the write.
-      std::vector<int> sorted = resultDims;
-      std::sort(sorted.begin(), sorted.end());
-      op.resultPerm.resize(sorted.size());
+      std::copy_n(resultDims.begin(), numResultDims,
+                  result.globalDims.begin());
+      std::sort(result.globalDims.begin(),
+                result.globalDims.begin() + result.rank);
       bool identity = true;
-      for (std::size_t j = 0; j < sorted.size(); ++j) {
-        const auto it = std::find(resultDims.begin(), resultDims.end(),
-                                  sorted[j]);
-        op.resultPerm[j] = static_cast<int>(it - resultDims.begin());
-        if (op.resultPerm[j] != static_cast<int>(j))
-          identity = false;
+      for (std::size_t j = 0; j < numResultDims; ++j)
+        identity = identity && result.globalDims[j] == resultDims[j];
+      if (!identity) {
+        op.resultPerm.resize(numResultDims);
+        for (std::size_t j = 0; j < numResultDims; ++j)
+          op.resultPerm[j] = static_cast<int>(
+              std::find(resultDims.begin(), resultDims.begin() + result.rank,
+                        result.globalDims[j]) -
+              resultDims.begin());
       }
-      if (identity)
-        op.resultPerm.clear();
       op.target = *dest;
       program_.addOperation(std::move(op));
-      Factor result;
       result.id = *dest;
-      result.globalDims = std::move(sorted);
       return result;
     }
 
+    // Shape of the result in resultDims order.
+    std::vector<std::int64_t> resultShape;
+    resultShape.reserve(numResultDims);
+    for (std::size_t j = 0; j < numResultDims; ++j) {
+      const int g = resultDims[j];
+      const Factor& owner = lhs.owns(g) ? lhs : acc;
+      resultShape.push_back(program_.tensor(owner.id).type.shape
+                                [static_cast<std::size_t>(owner.localDim(g))]);
+    }
     // Sema bounds the factors and the contraction's result, not the
     // intermediates that this factor order forms between them.
     if (!isBoundedShape(resultShape))
       throw FlowError("contraction intermediate: " +
                       shapeBoundMessage(resultShape));
-    op.target = program_.addTransient(TensorType{resultShape});
-    Factor result;
+    std::copy_n(resultDims.begin(), numResultDims, result.globalDims.begin());
+    op.target = program_.addTransient(TensorType{std::move(resultShape)});
     result.id = op.target;
-    result.globalDims = std::move(resultDims);
     program_.addOperation(std::move(op));
     return result;
   }

@@ -8,10 +8,10 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <numeric>
 #include <optional>
 #include <sstream>
-#include <unordered_map>
 
 namespace cfd::ir {
 
@@ -49,52 +49,96 @@ bool isIdentityPerm(const std::vector<int>& perm) {
 
 // ---- cse ----------------------------------------------------------------
 
-/// Structural key of an operation: equal keys imply equal values (and,
-/// because the target shape is part of the key, interchangeable
-/// storage). Operand ids are compared after value-numbering rewrites,
-/// so structurally equal chains collapse front to back in one walk.
-std::string cseKey(const Program& program, const Operation& op) {
-  std::ostringstream os;
-  os << static_cast<int>(op.kind);
+/// Operand order of an entry-wise op as CSE compares it: commutative
+/// operands are sorted, so x+y and y+x share a value number without
+/// rewriting either op.
+std::pair<TensorId, TensorId> entryWiseOperands(const Operation& op) {
+  if ((op.entryWise == EntryWiseKind::Add ||
+       op.entryWise == EntryWiseKind::Mul) &&
+      op.lhs > op.rhs)
+    return {op.rhs, op.lhs};
+  return {op.lhs, op.rhs};
+}
+
+/// Hash of the fields sameValue() compares.
+std::uint64_t valueHash(const Program& program, const Operation& op) {
+  std::uint64_t hash = 0;
+  const auto mix = [&](std::uint64_t value) {
+    hash = (hash ^ value) * 0x9e3779b97f4a7c15ull;
+    hash ^= hash >> 29;
+  };
+  mix(static_cast<std::uint64_t>(op.kind));
   switch (op.kind) {
   case OpKind::Contract:
-    os << " " << op.lhs << " " << op.rhs;
+    mix(static_cast<std::uint64_t>(op.lhs));
+    mix(static_cast<std::uint64_t>(op.rhs));
     for (const auto& [a, b] : op.pairs)
-      os << " (" << a << "," << b << ")";
-    os << " p";
+      mix(static_cast<std::uint64_t>(a) << 32 | static_cast<std::uint32_t>(b));
     for (int v : op.resultPerm)
-      os << " " << v;
+      mix(static_cast<std::uint64_t>(v));
     break;
   case OpKind::EntryWise: {
-    TensorId a = op.lhs;
-    TensorId b = op.rhs;
-    // Commutative operand order is normalized in the key only, so
-    // x+y and y+x share a value number without rewriting either op.
-    if ((op.entryWise == EntryWiseKind::Add ||
-         op.entryWise == EntryWiseKind::Mul) &&
-        a > b)
-      std::swap(a, b);
-    os << " " << static_cast<int>(op.entryWise) << " " << a << " " << b;
+    const auto [a, b] = entryWiseOperands(op);
+    mix(static_cast<std::uint64_t>(op.entryWise));
+    mix(static_cast<std::uint64_t>(a));
+    mix(static_cast<std::uint64_t>(b));
     break;
   }
   case OpKind::Copy:
-    os << " " << op.lhs << " p";
+    mix(static_cast<std::uint64_t>(op.lhs));
     for (int v : op.perm)
-      os << " " << v;
+      mix(static_cast<std::uint64_t>(v));
     break;
   case OpKind::Fill:
-    os << " " << std::bit_cast<std::uint64_t>(op.scalar);
+    mix(std::bit_cast<std::uint64_t>(op.scalar));
     break;
   }
-  os << " t";
   for (std::int64_t extent : program.tensor(op.target).type.shape)
-    os << " " << extent;
-  return os.str();
+    mix(static_cast<std::uint64_t>(extent));
+  return hash;
+}
+
+/// Structural equivalence of two operations: equal fields imply equal
+/// values (and, because the target shape is compared, interchangeable
+/// storage). Operand ids are compared after value-numbering rewrites,
+/// so structurally equal chains collapse front to back in one walk. A
+/// fill compares its scalar's bits, so 0.0 and -0.0 stay apart.
+bool sameValue(const Program& program, const Operation& a,
+               const Operation& b) {
+  if (a.kind != b.kind)
+    return false;
+  switch (a.kind) {
+  case OpKind::Contract:
+    if (a.lhs != b.lhs || a.rhs != b.rhs || a.pairs != b.pairs ||
+        a.resultPerm != b.resultPerm)
+      return false;
+    break;
+  case OpKind::EntryWise:
+    if (a.entryWise != b.entryWise ||
+        entryWiseOperands(a) != entryWiseOperands(b))
+      return false;
+    break;
+  case OpKind::Copy:
+    if (a.lhs != b.lhs || a.perm != b.perm)
+      return false;
+    break;
+  case OpKind::Fill:
+    if (std::bit_cast<std::uint64_t>(a.scalar) !=
+        std::bit_cast<std::uint64_t>(b.scalar))
+      return false;
+    break;
+  }
+  return program.tensor(a.target).type.shape ==
+         program.tensor(b.target).type.shape;
 }
 
 int runCse(Program& program) {
   auto& ops = program.operations();
-  std::unordered_map<std::string, TensorId> seen;
+  // Value table: open-addressed slots of op indices (at most half
+  // full). Every indexed op precedes the cursor, and erasing the
+  // cursor's op moves only later ones, so the indices stay valid.
+  std::vector<int> slots(std::bit_ceil(2 * ops.size() + 1), -1);
+  const std::size_t mask = slots.size() - 1;
   std::vector<TensorId> replaceWith(program.tensors().size(), -1);
   int rewrites = 0;
   for (std::size_t i = 0; i < ops.size();) {
@@ -103,12 +147,17 @@ int runCse(Program& program) {
       op.lhs = replaceWith[op.lhs];
     if (readsRhs(op) && op.rhs >= 0 && replaceWith[op.rhs] != -1)
       op.rhs = replaceWith[op.rhs];
-    const auto [it, inserted] = seen.try_emplace(cseKey(program, op), op.target);
-    if (inserted) {
+    std::size_t slot = valueHash(program, op) & mask;
+    while (slots[slot] != -1 &&
+           !sameValue(program, ops[static_cast<std::size_t>(slots[slot])], op))
+      slot = (slot + 1) & mask;
+    if (slots[slot] == -1) {
+      slots[slot] = static_cast<int>(i);
       ++i;
       continue;
     }
-    const TensorId representative = it->second;
+    const TensorId representative =
+        ops[static_cast<std::size_t>(slots[slot])].target;
     if (program.tensor(op.target).kind == TensorKind::Transient) {
       // A duplicate transient needs no storage of its own: later reads
       // go to the representative and the definition disappears.
@@ -200,10 +249,15 @@ int runFold(Program& program) {
       const std::optional<double> lhsFill = fillOf[op.lhs];
       const std::optional<double> rhsFill = fillOf[op.rhs];
       if (lhsFill && rhsFill) {
-        op = makeFill(op.target,
-                      foldEntryWise(op.entryWise, *lhsFill, *rhsFill));
-        fillOf[op.target] = op.scalar;
-        ++rewrites;
+        // Only a finite result folds: C99 has no literal for Inf or
+        // NaN, so the emitted kernel computes those at run time.
+        const double folded =
+            foldEntryWise(op.entryWise, *lhsFill, *rhsFill);
+        if (std::isfinite(folded)) {
+          op = makeFill(op.target, folded);
+          fillOf[op.target] = op.scalar;
+          ++rewrites;
+        }
         break;
       }
       const auto rewriteToCopy = [&](TensorId source) {

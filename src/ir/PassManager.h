@@ -6,9 +6,9 @@
 //                 runs at every level; ir/Transforms.h)
 //   cse           common-subexpression elimination by structural value
 //                 numbering modulo tensor renaming
-//   fold          constant folding of Fill-fed entry-wise ops, algebraic
-//                 identities (x+0, x-0, x*1, x/1, x*0 -> Fill), and
-//                 double-copy collapse
+//   fold          constant folding of Fill-fed entry-wise ops to finite
+//                 constants, algebraic identities (x+0, x-0, x*1, x/1,
+//                 x*0 -> Fill), and double-copy collapse
 //   fuse          producer-consumer fusion: consumers read through
 //                 identity copies directly; permuted copies feeding a
 //                 contraction are absorbed by remapping its pairs and

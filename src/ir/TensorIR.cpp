@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <sstream>
 
 namespace cfd::ir {
@@ -47,9 +48,11 @@ const char* entryWiseKindName(EntryWiseKind kind) {
 
 TensorId Program::addTensor(std::string name, TensorKind kind,
                             TensorType type) {
-  CFD_ASSERT(findTensor(name) == nullptr, "duplicate tensor name " + name);
+  const auto id = static_cast<TensorId>(tensors_.size());
+  const bool fresh = names_.insert(name, id, tensorName());
+  CFD_ASSERT(fresh, "duplicate tensor name " + name);
   Tensor tensor;
-  tensor.id = static_cast<TensorId>(tensors_.size());
+  tensor.id = id;
   tensor.name = std::move(name);
   tensor.kind = kind;
   tensor.type = std::move(type);
@@ -58,11 +61,16 @@ TensorId Program::addTensor(std::string name, TensorKind kind,
 }
 
 TensorId Program::addTransient(TensorType type) {
-  std::string name;
+  char buffer[16] = {'t'};
+  std::string_view name;
   do {
-    name = "t" + std::to_string(nextTransient_++);
+    const char* end =
+        std::to_chars(buffer + 1, buffer + sizeof buffer, nextTransient_++)
+            .ptr;
+    name = std::string_view(buffer, static_cast<std::size_t>(end - buffer));
   } while (findTensor(name) != nullptr);
-  return addTensor(std::move(name), TensorKind::Transient, std::move(type));
+  return addTensor(std::string(name), TensorKind::Transient,
+                   std::move(type));
 }
 
 void Program::addOperation(Operation op) {
@@ -75,11 +83,9 @@ const Tensor& Program::tensor(TensorId id) const {
   return tensors_[static_cast<std::size_t>(id)];
 }
 
-const Tensor* Program::findTensor(const std::string& name) const {
-  for (const auto& tensor : tensors_)
-    if (tensor.name == name)
-      return &tensor;
-  return nullptr;
+const Tensor* Program::findTensor(std::string_view name) const {
+  const int id = names_.find(name, tensorName());
+  return id < 0 ? nullptr : &tensors_[static_cast<std::size_t>(id)];
 }
 
 std::vector<TensorId> Program::interfaceOrder() const {
@@ -104,9 +110,12 @@ void Program::dropUnusedTensors() {
     if (op.kind == OpKind::Contract || op.kind == OpKind::EntryWise)
       lastUsed = std::max(lastUsed, op.rhs);
   }
+  const std::size_t count = tensors_.size();
   while (!tensors_.empty() && !tensors_.back().isInterface() &&
          tensors_.back().id > lastUsed)
     tensors_.pop_back();
+  if (tensors_.size() != count)
+    names_.reset(tensors_.size(), tensorName());
 }
 
 namespace {

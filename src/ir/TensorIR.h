@@ -14,10 +14,12 @@
 #include "poly/AffineMap.h"
 #include "poly/Box.h"
 #include "support/Error.h"
+#include "support/NameIndex.h"
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cfd::ir {
@@ -127,7 +129,8 @@ public:
   std::vector<Operation>& operations() { return operations_; }
 
   const Tensor& tensor(TensorId id) const;
-  const Tensor* findTensor(const std::string& name) const;
+  /// The tensor named `name`, or nullptr; a hash lookup.
+  const Tensor* findTensor(std::string_view name) const;
 
   /// Tensors in interface order: inputs, outputs, then locals/transients —
   /// the argument order of the generated kernel_body (Fig. 6).
@@ -174,8 +177,18 @@ public:
   std::vector<Access> readAccesses(const Operation& op) const;
 
 private:
+  struct TensorName {
+    const std::vector<Tensor>* tensors;
+    std::string_view operator()(int id) const {
+      return (*tensors)[static_cast<std::size_t>(id)].name;
+    }
+  };
+  TensorName tensorName() const { return {&tensors_}; }
+
   std::vector<Tensor> tensors_;
   std::vector<Operation> operations_;
+  /// Tensor ids by name, kept in step with tensors_.
+  NameIndex names_;
   int nextTransient_ = 0;
 };
 

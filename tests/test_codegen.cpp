@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
 
 namespace cfd::codegen {
 namespace {
@@ -142,6 +144,24 @@ void checkGeneratedCode(FlowOptions options, const std::string& tag) {
   }
   EXPECT_EQ(index, v.data.size());
   EXPECT_LE(maxError, 1e-12);
+}
+
+// Constant subexpressions whose value is NaN or Inf stay computed at
+// run time: C99 has no literal for either, so a folded one ("-nan",
+// "inf") kept the kernel from compiling.
+TEST(CodegenIntegrationTest, NonFiniteConstantsCompile) {
+  const std::pair<const char*, const char*> kernels[] = {
+      {"nan", "var input u : [3]\nvar output v : [3]\nv = u * (0 / 0)\n"},
+      {"inf", "var input u : [3]\nvar output v : [3]\n"
+              "v = u * (1e308 * 1e308)\n"}};
+  for (const auto& [tag, source] : kernels) {
+    FlowOptions options;
+    options.emitter.emitTestMain = true;
+    const Flow flow = Flow::compile(source, options);
+    EXPECT_FALSE(
+        compileAndRun(flow.cCode(), std::string("nonfinite_") + tag).empty())
+        << flow.cCode();
+  }
 }
 
 TEST(CEmitterTest, UnrollEmitsPartitionAndUnrollPragmas) {

@@ -212,6 +212,78 @@ TEST(DiagnosticsGoldenTest, ContractionDomainOverTheBound) {
 })json");
 }
 
+// A literal must fit where it is used; one that does not is one parse
+// diagnostic naming it as written. Each of these once compiled or
+// reported a value the source does not say: a pair index cast to int
+// (4294967298 became 2), an extent saturated to 9223372036854775807,
+// and a scalar of inf.
+TEST(DiagnosticsGoldenTest, PairIndexPastInt) {
+  Session session;
+  const auto result =
+      session.compile(CompileRequest("var input  S : [3 3]\n"
+                                     "var input  u : [3 3]\n"
+                                     "var output v : [3 3]\n"
+                                     "v = S # u . [[1 4294967298]]\n"));
+  ASSERT_FALSE(result);
+  EXPECT_EQ(renderJson(result.diagnostics()),
+            R"json({
+  "schema": "cfd-diagnostics-v1",
+  "diagnostics": [
+    {
+      "severity": "error",
+      "message": "integer literal '4294967298' is out of range",
+      "stage": "parse",
+      "line": 4,
+      "column": 17
+    }
+  ]
+})json");
+}
+
+TEST(DiagnosticsGoldenTest, IntegerLiteralPastInt64) {
+  Session session;
+  const auto result = session.compile(
+      CompileRequest("var input  u : [99999999999999999999]\n"
+                     "var output v : [3]\n"
+                     "v = u\n"));
+  ASSERT_FALSE(result);
+  EXPECT_EQ(renderJson(result.diagnostics()),
+            R"json({
+  "schema": "cfd-diagnostics-v1",
+  "diagnostics": [
+    {
+      "severity": "error",
+      "message": "integer literal '99999999999999999999' is out of range",
+      "stage": "parse",
+      "line": 1,
+      "column": 17
+    }
+  ]
+})json");
+}
+
+TEST(DiagnosticsGoldenTest, FloatLiteralOverflowingDouble) {
+  Session session;
+  const auto result =
+      session.compile(CompileRequest("var input  u : [3]\n"
+                                     "var output v : [3]\n"
+                                     "v = u * 1e999\n"));
+  ASSERT_FALSE(result);
+  EXPECT_EQ(renderJson(result.diagnostics()),
+            R"json({
+  "schema": "cfd-diagnostics-v1",
+  "diagnostics": [
+    {
+      "severity": "error",
+      "message": "float literal '1e999' is out of range",
+      "stage": "parse",
+      "line": 3,
+      "column": 9
+    }
+  ]
+})json");
+}
+
 // 20,000 nested parentheses (a 40 KB source): the parser stops at the
 // 257th instead of recursing until the stack overflows.
 TEST(DiagnosticsGoldenTest, ParenthesesNestedPastTheDepthBound) {

@@ -40,7 +40,7 @@ TEST(LexerTest, DotBeforeBracketIsContraction) {
   for (const auto& token : tokens)
     if (token.kind == TokenKind::FloatLiteral) {
       sawFloat = true;
-      EXPECT_TRUE(token.floatValue == 2.5 || token.floatValue == 1000.0);
+      EXPECT_TRUE(token.text == "2.5" || token.text == "1e3") << token.text;
     }
   EXPECT_TRUE(sawFloat);
 }
@@ -129,7 +129,8 @@ TEST(ParserTest, SyntaxErrorsAreRecoverable) {
   const Program program = parser.parseProgram();
   EXPECT_TRUE(diags.hasErrors());
   // Recovery still sees the later declaration.
-  EXPECT_NE(program.findDecl("y"), nullptr);
+  ASSERT_FALSE(program.declarations.empty());
+  EXPECT_EQ(program.declarations.back().name, "y");
 }
 
 TEST(ParserTest, NegativeExtentRejected) {
@@ -137,6 +138,34 @@ TEST(ParserTest, NegativeExtentRejected) {
   Parser parser("var x : [0]", diags);
   parser.parseProgram();
   EXPECT_TRUE(diags.hasErrors());
+}
+
+// Each literal's range ends at its type's limit: the parser takes the
+// limit itself and reports the next value; a float that underflows to
+// zero is taken.
+TEST(ParserTest, LiteralRangesEndAtTheirTypesLimits) {
+  const auto parseErrors = [](const std::string& source) {
+    Diagnostics diags;
+    Parser(source, diags).parseProgram();
+    std::string messages;
+    for (const Diagnostic& diagnostic : diags.all())
+      messages += diagnostic.message + "\n";
+    return messages;
+  };
+  const std::string pair = "var input S : [3 3]\nvar input u : [3 3]\n"
+                           "var output v : [3 3]\nv = S # u . [[1 ";
+  EXPECT_EQ(parseErrors(pair + "2147483647]]\n"), "");
+  EXPECT_EQ(parseErrors(pair + "2147483648]]\n"),
+            "integer literal '2147483648' is out of range\n");
+  EXPECT_EQ(parseErrors("var input u : [9223372036854775807]\n"), "");
+  EXPECT_EQ(parseErrors("var input u : [9223372036854775808]\n"),
+            "integer literal '9223372036854775808' is out of range\n");
+  const std::string scalar = "var input u : [3]\nvar output v : [3]\nv = u * ";
+  EXPECT_EQ(parseErrors(scalar + "1.7976931348623157e308\n"), "");
+  EXPECT_EQ(parseErrors(scalar + "1.8e308\n"),
+            "float literal '1.8e308' is out of range\n");
+  const Program underflow = parseAndCheck(scalar + "1e-999\n");
+  EXPECT_EQ(underflow.assignments[0].value->operands[1]->value, 0.0);
 }
 
 TEST(ParserTest, ExpressionDepthIsBoundedWhereTheCodecBoundsIt) {
@@ -210,6 +239,17 @@ TEST(SemaTest, DuplicateContractionDim) {
   Diagnostics diags;
   EXPECT_FALSE(analyze(program, diags));
   EXPECT_NE(diags.str().find("more than once"), std::string::npos);
+}
+
+// A repeated name is one error; its uses resolve to the first
+// declaration, so neither declaration is reported unused.
+TEST(SemaTest, DuplicateDeclarationIsOneError) {
+  Program program = parseOk(
+      "var input x : [3]\nvar input x : [3]\nvar output y : [3]\ny = x");
+  Diagnostics diags;
+  EXPECT_FALSE(analyze(program, diags));
+  ASSERT_EQ(diags.all().size(), 1u) << diags.str();
+  EXPECT_EQ(diags.all()[0].message, "duplicate declaration of 'x'");
 }
 
 TEST(SemaTest, InputAssignmentRejected) {

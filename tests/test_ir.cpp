@@ -32,6 +32,67 @@ TEST(LoweringTest, Fig1ProducesFig6Arrays) {
   EXPECT_EQ(program.operations().size(), 7u);
 }
 
+// Transients are named t<n>, skipping the names the program declares.
+// Both programs pin the names that lowering picked when it found taken
+// names by scanning every tensor.
+TEST(LoweringTest, TransientNamesSkipDeclaredLocals) {
+  const Program program = lowerSource(R"(var input  S : [3 3]
+var input  u : [3 3 3]
+var output v : [3 3 3]
+var t0 : [3 3 3]
+var t1 : [3 3 3]
+t0 = S # S # S # u . [[1 6] [3 7] [5 8]]
+t1 = S # S # S # t0 . [[1 6] [3 7] [5 8]]
+v = S # S # S # t1 . [[1 6] [3 7] [5 8]]
+)");
+  EXPECT_EQ(program.str(), R"(input S : [3 3]
+input u : [3 3 3]
+output v : [3 3 3]
+local t0 : [3 3 3]
+local t1 : [3 3 3]
+transient t2 : [3 3 3]
+transient t3 : [3 3 3]
+transient t4 : [3 3 3]
+transient t5 : [3 3 3]
+transient t6 : [3 3 3]
+transient t7 : [3 3 3]
+t2 = contract(S, u, pairs={(1,2)})
+t3 = contract(S, t2, pairs={(1,2)})
+t0 = contract(S, t3, pairs={(1,2)})
+t4 = contract(S, t0, pairs={(1,2)})
+t5 = contract(S, t4, pairs={(1,2)})
+t1 = contract(S, t5, pairs={(1,2)})
+t6 = contract(S, t1, pairs={(1,2)})
+t7 = contract(S, t6, pairs={(1,2)})
+v = contract(S, t7, pairs={(1,2)})
+)");
+}
+
+TEST(LoweringTest, TransientNamesSkipADeclaredNameBetweenThem) {
+  const Program program = lowerSource(R"(var input  S : [3 3]
+var input  u : [3 3 3]
+var output v : [3 3 3]
+var t3 : [3 3 3]
+t3 = S # S # S # u . [[1 6] [3 7] [5 8]]
+v = S # S # S # t3 . [[1 6] [3 7] [5 8]]
+)");
+  EXPECT_EQ(program.str(), R"(input S : [3 3]
+input u : [3 3 3]
+output v : [3 3 3]
+local t3 : [3 3 3]
+transient t0 : [3 3 3]
+transient t1 : [3 3 3]
+transient t2 : [3 3 3]
+transient t4 : [3 3 3]
+t0 = contract(S, u, pairs={(1,2)})
+t1 = contract(S, t0, pairs={(1,2)})
+t3 = contract(S, t1, pairs={(1,2)})
+t2 = contract(S, t3, pairs={(1,2)})
+t4 = contract(S, t2, pairs={(1,2)})
+v = contract(S, t4, pairs={(1,2)})
+)");
+}
+
 TEST(LoweringTest, ContractionSplitReducesWork) {
   // Each binary contraction is O(p^4): 3 * 11^4 per original contraction,
   // plus 11^3 multiplies for the Hadamard product.
@@ -208,6 +269,33 @@ c = contract(a, b, pairs={(3,0), (4,1)})
       valid, {{"contraction domain of 9 loops on c exceeds the bound of 8 "
                "loops per statement",
                [](auto& ops) { ops.front().pairs = {{4, 1}}; }}});
+}
+
+// Names resolve through the program's index: a repeated name is
+// refused (the store's decoder relies on it), and a tensor that
+// dropUnusedTensors removes stops resolving.
+TEST(ProgramTest, NameLookupFollowsAddsAndDrops) {
+  Program program;
+  const TensorId a = program.addTensor("a", TensorKind::Input, {{4}});
+  const TensorId b = program.addTensor("b", TensorKind::Output, {{4}});
+  EXPECT_THROW(program.addTensor("a", TensorKind::Local, {{4}}),
+               InternalError);
+  TensorId last = -1;
+  for (int i = 0; i < 40; ++i)
+    last = program.addTransient({{4}});
+  EXPECT_EQ(program.findTensor("t39")->id, last);
+  Operation copy;
+  copy.kind = OpKind::Copy;
+  copy.target = b;
+  copy.lhs = a;
+  program.addOperation(copy);
+  program.dropUnusedTensors();
+  ASSERT_EQ(program.tensors().size(), 2u);
+  EXPECT_EQ(program.findTensor("t0"), nullptr);
+  EXPECT_EQ(program.findTensor("t39"), nullptr);
+  const Program copied = program;
+  EXPECT_EQ(copied.findTensor("a")->id, a);
+  EXPECT_EQ(copied.findTensor("b")->id, b);
 }
 
 TEST(ProgramTest, InterfaceOrderGroupsKinds) {

@@ -131,6 +131,49 @@ TEST(CsePassTest, NonCommutativeOpsAreNotMerged) {
       << program.str();
 }
 
+// CSE merges structurally equal ops only. Each pair below computes
+// values that a looser relation could merge: equal numbers, or equal
+// sums in another loop order, or equal entries in another layout.
+TEST(CsePassTest, FillsOfZeroAndNegativeZeroAreNotMerged) {
+  const ir::Program program = optimized("output y : [3]\n"
+                                        "output z : [3]\n"
+                                        "y = fill(0)\n"
+                                        "z = fill(-0)\n",
+                                        /*level=*/1);
+  EXPECT_EQ(program.str(), "output y : [3]\n"
+                           "output z : [3]\n"
+                           "y = fill(0)\n"
+                           "z = fill(-0)\n");
+}
+
+TEST(CsePassTest, ContractionsDifferingInPairOrderAreNotMerged) {
+  const char* text = "input A : [3 4]\n"
+                     "input B : [3 4]\n"
+                     "output y : []\n"
+                     "output z : []\n"
+                     "y = contract(A, B, pairs={(0,0), (1,1)})\n"
+                     "z = contract(A, B, pairs={(1,1), (0,0)})\n";
+  EXPECT_EQ(optimized(text, /*level=*/1).str(), text);
+}
+
+TEST(CsePassTest, ContractionsDifferingInResultPermAreNotMerged) {
+  const char* text = "input a : [3]\n"
+                     "input b : [3]\n"
+                     "output y : [3 3]\n"
+                     "output z : [3 3]\n"
+                     "y = contract(a, b, pairs={})\n"
+                     "z = contract(a, b, pairs={}, perm=[1 0])\n";
+  EXPECT_EQ(optimized(text, /*level=*/1).str(), text);
+}
+
+TEST(CsePassTest, EqualOpsOverDifferentTargetShapesAreNotMerged) {
+  const char* text = "output y : [3]\n"
+                     "output z : [4]\n"
+                     "y = fill(1)\n"
+                     "z = fill(1)\n";
+  EXPECT_EQ(optimized(text, /*level=*/1).str(), text);
+}
+
 // ---- Constant folding / algebraic identities ----
 
 TEST(FoldPassTest, MulByFilledOneBecomesCopy) {
